@@ -17,7 +17,6 @@ from .fields import (
     Scalar,
     characteristic,
     field_arith,
-    format_scalar,
 )
 from .groebner import (
     BuchbergerEngine,
@@ -82,12 +81,7 @@ from .polynomials import (
     Polynomial,
     PolynomialRing,
     PowerSeries,
-    apply_linear_map,
-    evaluate,
-    homogeneous_component,
-    leading_monomial,
     monomials_of_degree,
-    poly_arith,
 )
 from .ratfunc import RationalFunctionField, multivariate_gcd
 from .specfile import fixture_path, load_spec_file

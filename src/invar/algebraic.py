@@ -13,7 +13,12 @@ subalgebras for reductive groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from .errors import ContextMismatch, MaxDegreeExceeded, NotDeclaredReductive
+from .errors import (
+    ContextMismatch,
+    MaxDegreeExceeded,
+    NotDeclaredReductive,
+    VerificationFailed,
+)
 from .fields import Field
 from .groebner import (
     SubalgebraOracle,
@@ -371,8 +376,8 @@ def separating_subalgebra(spec: AlgebraicGroupSpec, max_degree: int) -> list:
         if not deltas:
             continue
         if all(radical_membership(g, deltas) for g in sep):
-            for delta in deltas:
-                assert radical_membership(delta, sep), (
+            if not all(radical_membership(delta, sep) for delta in deltas):
+                raise VerificationFailed(
                     "invariant difference must vanish on the separating variety"
                 )
             return invs

@@ -27,7 +27,7 @@ from .fields import field_from_config
 from .groebner import buchberger, ideal_dimension, reduce_basis
 from .groups import DEFAULT_CLOSURE_CAP, FiniteMatrixGroup
 from .polynomials import GREVLEX, PolynomialRing, order_by_name
-from .specfile import load_spec_file
+from .specfile import _read_spec, load_spec_file
 
 
 def _emit(args, command: str, loaded_digest: str, seed, payload, warnings, t0):
@@ -251,22 +251,16 @@ def cmd_separating_variety(args, loaded, t0):
     return _emit(args, "separating-variety", loaded.digest, None, payload, [], t0)
 
 
-def cmd_groebner(args, t0):
-    import hashlib
-
-    with open(args.file, "rb") as fh:
-        raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
-    try:
-        cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    field = field_from_config(cfg["field"])
-    ring = PolynomialRing(field, tuple(cfg["variables"]))
+def _parse_groebner_problem(cfg):
+    ring = PolynomialRing(field_from_config(cfg["field"]), tuple(cfg["variables"]))
     polys = [ring.parse(t) for t in cfg["polynomials"]]
     order = order_by_name(cfg.get("order", "grevlex"))
-    truncate = cfg.get("truncate")
-    eliminate = cfg.get("eliminate", [])
+    return polys, order, cfg.get("truncate"), cfg.get("eliminate", [])
+
+
+def cmd_groebner(args, t0):
+    problem, digest = _read_spec(args.file, _parse_groebner_problem)
+    polys, order, truncate, eliminate = problem
     if eliminate:
         from .groebner import elimination_ideal
 

@@ -98,6 +98,11 @@ class NotDeclaredReductive(InvarError):
     pass
 
 
+class VerificationFailed(InvarError):
+    """A result failed a check that the mathematics guarantees; this
+    signals a bug, not bad input, and holds under ``python -O``."""
+
+
 # CLI exit codes.  0 is success.
 EXIT_CODES = {
     ParseError: 2,

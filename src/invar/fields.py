@@ -631,10 +631,6 @@ def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
     raise ValueError(f"unknown op {op!r}")
 
 
-def format_scalar(s: Scalar) -> str:
-    return str(s)
-
-
 def characteristic(field: Field) -> int:
     return field.characteristic()
 

@@ -2,6 +2,11 @@
 built on it: normal forms, reduced bases, elimination, dimension, and
 ideal/radical/subalgebra membership.
 
+`_reduce_terms` is the package's one sparse division loop.  Normal
+forms, s-pair reduction, basis inter-reduction, and the exact division
+and univariate Euclid of `ratfunc` all run through it, on reducer
+triples built by `_reducer`.
+
 Determinism is a hard requirement: pair selection follows the normal
 strategy (lowest lcm degree, ties by the monomial order on the lcm,
 then by pair indices), the reducer is always the first basis element
@@ -51,9 +56,19 @@ def _shift_scale(p: Polynomial, shift, factor) -> Polynomial:
     )
 
 
-def _reduce_terms(terms: dict, reducers, order: MonomialOrder) -> dict:
+def _reducer(g: Polynomial, order: MonomialOrder):
+    """The (lm, lc_inverse, terms) triple of a nonzero polynomial, as
+    `_reduce_terms` takes it."""
+    lm, lc = g.leading(order)
+    return lm, lc.inverse(), g.terms
+
+
+def _reduce_terms(
+    terms: dict, reducers, order: MonomialOrder, quotient: Optional[dict] = None
+) -> dict:
     """Full normal form of a term dict against (lm, lc_inverse, terms)
-    reducer triples; first divisible reducer wins."""
+    reducer triples; first divisible reducer wins.  With a single
+    reducer, a `quotient` dict collects the quotient's terms."""
     key = order.key
     result = {}
     work = dict(terms)
@@ -64,6 +79,8 @@ def _reduce_terms(terms: dict, reducers, order: MonomialOrder) -> dict:
             if mono_divides(lm, t):
                 ratio = c * lcinv
                 shift = mono_div(t, lm)
+                if quotient is not None:
+                    quotient[shift] = ratio
                 for me, mc in gterms.items():
                     if me == lm:
                         continue
@@ -91,15 +108,8 @@ class GroebnerBasis:
 
     def reducers(self):
         if "reducers" not in self._cache:
-            triples = []
-            for g in self.generators:
-                lm, lc = g.leading(self.order)
-                triples.append((lm, lc.inverse(), g.terms))
-            self._cache["reducers"] = triples
+            self._cache["reducers"] = [_reducer(g, self.order) for g in self.generators]
         return self._cache["reducers"]
-
-    def leading_monomials(self):
-        return [g.leading_monomial(self.order) for g in self.generators]
 
     def contains_one(self) -> bool:
         return any(g.is_constant() and not g.is_zero() for g in self.generators)
@@ -143,7 +153,8 @@ class BuchbergerEngine:
         respect to the current basis, updating the pair queue with the
         Gebauer-Moeller criteria."""
         t = len(self.basis)
-        lm_t, lc_t = h.leading(self.order)
+        reducer = _reducer(h, self.order)
+        lm_t = reducer[0]
         # chain criterion on queued pairs
         for (i, j), lcm_ij in list(self._pairs.items()):
             if (
@@ -175,10 +186,7 @@ class BuchbergerEngine:
             )
         self.basis.append(h)
         self._lms.append(lm_t)
-        self._reducers.append((lm_t, lc_t.inverse(), h.terms))
-
-    def pending_degrees(self):
-        return sorted({mono_degree(lcm) for lcm in self._pairs.values()})
+        self._reducers.append(reducer)
 
     def extend(self, degree_limit: Optional[int] = None):
         """Process queued s-pairs in normal-strategy order; pairs above
@@ -258,22 +266,22 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
         if any(mono_divides(k.leading_monomial(order), lm) for k in minimal):
             continue
         minimal.append(g)
+    # a normal form does not depend on the scale of the reducers, so the
+    # basis is made monic once and its reducer triples are built once
+    monic = [g.monic(order) for g in minimal]
+    reducers = [_reducer(g, order) for g in monic]
     changed = True
     while changed:
         changed = False
-        for i, g in enumerate(minimal):
-            others = GroebnerBasis(
-                basis.ring,
-                order,
-                tuple(h for j, h in enumerate(minimal) if j != i),
-            )
-            # leading monomial survives (pairwise non-divisible), tails shrink
-            h = normal_form(g, others)
+        for i, g in enumerate(monic):
+            # the leading term survives (pairwise non-divisible), so the
+            # list stays sorted; only the tails shrink
+            others = reducers[:i] + reducers[i + 1:]
+            h = Polynomial(basis.ring, _reduce_terms(g.terms, others, order))
             if h != g:
-                minimal[i] = h
+                monic[i] = h
+                reducers[i] = _reducer(h, order)
                 changed = True
-    monic = [g.monic(order) for g in minimal]
-    monic.sort(key=lambda g: order.key(g.leading_monomial(order)))
     return GroebnerBasis(basis.ring, order, tuple(monic), None, True)
 
 

@@ -71,9 +71,6 @@ def close_group(
             g = Matrix.from_rows(field, g)
         gens.append(g)
     if not gens:
-        if field is None:
-            raise ValueError("field required for an empty generating set")
-        identity = Matrix.identity(field, 0)
         raise ValueError("dimension unknown for an empty generating set")
     field = gens[0].field
     n = gens[0].nrows

@@ -17,6 +17,7 @@ from .errors import (
     ModularCase,
     NonHomogeneousInput,
     RetryLimitExceeded,
+    VerificationFailed,
 )
 from .groebner import (
     BuchbergerEngine,
@@ -132,7 +133,7 @@ def king_generators(
     while True:
         d += 1
         if d > bound:
-            raise AssertionError("termination bound exceeded")
+            raise VerificationFailed(f"no termination by degree {bound} = |G| + 1")
         engine.extend(d)
         lms = engine.leading_monomials()
         pool = [
@@ -345,7 +346,8 @@ def reduce_separating_set(
             tag = big.variable(2 * n + 1 + i)
             ideal.append(tag - t * (fx - fy))
         relations = _eliminate_to_tags(ideal, big, keep_from=2 * n + 1)
-        assert relations, "more than 2n+1 invariants must be dependent"
+        if not relations:
+            raise VerificationFailed("more than 2n+1 invariants must be dependent")
         relations.sort(key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
         relation = relations[0]
         alpha = _find_nonvanishing_point(relation, k)
@@ -523,7 +525,10 @@ def dade_primary_invariants(
             raise RetryLimitExceeded(
                 f"no suitable linear form found for slot {slot + 1}"
             )
-    assert is_hsop(chosen, n)
+    if not is_hsop(chosen, n):
+        raise VerificationFailed(
+            "orbit products are not a homogeneous system of parameters"
+        )
     return chosen
 
 

@@ -478,32 +478,6 @@ class Polynomial:
         return f"Poly({self.format()})"
 
 
-def poly_arith(p: Polynomial, q: Polynomial, op: str) -> Polynomial:
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")
-
-
-def leading_monomial(p: Polynomial, order: MonomialOrder):
-    return p.leading(order)
-
-
-def homogeneous_component(p: Polynomial, d: int) -> Polynomial:
-    return p.homogeneous_component(d)
-
-
-def evaluate(p: Polynomial, point) -> Scalar:
-    return p.evaluate(point)
-
-
-def apply_linear_map(p: Polynomial, rows) -> Polynomial:
-    return p.apply_linear_map(rows)
-
-
 def monomials_of_degree(ring: PolynomialRing, d: int, order: MonomialOrder = GREVLEX):
     """All exponent tuples of total degree d, ascending under the order."""
     out = []

@@ -28,6 +28,3 @@ class XorShift:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
-
-    def choice(self, seq):
-        return seq[self.next_u64() % len(seq)]

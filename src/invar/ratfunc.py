@@ -5,6 +5,11 @@ and denominator coprime (by exact multivariate gcd, computed with a
 primitive pseudo-remainder sequence) and the denominator monic under
 grevlex.  The class satisfies the Field protocol, so polynomial rings
 and Groebner bases over a rational function field come for free.
+
+Exact division and the univariate Euclidean gcd have no division loop
+of their own: both run on the one sparse division kernel,
+`groebner._reduce_terms`.  Pseudo-division (`_prem`) stays separate,
+because it never inverts a coefficient.
 """
 
 from __future__ import annotations
@@ -14,36 +19,16 @@ from typing import Sequence
 
 from .errors import DivisionByZero
 from .fields import Field, Scalar
-from .polynomials import GREVLEX, Polynomial, PolynomialRing, mono_div, mono_divides
+from .groebner import _reduce_terms, _reducer
+from .polynomials import GREVLEX, Polynomial, PolynomialRing
 
 
 def _exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Quotient f/g when g divides f exactly."""
-    ring = f.ring
-    order = GREVLEX
-    lmg, lcg = g.leading(order)
-    inv = lcg.inverse()
+    """Quotient f/g; ArithmeticError unless g divides f exactly."""
     q = {}
-    work = dict(f.terms)
-    while work:
-        t = max(work, key=order.key)
-        c = work.pop(t)
-        if not mono_divides(lmg, t):
-            raise ArithmeticError("exact division failed")
-        shift = mono_div(t, lmg)
-        ratio = c * inv
-        q[shift] = ratio
-        for me, mc in g.terms.items():
-            if me == lmg:
-                continue
-            m2 = tuple(a + b for a, b in zip(me, shift))
-            cur = work.get(m2)
-            nv = -(ratio * mc) if cur is None else cur - ratio * mc
-            if nv.is_zero():
-                work.pop(m2, None)
-            else:
-                work[m2] = nv
-    return Polynomial(ring, q)
+    if _reduce_terms(f.terms, [_reducer(g, GREVLEX)], GREVLEX, q):
+        raise ArithmeticError("exact division failed")
+    return Polynomial(f.ring, q)
 
 
 def _deg_in(f: Polynomial, k: int) -> int:
@@ -110,7 +95,7 @@ def _gcd_rec(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
     if k < 0:
         return f.ring.one
     if k == 0 and f.ring.nvars == 1 or _only_var(f, k) and _only_var(g, k):
-        return _univariate_gcd(f, g, k)
+        return _univariate_gcd(f, g)
     cf, pf = _content_pp(f, k)
     cg, pg = _content_pp(g, k)
     a, b = pf, pg
@@ -131,42 +116,13 @@ def _only_var(f: Polynomial, k: int) -> bool:
     return all(all(e == 0 for i, e in enumerate(m) if i != k) for m in f.terms)
 
 
-def _univariate_gcd(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
-    ring = f.ring
-
-    def to_list(p):
-        d = _deg_in(p, k)
-        out = [ring.field.zero] * (d + 1)
-        for m, c in p.terms.items():
-            out[m[k]] = c
-        return out
-
-    def trim(c):
-        while c and c[-1].is_zero():
-            c.pop()
-        return c
-
-    a, b = trim(to_list(f)), trim(to_list(g))
-    while b:
-        inv = b[-1].inverse()
-        r = list(a)
-        while len(r) >= len(b):
-            if r[-1].is_zero():
-                r.pop()
-                continue
-            coef = r[-1] * inv
-            off = len(r) - len(b)
-            for i, bc in enumerate(b):
-                r[off + i] = r[off + i] - coef * bc
-            r.pop()
-        a, b = b, trim(r)
-    terms = {}
-    for i, c in enumerate(a):
-        if not c.is_zero():
-            mm = [0] * ring.nvars
-            mm[k] = i
-            terms[tuple(mm)] = c
-    return Polynomial(ring, terms)
+def _univariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Euclid on polynomials in one variable, up to a scalar: there the
+    full normal form of f by g is the Euclidean remainder."""
+    while not g.is_zero():
+        r = _reduce_terms(f.terms, [_reducer(g, GREVLEX)], GREVLEX)
+        f, g = g, Polynomial(f.ring, r)
+    return f
 
 
 def _content_pp(f: Polynomial, k: int):

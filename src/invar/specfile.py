@@ -72,22 +72,34 @@ def _parse_algebraic(cfg: dict) -> AlgebraicGroupSpec:
     )
 
 
-def load_spec_file(path: str, cap: int = DEFAULT_CLOSURE_CAP) -> LoadedSpec:
+def _read_spec(path: str, build):
+    """Read a JSON file whose top level is an object and return
+    (build(object), sha256 hex digest of the file's bytes).
+
+    Invalid JSON, a top level that is not an object, and a missing or
+    malformed entry (KeyError, TypeError or ValueError from `build`)
+    raise ParseError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    group = parse_group_config(cfg, cap=cap)
-    return LoadedSpec(
-        kind=cfg["kind"],
-        label=cfg.get("label", ""),
-        group=group,
-        digest=digest,
-        path=path,
-    )
+    if not isinstance(cfg, dict):
+        raise ParseError(f"{path}: top level must be a JSON object, not {type(cfg).__name__}")
+    try:
+        return build(cfg), digest
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def load_spec_file(path: str, cap: int = DEFAULT_CLOSURE_CAP) -> LoadedSpec:
+    group, digest = _read_spec(path, lambda cfg: parse_group_config(cfg, cap=cap))
+    kind = "finite_matrix" if isinstance(group, FiniteMatrixGroup) else "algebraic"
+    return LoadedSpec(kind=kind, label=group.label, group=group, digest=digest, path=path)
 
 
 def fixture_path(name: str) -> str:

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from invar import invariants
 from invar.cli import main
 from invar.specfile import fixture_path
 
@@ -161,6 +164,35 @@ def test_exit_codes(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "generators", str(tmp_path / "missing.json"))
     assert code == 2
+
+
+_C2 = {"kind": "finite_matrix", "field": {"kind": "rationals"}, "dimension": 2,
+       "generators": [[["0", "1"], ["1", "0"]]]}
+_PROBLEM = {"field": {"kind": "rationals"}, "variables": ["x"], "polynomials": ["x"]}
+
+
+@pytest.mark.parametrize("command,document", [
+    ("generators", [_C2]),
+    ("generators", {**_C2, "field": {"kind": "prime", "p": "x"}}),
+    ("generators", {k: v for k, v in _C2.items() if k != "dimension"}),
+    ("groebner", {k: v for k, v in _PROBLEM.items() if k != "polynomials"}),
+    ("groebner", [_PROBLEM]),
+], ids=["top-level-list", "prime-not-int", "no-dimension", "no-polynomials",
+        "groebner-list"])
+def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, command, str(spec), "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_failed_internal_check_exits_6(capsys, monkeypatch):
+    # must fail loudly under python -O too, instead of reporting hsop_verified
+    monkeypatch.setattr(invariants, "is_hsop", lambda polys, n: False)
+    code, out, err = run_cli(capsys, "analyze", "primary", fixture_path("c2_swap"), "--json")
+    assert (code, out) == (6, "")
+    assert json.loads(err)["error"] == "VerificationFailed"
 
 
 def test_wall_time_only_in_human_output(capsys):

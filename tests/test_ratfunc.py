@@ -3,7 +3,7 @@ import pytest
 from invar.errors import DivisionByZero
 from invar.fields import Rationals
 from invar.polynomials import GREVLEX, PolynomialRing
-from invar.ratfunc import RationalFunctionField, multivariate_gcd
+from invar.ratfunc import RationalFunctionField, _exact_div, multivariate_gcd
 
 Q = Rationals()
 L = RationalFunctionField(Q, ("a", "b"))
@@ -16,6 +16,13 @@ def test_gcd_univariate():
     x = r.variable(0)
     g = multivariate_gcd((x**2 - 1) * (x + 2), (x - 1) * x**3)
     assert g == x - 1
+
+
+def test_exact_div_quotient_and_non_divisor():
+    x, y = RING.variables()
+    assert _exact_div((x + y) * (x - 2 * y), x - 2 * y) == x + y
+    with pytest.raises(ArithmeticError):
+        _exact_div(x**2 + y, x + y)
 
 
 def test_gcd_multivariate():
