@@ -8,6 +8,11 @@ from the graph ideal yields the Derksen ideal; from it come generating
 invariants (linearly reductive case), generators of the invariant
 field over a rational function field, and separating varieties and
 subalgebras for reductive groups.
+
+The action enters through ``action_graph_generators`` alone: it is the
+only reader of the action matrix, and every construction below derives
+its images sum_j a_ij(z) x_j from those generators (``groups.apply_element``
+is the finite-group counterpart).
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ class AlgebraicGroupSpec:
             basis = reduce_basis(buchberger(self.ideal_gens, GREVLEX))
             if basis.contains_one():
                 raise ContextMismatch("group ideal is the whole ring")
+            self._cache["group_basis"] = basis
 
     def z_ring(self) -> PolynomialRing:
         return PolynomialRing(self.field, self.group_vars)
@@ -174,49 +180,28 @@ def algebraic_invariant_basis(spec: AlgebraicGroupSpec, d: int) -> list:
         return []
     field = spec.field
     zring = spec.z_ring()
-    zbasis = (
-        reduce_basis(buchberger(spec.ideal_gens, GREVLEX))
-        if spec.ideal_gens
-        else None
-    )
-    combined = PolynomialRing(field, spec.x_names() + spec.group_vars)
-    z_map = [spec.n + i for i in range(len(spec.group_vars))]
-    images = []
-    for i in range(spec.n):
-        f_i = combined.zero
-        for j in range(spec.n):
-            a = transport(spec.action_matrix[i][j], combined, z_map)
-            f_i = f_i + a * combined.variable(j)
-        images.append(f_i)
+    zbasis = spec._cache.get("group_basis")
+    n = spec.n
+    graph = action_graph_generators(spec)
+    ring = graph[0].ring  # y block, x block, z block
+    # x_j -> f_j, read off the graph generator f_j - y_j
+    images = ring.variables()
+    images[n:2 * n] = [g + ring.variable(j) for j, g in enumerate(graph[-n:])]
 
-    # residue[m][x-monomial] = z-polynomial coefficient after reduction
+    # equations[(x-monomial, z-monomial)][j]: its coefficient in m_j(A(z) x) - m_j
+    # after reduction modulo the group ideal
     equations = {}
-
-    def z_part(m):
-        return m[spec.n:]
-
-    def x_part(m):
-        return m[: spec.n]
-
-    columns = []
     for cidx, m in enumerate(monos):
-        image = combined.monomial(tuple(m) + (0,) * len(spec.group_vars))
-        image = image.substitute(images + [combined.variable(spec.n + i) for i in range(len(spec.group_vars))])
+        mono = ring.monomial((0,) * n + m + (0,) * len(spec.group_vars))
         buckets = {}
-        for mm, c in image.terms.items():
-            buckets.setdefault(x_part(mm), {})[z_part(mm)] = c
-        # subtract the original monomial
-        buckets.setdefault(tuple(m), {})
-        own = buckets[tuple(m)]
-        zero_z = (0,) * len(spec.group_vars)
-        own[zero_z] = own.get(zero_z, field.zero) - field.one
+        for mm, c in (mono.substitute(images) - mono).terms.items():
+            buckets.setdefault(mm[n:2 * n], {})[mm[2 * n:]] = c
         for xm, zterms in buckets.items():
-            zpoly = Polynomial(zring, {zm: c for zm, c in zterms.items() if not c.is_zero()})
+            zpoly = Polynomial(zring, zterms)
             if zbasis is not None:
                 zpoly = normal_form(zpoly, zbasis)
             for zm, c in zpoly.terms.items():
                 equations.setdefault((xm, zm), {})[cidx] = c
-        columns.append(cidx)
 
     rows = []
     for key in sorted(equations):
@@ -272,23 +257,15 @@ def invariant_field_generators(spec: AlgebraicGroupSpec) -> list:
     L = RationalFunctionField(spec.field, spec.x_names())
     ring = PolynomialRing(L, spec.y_names() + spec.group_vars)
     n = spec.n
-    z_map = [n + i for i in range(len(spec.group_vars))]
-
-    def lift_z_poly(p: Polynomial) -> Polynomial:
-        terms = {}
-        for m, c in p.terms.items():
-            exps = [0] * ring.nvars
-            for i, e in enumerate(m):
-                exps[z_map[i]] = e
-            terms[tuple(exps)] = L.from_base(c)
-        return Polynomial(ring, terms)
-
-    gens = [lift_z_poly(g) for g in spec.ideal_gens]
-    for i in range(n):
-        f_i = ring.zero
-        for j in range(n):
-            f_i = f_i + lift_z_poly(spec.action_matrix[i][j]) * L.generator(j)
-        gens.append(f_i - ring.variable(i))
+    gens = []
+    for g in action_graph_generators(spec):
+        # the x block of each term moves into its coefficient in L
+        coeffs = {}
+        for m, c in g.terms.items():
+            coeffs.setdefault(m[:n] + m[2 * n:], {})[m[n:2 * n]] = c
+        gens.append(Polynomial(ring, {
+            m: L.from_polynomial(Polynomial(L.ring, xterms)) for m, xterms in coeffs.items()
+        }))
     basis = elimination_ideal(gens, spec.group_vars)
     out = []
     seen = set()
@@ -340,21 +317,14 @@ def separating_variety(spec: AlgebraicGroupSpec) -> list:
     big = PolynomialRing(
         spec.field, spec.y_names() + spec.x_names() + u_names + za_names + zb_names
     )
-    za_map = [3 * n + i for i in range(r)]
-    zb_map = [3 * n + r + i for i in range(r)]
+    # copy a sends (y, x, z) to (u, x, z_a), copy b sends it to (u, y, z_b)
+    u = list(range(2 * n, 3 * n))
+    a_map = u + list(range(n, 2 * n)) + list(range(3 * n, 3 * n + r))
+    b_map = u + list(range(n)) + list(range(3 * n + r, 3 * n + 2 * r))
     gens = []
-    for g in spec.ideal_gens:
-        gens.append(transport(g, big, za_map))
-        gens.append(transport(g, big, zb_map))
-    for i in range(n):
-        fa = big.zero
-        fb = big.zero
-        for j in range(n):
-            fa = fa + transport(spec.action_matrix[i][j], big, za_map) * big.variable(n + j)
-            fb = fb + transport(spec.action_matrix[i][j], big, zb_map) * big.variable(j)
-        u = big.variable(2 * n + i)
-        gens.append(fa - u)
-        gens.append(fb - u)
+    for g in action_graph_generators(spec):
+        gens.append(transport(g, big, a_map))
+        gens.append(transport(g, big, b_map))
     return elimination_ideal(gens, u_names + za_names + zb_names)
 
 

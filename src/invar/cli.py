@@ -138,6 +138,8 @@ def _verify_derksen(spec, result) -> bool:
 
 def cmd_separating(args, loaded, t0):
     group = _require_finite(loaded)
+    if args.bound < 0:
+        raise ParseError(f"--bound must be nonnegative, got {args.bound}")
     noether = inv.noether_separating_set(group)
     if args.method == "noether":
         result = noether
@@ -209,7 +211,12 @@ def cmd_analyze(args, loaded, t0):
         seed = args.seed
     elif sub == "bounds":
         if args.degrees:
-            degrees = [int(d) for d in args.degrees.split(",")]
+            try:
+                degrees = [int(d) for d in args.degrees.split(",")]
+            except ValueError:
+                raise ParseError(
+                    f"--degrees needs comma-separated integers, got {args.degrees!r}"
+                ) from None
             seed = None
         else:
             degrees = [p.total_degree() for p in inv.dade_primary_invariants(group, seed=args.seed)]

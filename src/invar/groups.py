@@ -109,6 +109,8 @@ def close_group(
 
 
 def apply_element(p: Polynomial, m: Matrix) -> Polynomial:
+    """The finite-group action on polynomials: x_i -> sum_j m[i][j] x_j
+    on the first m.nrows variables of p's ring, the rest left fixed."""
     return p.apply_linear_map(m.rows)
 
 
@@ -142,10 +144,6 @@ def reynolds(f: Polynomial, group: FiniteMatrixGroup) -> Polynomial:
     for sigma in group.elements:
         total = total + apply_element(f, sigma)
     return total / group.field.scalar(group.order)
-
-
-def is_invariant(f: Polynomial, group: FiniteMatrixGroup) -> bool:
-    return all(apply_element(f, g) == f for g in group.generators)
 
 
 def _is_subgroup(group: FiniteMatrixGroup, subgroup: Sequence) -> bool:
@@ -272,11 +270,11 @@ def cohen_macaulay_necessary_condition(group: FiniteMatrixGroup) -> bool:
     is generated by elements of order prime to the characteristic
     together with bireflections.  Trivially true in characteristic 0."""
     p = group.field.characteristic()
+    if p == 0:
+        return True
 
     def pred(m):
         if fixed_space_codimension(m) <= 2:
-            return True
-        if p == 0:
             return True
         return element_order(m, group.order) % p != 0
 

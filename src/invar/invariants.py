@@ -45,33 +45,26 @@ from .prng import XorShift
 # invariant spaces degree by degree
 # ---------------------------------------------------------------------------
 
-def invariant_basis(group: FiniteMatrixGroup, d: int, ring=None) -> list:
+def invariant_basis(group: FiniteMatrixGroup, d: int) -> list:
     """Echelonized basis of the homogeneous degree-d invariants, from the
     exact linear system sigma(f) = f over the monomial basis.  Works in
     the modular case as well."""
-    ring = ring or group.ring()
+    ring = group.ring()
     monos = list(reversed(monomials_of_degree(ring, d)))  # descending grevlex
     if not monos:
         return []
-    index = {m: i for i, m in enumerate(monos)}
-    field = group.field
-    zero, one = field.zero, field.one
+    zero = group.field.zero
     rows = []
     for sigma in group.generators:
-        # column j holds the coordinates of sigma(m_j)
+        # column j holds the coordinates of sigma(m_j) - m_j
         cols = []
         for m in monos:
-            image = ring.monomial(m).apply_linear_map(sigma.rows)
-            col = [zero] * len(monos)
-            for mm, c in image.terms.items():
-                col[index[mm]] = c
-            cols.append(col)
-        for i in range(len(monos)):
-            row = [cols[j][i] - (one if i == j else zero) for j in range(len(monos))]
-            rows.append(row)
+            mono = ring.monomial(m)
+            cols.append((apply_element(mono, sigma) - mono).terms)
+        rows.extend([col.get(mm, zero) for col in cols] for mm in monos)
     if not rows:  # no generators: trivial group
         return [ring.monomial(m) for m in monos]
-    basis = nullspace(rows, field, len(monos))
+    basis = nullspace(rows, group.field, len(monos))
     out = []
     for vec in basis:
         out.append(
@@ -105,7 +98,6 @@ class GeneratingSetResult:
 def king_generators(
     group: FiniteMatrixGroup,
     order: MonomialOrder = GREVLEX,
-    ring=None,
 ) -> GeneratingSetResult:
     """Minimal generating set of the invariant ring of a nonmodular
     finite group.
@@ -123,7 +115,7 @@ def king_generators(
             f"characteristic {group.field.characteristic()} divides "
             f"group order {group.order}"
         )
-    ring = ring or group.ring()
+    ring = group.ring()
     engine = BuchbergerEngine(ring, order)
     gens = []
     degrees = []
@@ -258,20 +250,17 @@ def noether_separating_set(group: FiniteMatrixGroup) -> SeparatingSetResult:
     normalized monic and deduplicated."""
     ring = group.ring()
     n = group.dimension
-    names = ring.names + ("t_aux", "y_aux")
-    big = PolynomialRing(group.field, names)
-    lift = list(range(n))
+    big = PolynomialRing(group.field, ring.names + ("t_aux", "y_aux"))
     t = big.variable(n)
     y = big.variable(n + 1)
+    # sigma acts on the x block only, so it maps the generic form
+    # sum_i x_i t^(i-1) to sum_i sigma(x_i) t^(i-1)
+    generic = big.zero
+    for i in range(n):
+        generic = generic + big.variable(i) * t**i
     product = big.one
     for sigma in group.elements:
-        form = big.zero
-        for i in range(n):
-            image = transport(
-                apply_element(ring.variable(i), sigma), big, lift
-            )
-            form = form + image * t**i
-        product = product * (y - form)
+        product = product * (y - apply_element(generic, sigma))
     # split off the coefficient of each (t, y) monomial
     buckets = {}
     for m, c in product.terms.items():

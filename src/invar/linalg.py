@@ -102,14 +102,6 @@ class Matrix:
             raise SingularMatrix("matrix is singular")
         return Matrix(field, [row[n:] for row in reduced])
 
-    def is_identity(self) -> bool:
-        one, zero = self.field.one, self.field.zero
-        return self.nrows == self.ncols and all(
-            self.rows[i][j] == (one if i == j else zero)
-            for i in range(self.nrows)
-            for j in range(self.ncols)
-        )
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"Matrix[{body}]"

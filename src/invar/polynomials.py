@@ -6,9 +6,12 @@ values are immutable and all operations pure.  Term iteration order in
 formatted output follows the chosen monomial order descending, so every
 rendering is deterministic.
 
-Linear group actions enter through ``apply_linear_map``: a matrix A
-sends the i-th acted variable to sum_j A[i][j] x_j (the row gives the
-image of the variable).
+A group acts on polynomials through exactly two entry points:
+``groups.apply_element`` for finite matrix groups, which is the only
+caller of ``Polynomial.apply_linear_map`` (a matrix A sends the i-th
+acted variable to sum_j A[i][j] x_j: the row gives the image of the
+variable), and ``algebraic.action_graph_generators`` for algebraic
+groups, which builds the same images with polynomial entries.
 """
 
 from __future__ import annotations
@@ -55,9 +58,6 @@ class MonomialOrder:
 
     def key(self, exps):
         raise NotImplementedError
-
-    def greater(self, a, b):
-        return self.key(a) > self.key(b)
 
     def __repr__(self):
         return self.name
@@ -358,23 +358,9 @@ class Polynomial:
             raise LengthMismatch(
                 f"point has {len(point)} coordinates, ring has {self.ring.nvars}"
             )
-        pt = [self.ring.field.scalar(x) for x in point]
-        powers = [{0: self.ring.field.one} for _ in pt]
-        total = self.ring.field.zero
-        for m, c in self.terms.items():
-            acc = c
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    p = cache[max(cache)]
-                    for k in range(max(cache) + 1, e + 1):
-                        p = p * pt[i]
-                        cache[k] = p
-                acc = acc * cache[e]
-            total = total + acc
-        return total
+        field = self.ring.field
+        pt = [field.scalar(x) for x in point]
+        return self._power_sum(pt, field.zero, field.one, lambda c: c)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Map variable i to images[i]; images live in one common ring."""
@@ -388,23 +374,21 @@ class Polynomial:
             if im.ring != target:
                 raise ContextMismatch("substitution images in different rings")
             imgs.append(im)
-        powers = [{0: target.one} for _ in imgs]
+        return self._power_sum(imgs, target.zero, target.one, target.from_scalar)
 
-        def power(i, e):
-            cache = powers[i]
-            if e not in cache:
-                p = cache[max(cache)]
-                for k in range(max(cache) + 1, e + 1):
-                    p = p * imgs[i]
-                    cache[k] = p
-            return cache[e]
-
-        total = target.zero
+    def _power_sum(self, values, zero, one, lift):
+        """Sum over the terms c*x^m of lift(c) * prod_i values[i]^m_i,
+        building each power of values[i] once."""
+        powers = [[one] for _ in values]
+        total = zero
         for m, c in self.terms.items():
-            acc = target.from_scalar(c)
+            acc = lift(c)
             for i, e in enumerate(m):
                 if e:
-                    acc = acc * power(i, e)
+                    cache = powers[i]
+                    while len(cache) <= e:
+                        cache.append(cache[-1] * values[i])
+                    acc = acc * cache[e]
             total = total + acc
         return total
 

@@ -99,6 +99,9 @@ def test_analyze_bounds(capsys):
 def test_field_command(capsys):
     report = run_json(capsys, "field", fixture_path("gm_weights"))
     assert report["payload"]["generators"] == ["x1*x2"]
+    # the only bundled fixture with a nontrivial group ideal
+    report = run_json(capsys, "field", fixture_path("sl2_binary_quadratics"))
+    assert report["payload"]["generators"] == ["x2^2 - 4*x1*x3"]
 
 
 def test_derksen_ideal_command(capsys):
@@ -111,6 +114,8 @@ def test_derksen_ideal_command(capsys):
 def test_separating_variety_command(capsys):
     report = run_json(capsys, "separating-variety", fixture_path("gm_weights"))
     assert "y1*y2 - x1*x2" in report["payload"]["generators"]
+    report = run_json(capsys, "separating-variety", fixture_path("sl2_binary_quadratics"))
+    assert report["payload"]["generators"] == ["y2^2 - 4*y1*y3 - x2^2 + 4*x1*x3"]
 
 
 def test_groebner_passthrough(capsys, tmp_path):
@@ -183,6 +188,17 @@ def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(document))
     code, out, err = run_cli(capsys, command, str(spec), "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "bounds", fixture_path("d8"), "--degrees", "2,x"),
+    ("analyze", "bounds", fixture_path("d8"), "--degrees", ",,"),
+    ("separating", fixture_path("c2_swap"), "--verify-samples", "3", "--bound", "-1"),
+], ids=["degrees-not-int", "degrees-empty", "negative-bound"])
+def test_malformed_argument_is_a_parse_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--json")
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ParseError"
 

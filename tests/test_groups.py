@@ -1,4 +1,7 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invar.errors import (
     CapExceeded,
@@ -10,6 +13,7 @@ from invar.errors import (
 )
 from invar.fields import Rationals
 from invar.groups import (
+    apply_element,
     classify_element,
     close_group,
     cohen_macaulay_necessary_condition,
@@ -28,6 +32,7 @@ from invar.invariants import invariant_basis
 from invar.linalg import Matrix
 from invar.polynomials import PowerSeries
 from invar.prng import XorShift
+from invar.specfile import fixture_path, load_spec_file
 
 Q = Rationals()
 
@@ -205,3 +210,32 @@ def test_orbit_and_point_image(c2_swap):
     assert len(orb) == 2
     swap = c2_swap.generators[0]
     assert point_image(swap, v) == (Q.scalar(2), Q.scalar(1))
+
+
+@lru_cache(maxsize=None)
+def _fixture_group(name):
+    return load_spec_file(fixture_path(name)).group
+
+
+@pytest.mark.parametrize("name", ["d8", "c2_swap_gf2"])
+@settings(max_examples=30, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+        max_size=6,
+    ),
+    v=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+)
+def test_action_convention(name, terms, v):
+    # sigma(f) evaluated at v is f evaluated at sigma(v), for every element
+    group = _fixture_group(name)
+    ring, field = group.ring(), group.field
+    w = getattr(field, "generator", field.zero)  # sqrt(2) for d8
+    f = ring.zero
+    for exps, (a, b) in terms.items():
+        f = f + ring.monomial(exps, field.scalar(a) + w * b)
+    for sigma in group.elements:
+        assert apply_element(f, sigma).evaluate(v) == f.evaluate(point_image(sigma, v))
+    constants = [ring.from_scalar(x) for x in v]
+    assert f.evaluate(v) == f.substitute(constants).constant_coefficient()
