@@ -1,7 +1,8 @@
 """Deterministic command-line frontend.
 
-Every command loads a group spec file, dispatches one computation, and
-emits a report.  With ``--json`` the report is a single JSON object
+Every command loads its input file (a group spec, or a problem file for
+``groebner``), runs one computation and returns the raw result values;
+``main`` converts them once and writes the report.  With ``--json`` the report is a single JSON object
 with sorted keys and no timing information, so equal inputs and seeds
 produce byte-identical output; the default human-readable report adds
 wall time.  Domain errors exit with a documented code and print a
@@ -24,108 +25,91 @@ from . import groups as grp
 from . import invariants as inv
 from .errors import InvarError, ParseError, exit_code_for
 from .fields import field_from_config
-from .groebner import buchberger, ideal_dimension, reduce_basis
-from .groups import DEFAULT_CLOSURE_CAP, FiniteMatrixGroup
-from .polynomials import GREVLEX, PolynomialRing, order_by_name
+from .groebner import buchberger, elimination_ideal, ideal_dimension, ideal_membership, reduce_basis
+from .groups import DEFAULT_CLOSURE_CAP
+from .linalg import Matrix
+from .polynomials import GREVLEX, Polynomial, PolynomialRing, order_by_name
 from .specfile import _read_spec, load_spec_file
 
 
-def _emit(args, command: str, loaded_digest: str, seed, payload, warnings, t0):
-    report = {
-        "command": command,
-        "input_digest": loaded_digest,
-        "seed": seed,
-        "payload": payload,
-        "warnings": warnings,
-    }
-    if args.json:
-        sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1))
-        sys.stdout.write("\n")
-    else:
-        print(f"command: {command}")
-        print(f"input digest: {loaded_digest}")
-        if seed is not None:
-            print(f"seed: {seed}")
-        _print_human(payload)
-        if warnings:
-            for w in warnings:
-                print(f"warning: {w}")
-        print(f"wall time: {time.time() - t0:.3f}s")
-    return 0
+def _jsonable(value, order):
+    """The report form of a result value: a polynomial as its text in
+    `order`, a matrix as rows, a scalar as its text, containers entrywise."""
+    if isinstance(value, Polynomial):
+        return value.format(order)
+    if isinstance(value, Matrix):
+        return _jsonable(value.rows, order)
+    if isinstance(value, dict):
+        return {key: _jsonable(v, order) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v, order) for v in value]
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    return str(value)
 
 
-def _print_human(payload, indent=""):
+def _human_lines(payload, indent=""):
     for key in sorted(payload):
         value = payload[key]
         if isinstance(value, dict):
-            print(f"{indent}{key}:")
-            _print_human(value, indent + "  ")
+            yield f"{indent}{key}:"
+            yield from _human_lines(value, indent + "  ")
         elif isinstance(value, list) and value and not isinstance(value[0], (str, int, float, bool)):
-            print(f"{indent}{key}: {json.dumps(value)}")
+            yield f"{indent}{key}: {json.dumps(value)}"
         else:
-            print(f"{indent}{key}: {value}")
+            yield f"{indent}{key}: {value}"
 
 
-def _require_finite(loaded):
-    if not isinstance(loaded.group, FiniteMatrixGroup):
-        raise ParseError(f"command needs a finite_matrix spec, got {loaded.kind}")
-    return loaded.group
+def _load(args, kind):
+    """(group, input digest) of the spec file, which must be of `kind`."""
+    loaded = load_spec_file(args.spec, cap=args.cap)
+    if loaded.kind != kind:
+        article = "an" if kind == "algebraic" else "a"
+        raise ParseError(f"command needs {article} {kind} spec, got {loaded.kind}")
+    return loaded.group, loaded.digest
 
 
-def _require_algebraic(loaded):
-    if isinstance(loaded.group, FiniteMatrixGroup):
-        raise ParseError(f"command needs an algebraic spec, got {loaded.kind}")
-    return loaded.group
+def _nonnegative(option, value):
+    if value < 0:
+        raise ParseError(f"{option} must be nonnegative, got {value}")
+    return value
 
 
-def _poly_strs(polys, order=GREVLEX):
-    return [p.format(order) for p in polys]
+def _fields(obj, *names):
+    """The named attributes of a result, reported under their own names."""
+    return {name: getattr(obj, name) for name in names}
 
 
-def cmd_generators(args, loaded, t0):
-    warnings = []
+# Every command takes the parsed arguments and returns
+# (command, input digest, seed, payload, monomial order of its polynomials).
+
+def cmd_generators(args):
     if args.algorithm == "king":
-        group = _require_finite(loaded)
+        group, digest = _load(args, "finite_matrix")
         order = order_by_name(args.order)
         result = inv.king_generators(group, order)
         if args.monic:
             result = result.monic(order)
-        payload = {
-            "algorithm": "king",
-            "order": args.order,
-            "monic": bool(args.monic),
-            "generators": _poly_strs(result.generators, order),
-            "degrees": result.degrees,
-            "termination_degree": result.termination_degree,
-            "minimal": result.minimal,
-        }
+        extra = {"order": args.order, "monic": bool(args.monic)}
         if args.verify:
             rep = inv.verify_noether_and_hilbert(group, result)
-            payload["verify"] = {
-                "max_degree_ok": rep.max_degree_ok,
-                "hilbert_monomials_ok": rep.hilbert_monomials_ok,
-                "subalgebra_ok": rep.subalgebra_ok,
-                "all_ok": rep.all_ok,
-            }
+            extra["verify"] = _fields(
+                rep, "max_degree_ok", "hilbert_monomials_ok", "subalgebra_ok", "all_ok"
+            )
     else:
-        spec = _require_algebraic(loaded)
+        spec, digest = _load(args, "algebraic")
+        order = GREVLEX
         result = alg.derksen_generators(spec)
-        payload = {
-            "algorithm": "derksen",
-            "generators": _poly_strs(result.generators),
-            "degrees": result.degrees,
-            "termination_degree": result.termination_degree,
-            "minimal": result.minimal,
-        }
+        extra = {}
         if args.verify:
-            payload["verify"] = {"hilbert_ideal_consistent": _verify_derksen(spec, result)}
-    return _emit(args, f"generators --algorithm {args.algorithm}", loaded.digest, None, payload, warnings, t0)
+            extra["verify"] = {"hilbert_ideal_consistent": _verify_derksen(spec, result)}
+    payload = {"algorithm": args.algorithm, **extra,
+               **_fields(result, "generators", "degrees", "termination_degree", "minimal")}
+    return f"generators --algorithm {args.algorithm}", digest, None, payload, order
 
 
 def _verify_derksen(spec, result) -> bool:
     """y=0 specializations and the returned generators span the same ideal."""
-    from .groebner import ideal_membership
-
     hilbert = alg.hilbert_ideal_generators(spec)
     if not hilbert or not result.generators:
         return not hilbert and not result.generators
@@ -136,10 +120,10 @@ def _verify_derksen(spec, result) -> bool:
     )
 
 
-def cmd_separating(args, loaded, t0):
-    group = _require_finite(loaded)
-    if args.bound < 0:
-        raise ParseError(f"--bound must be nonnegative, got {args.bound}")
+def cmd_separating(args):
+    group, digest = _load(args, "finite_matrix")
+    _nonnegative("--bound", args.bound)
+    _nonnegative("--verify-samples", args.verify_samples)
     noether = inv.noether_separating_set(group)
     if args.method == "noether":
         result = noether
@@ -147,13 +131,11 @@ def cmd_separating(args, loaded, t0):
         result = inv.reduce_separating_set(noether.invariants, group.dimension)
     payload = {
         "method": args.method,
-        "invariants": _poly_strs(result.invariants),
-        "size": result.size,
-        "homogeneous": result.homogeneous,
+        **_fields(result, "invariants", "size", "homogeneous"),
         "degrees": [p.total_degree() for p in result.invariants],
     }
     if result.provenance == "reduced":
-        payload["alphas"] = [list(a) for a in result.alphas]
+        payload["alphas"] = result.alphas
     if args.verify_samples:
         rep = inv.verify_separation_samples(
             result.invariants,
@@ -162,54 +144,38 @@ def cmd_separating(args, loaded, t0):
             coordinate_bound=args.bound,
             seed=args.seed,
         )
-        payload["verification"] = {
-            "passed": rep.passed,
-            "same_orbit_checked": rep.same_orbit_checked,
-            "distinct_orbit_checked": rep.distinct_orbit_checked,
-            "counterexamples": rep.counterexamples,
-            "note": rep.note,
-        }
-    return _emit(args, f"separating --method {args.method}", loaded.digest, args.seed, payload, [], t0)
+        payload["verification"] = _fields(
+            rep, "passed", "same_orbit_checked", "distinct_orbit_checked", "counterexamples", "note"
+        )
+    return f"separating --method {args.method}", digest, args.seed, payload, GREVLEX
 
 
-def cmd_analyze(args, loaded, t0):
-    group = _require_finite(loaded)
-    sub = args.analysis
+def cmd_analyze(args):
+    group, digest = _load(args, "finite_matrix")
+    sub, seed = args.analysis, None
     if sub == "molien":
-        series = grp.molien_series(group, args.degree)
-        payload = {
-            "degree": args.degree,
-            "coefficients": [str(c) for c in series.coeffs],
-        }
-        seed = None
+        series = grp.molien_series(group, _nonnegative("--degree", args.degree))
+        payload = {"degree": args.degree, "coefficients": series.coeffs}
     elif sub == "classify":
-        table = []
-        for m in group.elements:
-            c = grp.classify_element(m)
-            table.append(
-                {
-                    "matrix": [[str(x) for x in row] for row in m.rows],
-                    "codimension": c.codimension,
-                    "label": c.label,
-                }
-            )
         payload = {
-            "elements": table,
+            "elements": [
+                {"matrix": m, **_fields(grp.classify_element(m), "codimension", "label")}
+                for m in group.elements
+            ],
             "order": group.order,
             "reflection_generated": grp.is_reflection_group(group),
             "bireflection_generated": grp.is_bireflection_group(group),
             "cm_necessary_condition": grp.cohen_macaulay_necessary_condition(group),
         }
-        seed = None
     elif sub == "primary":
         prim = inv.dade_primary_invariants(group, seed=args.seed)
         payload = {
-            "invariants": _poly_strs(prim),
+            "invariants": prim,
             "degrees": [p.total_degree() for p in prim],
             "hsop_verified": True,
         }
         seed = args.seed
-    elif sub == "bounds":
+    else:
         if args.degrees:
             try:
                 degrees = [int(d) for d in args.degrees.split(",")]
@@ -217,82 +183,58 @@ def cmd_analyze(args, loaded, t0):
                 raise ParseError(
                     f"--degrees needs comma-separated integers, got {args.degrees!r}"
                 ) from None
-            seed = None
         else:
             degrees = [p.total_degree() for p in inv.dade_primary_invariants(group, seed=args.seed)]
             seed = args.seed
         rep = inv.degree_bound_report(group, degrees)
         payload = {
             "primary_degrees": degrees,
-            "symonds_bound": rep.symonds_bound,
-            "coarse_bound": rep.coarse_bound,
-            "noether_bound": rep.noether_bound,
-            "noether_applies": rep.noether_applies,
+            **_fields(rep, "symonds_bound", "coarse_bound", "noether_bound", "noether_applies"),
         }
-    else:  # pragma: no cover
-        raise ParseError(f"unknown analysis {sub!r}")
-    return _emit(args, f"analyze {sub}", loaded.digest, seed, payload, [], t0)
+    return f"analyze {sub}", digest, seed, payload, GREVLEX
 
 
-def cmd_field(args, loaded, t0):
-    spec = _require_algebraic(loaded)
-    gens = alg.invariant_field_generators(spec)
-    payload = {"generators": [str(c) for c in gens]}
-    return _emit(args, "field", loaded.digest, None, payload, [], t0)
+def cmd_field(args):
+    spec, digest = _load(args, "algebraic")
+    return "field", digest, None, {"generators": alg.invariant_field_generators(spec)}, GREVLEX
 
 
-def cmd_derksen_ideal(args, loaded, t0):
-    spec = _require_algebraic(loaded)
-    result = alg.derksen_ideal(spec)
-    payload = {
-        "generators": _poly_strs(result.generators),
-        "reduced": result.reduced,
-    }
-    return _emit(args, "derksen-ideal", loaded.digest, None, payload, [], t0)
+def cmd_derksen_ideal(args):
+    spec, digest = _load(args, "algebraic")
+    payload = _fields(alg.derksen_ideal(spec), "generators", "reduced")
+    return "derksen-ideal", digest, None, payload, GREVLEX
 
 
-def cmd_separating_variety(args, loaded, t0):
-    spec = _require_algebraic(loaded)
-    gens = alg.separating_variety(spec)
-    payload = {"generators": _poly_strs(gens)}
-    return _emit(args, "separating-variety", loaded.digest, None, payload, [], t0)
+def cmd_separating_variety(args):
+    spec, digest = _load(args, "algebraic")
+    return "separating-variety", digest, None, {"generators": alg.separating_variety(spec)}, GREVLEX
 
 
 def _parse_groebner_problem(cfg):
     ring = PolynomialRing(field_from_config(cfg["field"]), tuple(cfg["variables"]))
     polys = [ring.parse(t) for t in cfg["polynomials"]]
     order = order_by_name(cfg.get("order", "grevlex"))
-    return polys, order, cfg.get("truncate"), cfg.get("eliminate", [])
+    return polys, order, cfg.get("truncate"), list(cfg.get("eliminate", []))
 
 
-def cmd_groebner(args, t0):
-    problem, digest = _read_spec(args.file, _parse_groebner_problem)
-    polys, order, truncate, eliminate = problem
+def cmd_groebner(args):
+    (polys, order, truncate, eliminate), digest = _read_spec(args.file, _parse_groebner_problem)
     if eliminate:
-        from .groebner import elimination_ideal
-
-        basis_polys = elimination_ideal(polys, eliminate)
+        # an elimination ideal is reported in grevlex, whatever the problem's order
+        payload = {"eliminated": eliminate, "basis": elimination_ideal(polys, eliminate)}
+        order = GREVLEX
+    elif truncate is None:
+        basis = reduce_basis(buchberger(polys, order))
+        dim = ideal_dimension(basis)
         payload = {
-            "eliminated": list(eliminate),
-            "basis": _poly_strs(basis_polys),
+            "basis": basis.generators,
+            "reduced": True,
+            "dimension": "empty" if dim is None else dim,
         }
     else:
         basis = buchberger(polys, order, truncate=truncate)
-        if truncate is None:
-            basis = reduce_basis(basis)
-            dim = ideal_dimension(basis)
-            payload = {
-                "basis": [p.format(order) for p in basis.generators],
-                "reduced": True,
-                "dimension": "empty" if dim is None else dim,
-            }
-        else:
-            payload = {
-                "basis": [p.format(order) for p in basis.generators],
-                "reduced": False,
-                "truncation_degree": truncate,
-            }
-    return _emit(args, "groebner", digest, None, payload, [], t0)
+        payload = {"basis": basis.generators, "reduced": False, "truncation_degree": truncate}
+    return "groebner", digest, None, payload, order
 
 
 def build_parser():
@@ -361,26 +303,36 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        if args.command == "groebner":
-            return args.func(args, t0)
-        loaded = load_spec_file(args.spec, cap=args.cap)
-        return args.func(args, loaded, t0)
+        command, digest, seed, payload, order = args.func(args)
     except InvarError as exc:
-        code = exit_code_for(exc)
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True)
-            + "\n"
-        )
-        return code
+        record, code = {"error": type(exc).__name__, "message": str(exc)}, exit_code_for(exc)
     except FileNotFoundError as exc:
-        sys.stderr.write(
-            json.dumps({"error": "FileNotFound", "message": str(exc)}, sort_keys=True) + "\n"
-        )
-        return 2
+        record, code = {"error": "FileNotFound", "message": str(exc)}, 2
+    else:
+        report = {
+            "command": command,
+            "input_digest": digest,
+            "seed": seed,
+            "payload": _jsonable(payload, order),
+            "warnings": [],
+        }
+        if args.json:
+            sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1))
+            sys.stdout.write("\n")
+        else:
+            print(f"command: {command}")
+            print(f"input digest: {digest}")
+            if seed is not None:
+                print(f"seed: {seed}")
+            for line in _human_lines(report["payload"]):
+                print(line)
+            print(f"wall time: {time.time() - t0:.3f}s")
+        return 0
+    sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

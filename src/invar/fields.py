@@ -83,16 +83,6 @@ def _udivmod(a, b):
     return _trim(q), _trim(a)
 
 
-def _ugcd(a, b):
-    while b:
-        _, r = _udivmod(a, b)
-        a, b = b, r
-    if a:
-        inv = Fraction(1) / a[-1]
-        a = tuple(x * inv for x in a)
-    return a
-
-
 def _uderiv(a):
     return _trim(i * x for i, x in enumerate(a) if i > 0)
 
@@ -391,7 +381,7 @@ class NumberField(Field):
             raise InvalidFieldSpec("minimal polynomial must have degree >= 2")
         if coeffs[-1] != 1:
             raise InvalidFieldSpec("minimal polynomial must be monic")
-        if _ugcd(coeffs, _uderiv(coeffs)) != (Fraction(1),):
+        if _uext_gcd(coeffs, _uderiv(coeffs))[0] != (Fraction(1),):
             raise InvalidFieldSpec("minimal polynomial must be squarefree")
         if not generator_name.isidentifier():
             raise InvalidFieldSpec(f"bad generator name {generator_name!r}")
@@ -637,6 +627,8 @@ def characteristic(field: Field) -> int:
 
 def field_from_config(cfg: dict) -> Field:
     """Build a field from a JSON-style configuration block."""
+    if not isinstance(cfg, dict):
+        raise ParseError(f"field block must be a JSON object, not {type(cfg).__name__}")
     kind = cfg.get("kind")
     if kind == "rationals":
         return Rationals()
@@ -646,15 +638,10 @@ def field_from_config(cfg: dict) -> Field:
         name = cfg.get("generator", "t")
         text = cfg["minimal_poly"]
         if isinstance(text, str):
-            coeffs = _parse_minimal_poly(text, name)
+            from .parsing import parse_univariate_rational
+
+            coeffs = parse_univariate_rational(text, name)
         else:
             coeffs = [Fraction(c) for c in text]
         return NumberField(coeffs, name)
     raise ParseError(f"unknown field kind {kind!r}")
-
-
-def _parse_minimal_poly(text: str, name: str):
-    """Parse e.g. 'w^2 - 2' into coefficient form, low degree first."""
-    from .parsing import parse_univariate_rational
-
-    return parse_univariate_rational(text, name)

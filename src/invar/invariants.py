@@ -23,6 +23,7 @@ from .groebner import (
     BuchbergerEngine,
     SubalgebraOracle,
     buchberger,
+    elimination_ideal,
     ideal_dimension,
     ideal_membership,
     reduce_basis,
@@ -334,7 +335,7 @@ def reduce_separating_set(
             fy = transport(f, big, lift_y)
             tag = big.variable(2 * n + 1 + i)
             ideal.append(tag - t * (fx - fy))
-        relations = _eliminate_to_tags(ideal, big, keep_from=2 * n + 1)
+        relations = elimination_ideal(ideal, big.names[:2 * n + 1])
         if not relations:
             raise VerificationFailed("more than 2n+1 invariants must be dependent")
         relations.sort(key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
@@ -354,13 +355,6 @@ def reduce_separating_set(
     )
 
 
-def _eliminate_to_tags(ideal, big: PolynomialRing, keep_from: int) -> list:
-    from .groebner import elimination_ideal
-
-    eliminate = big.names[:keep_from]
-    return elimination_ideal(ideal, eliminate)
-
-
 def _find_nonvanishing_point(relation: Polynomial, k: int):
     level = 1
     while True:
@@ -375,7 +369,7 @@ class SeparationReport:
     passed: bool
     same_orbit_checked: int
     distinct_orbit_checked: int
-    counterexamples: list
+    counterexamples: list  # {"kind", "invariant": Polynomial or None, "v", "w": points}
     seed: int
     coordinate_bound: int
     note: str = "sampled witness only; equality failures refute, successes do not prove"
@@ -414,8 +408,7 @@ def verify_separation_samples(
         for g in invariants:
             if g.evaluate(v) != g.evaluate(w):
                 counterexamples.append(
-                    {"kind": "same-orbit", "invariant": str(g),
-                     "v": [str(c) for c in v], "w": [str(c) for c in w]}
+                    {"kind": "same-orbit", "invariant": g, "v": v, "w": w}
                 )
                 break
         # distinct-orbit pair (resample a few times if we collide)
@@ -428,10 +421,7 @@ def verify_separation_samples(
             continue
         distinct_checked += 1
         if all(g.evaluate(v) == g.evaluate(w) for g in invariants):
-            counterexamples.append(
-                {"kind": "distinct-orbit", "invariant": None,
-                 "v": [str(c) for c in v], "w": [str(c) for c in w]}
-            )
+            counterexamples.append({"kind": "distinct-orbit", "invariant": None, "v": v, "w": w})
     return SeparationReport(
         passed=not counterexamples,
         same_orbit_checked=same_checked,

@@ -137,6 +137,8 @@ class _Parser:
 
 
 def parse_expression(text: str, symbols, make_int):
+    if not isinstance(text, str):
+        raise ParseError(f"expected an expression string, got {type(text).__name__} {text!r}")
     try:
         return _Parser(_tokenize(text), symbols, make_int).parse()
     except InvarError:

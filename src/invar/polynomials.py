@@ -363,10 +363,11 @@ class Polynomial:
         return self._power_sum(pt, field.zero, field.one, lambda c: c)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Map variable i to images[i]; images live in one common ring."""
+        """Map variable i to images[i].  The polynomial images share one
+        ring; scalar images are lifted into it."""
         if len(images) != self.ring.nvars:
             raise LengthMismatch("one image per variable required")
-        target = images[0].ring if images else self.ring
+        target = next((im.ring for im in images if isinstance(im, Polynomial)), self.ring)
         imgs = []
         for im in images:
             if not isinstance(im, Polynomial):

@@ -76,11 +76,14 @@ def _read_spec(path: str, build):
     """Read a JSON file whose top level is an object and return
     (build(object), sha256 hex digest of the file's bytes).
 
-    Invalid JSON, a top level that is not an object, and a missing or
-    malformed entry (KeyError, TypeError or ValueError from `build`)
-    raise ParseError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    A directory, invalid JSON, a top level that is not an object, and a
+    missing or malformed entry (KeyError, TypeError or ValueError from
+    `build`) raise ParseError."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except IsADirectoryError as exc:
+        raise ParseError(f"{path} is a directory, not a JSON file") from exc
     digest = hashlib.sha256(raw).hexdigest()
     try:
         cfg = json.loads(raw)

@@ -1,9 +1,15 @@
-"""The group action has exactly two entry points in the library.
+"""Single paths through the library, kept so by syntax checks.
 
-Finite groups act through `groups.apply_element`, the only caller of
+The group action has exactly two entry points.  Finite groups act
+through `groups.apply_element`, the only caller of
 `Polynomial.apply_linear_map`; algebraic groups act through
 `algebraic.action_graph_generators`, the only reader of an entry of the
 action matrix.  Every other action is derived from these two.
+
+Results reach the user through one report path.  Every CLI command
+takes the parsed arguments and returns raw result values; `cli.main`
+converts them once with `cli._jsonable` and is the only writer of the
+report.
 """
 
 import ast
@@ -45,3 +51,35 @@ def test_action_matrix_is_indexed_only_by_the_graph_generators():
                 and node.value.attr == "action_matrix")
 
     assert _sites(is_index) == {("algebraic", "action_graph_generators")}
+
+
+def _cli_sites(matches):
+    return {function for module, function in _sites(matches) if module == "cli"}
+
+
+def test_cli_formats_polynomials_only_in_the_converter():
+    def is_format(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "format")
+
+    assert _cli_sites(is_format) == {"_jsonable"}
+
+
+def test_cli_writes_reports_only_in_main():
+    def is_write(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return ((isinstance(func, ast.Name) and func.id == "print")
+                or (isinstance(func, ast.Attribute) and func.attr == "write"))
+
+    assert _cli_sites(is_write) == {"main"}
+
+
+def test_cli_commands_take_only_the_parsed_arguments():
+    tree = ast.parse(Path(invar.__file__).with_name("cli.py").read_text())
+    commands = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 7
+    for node in commands:
+        assert [a.arg for a in node.args.args] == ["args"], node.name

@@ -66,6 +66,21 @@ def test_separating_verified_c2(capsys):
     assert report["seed"] == 0
 
 
+def test_separating_counterexamples_reach_the_report_as_text(capsys, monkeypatch):
+    # x1 is not invariant under the swap, so sampling must refute it
+    def bad_set(group):
+        return invariants.SeparatingSetResult([group.ring().variable(0)], True, "noether")
+
+    monkeypatch.setattr(invariants, "noether_separating_set", bad_set)
+    report = run_json(capsys, "separating", fixture_path("c2_swap"), "--verify-samples", "3")
+    verification = report["payload"]["verification"]
+    assert not verification["passed"]
+    assert verification["counterexamples"] == [
+        {"invariant": None, "kind": "distinct-orbit", "v": ["-6", "4"], "w": ["-6", "-1"]},
+        {"invariant": "x1", "kind": "same-orbit", "v": ["4", "-6"], "w": ["-6", "4"]},
+    ]
+
+
 def test_analyze_molien(capsys):
     report = run_json(capsys, "analyze", "molien", fixture_path("d8"), "--degree", "8")
     assert report["payload"]["coefficients"] == ["1", "0", "1", "0", "1", "0", "1", "0", "2"]
@@ -169,6 +184,11 @@ def test_exit_codes(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "generators", str(tmp_path / "missing.json"))
     assert code == 2
+    assert json.loads(err)["error"] == "FileNotFound"
+
+    code, out, err = run_cli(capsys, "generators", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
 
 
 _C2 = {"kind": "finite_matrix", "field": {"kind": "rationals"}, "dimension": 2,
@@ -182,8 +202,11 @@ _PROBLEM = {"field": {"kind": "rationals"}, "variables": ["x"], "polynomials": [
     ("generators", {k: v for k, v in _C2.items() if k != "dimension"}),
     ("groebner", {k: v for k, v in _PROBLEM.items() if k != "polynomials"}),
     ("groebner", [_PROBLEM]),
+    ("generators", {**_C2, "field": "rationals"}),
+    ("generators", {**_C2, "generators": [[[0, 1], [1, 0]]]}),
+    ("groebner", {**_PROBLEM, "polynomials": [3]}),
 ], ids=["top-level-list", "prime-not-int", "no-dimension", "no-polynomials",
-        "groebner-list"])
+        "groebner-list", "field-not-object", "entry-a-number", "polynomial-a-number"])
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(document))
@@ -196,7 +219,10 @@ def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     ("analyze", "bounds", fixture_path("d8"), "--degrees", "2,x"),
     ("analyze", "bounds", fixture_path("d8"), "--degrees", ",,"),
     ("separating", fixture_path("c2_swap"), "--verify-samples", "3", "--bound", "-1"),
-], ids=["degrees-not-int", "degrees-empty", "negative-bound"])
+    ("separating", fixture_path("c2_swap"), "--verify-samples", "-3"),
+    ("analyze", "molien", fixture_path("d8"), "--degree", "-2"),
+], ids=["degrees-not-int", "degrees-empty", "negative-bound", "negative-samples",
+        "negative-degree"])
 def test_malformed_argument_is_a_parse_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--json")
     assert (code, out) == (2, "")

@@ -95,6 +95,15 @@ def test_evaluate():
         X.evaluate([1])
 
 
+def test_substitute_scalar_images_in_any_position():
+    # the target ring is that of the first image that is a polynomial
+    S = PolynomialRing(Q, ("u",))
+    (U,) = S.variables()
+    assert (X * Y).substitute([2, U]) == 2 * U
+    assert (X * Y).substitute([U, 2]) == 2 * U
+    assert (X**2 + Y).substitute([Q.scalar(3), U]) == U + 9 * S.one
+
+
 def test_evaluate_is_ring_hom():
     rng = XorShift(5)
     for _ in range(50):
