@@ -97,6 +97,10 @@ def cmd_generators(args):
                 rep, "max_degree_ok", "hilbert_monomials_ok", "subalgebra_ok", "all_ok"
             )
     else:
+        if args.monic or args.order != "grevlex":
+            raise ParseError(
+                "--algorithm derksen takes neither --monic nor an --order other than grevlex"
+            )
         spec, digest = _load(args, "algebraic")
         order = GREVLEX
         result = alg.derksen_generators(spec)

@@ -4,8 +4,16 @@ ideal/radical/subalgebra membership.
 
 `_reduce_terms` is the package's one sparse division loop.  Normal
 forms, s-pair reduction, basis inter-reduction, and the exact division
-and univariate Euclid of `ratfunc` all run through it, on reducer
-triples built by `_reducer`.
+and univariate Euclid of `ratfunc` all run through it, on reducers
+built by `_reducer`.  It is heap-driven (Monagan & Pearce, CASC 2007):
+each monomial's sort key is computed once, when the monomial enters
+the work dict, and the greatest term comes off a heap of negated keys;
+a cancelled monomial stays queued and is skipped when it surfaces.  A
+support bitmask per monomial rules out most reducers before
+`mono_divides` runs (the short exponent vectors of Bachmann &
+Schoenemann, ISSAC 1998, cut down to one bit per variable), and the
+arithmetic runs on raw field payloads, wrapped into `Scalar`s only for
+the result and the quotient.
 
 Determinism is a hard requirement: pair selection follows the normal
 strategy (lowest lcm degree, ties by the monomial order on the lcm,
@@ -21,10 +29,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations
+from itertools import chain, combinations
+from operator import neg
 from typing import Optional, Sequence
 
 from .errors import ContextMismatch, TruncatedBasis, TruncationInsufficient
+from .fields import Scalar
 from .polynomials import (
     GREVLEX,
     BlockElimination,
@@ -36,17 +46,19 @@ from .polynomials import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    mono_support,
     transport,
 )
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """Classic s-polynomial, with both lead terms scaled to 1."""
-    lmf, cf = f.leading(order)
-    lmg, cg = g.leading(order)
+def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder, reducers=None) -> Polynomial:
+    """Classic s-polynomial, with both lead terms scaled to 1.  A caller
+    holding the `_reducer`s of f and g passes them, so that neither
+    leading term is searched for nor inverted again."""
+    (lmf, finv, *_), (lmg, ginv, *_) = reducers or (_reducer(f, order), _reducer(g, order))
     lcm = mono_lcm(lmf, lmg)
-    return _shift_scale(f, mono_div(lcm, lmf), cf.inverse()) - _shift_scale(
-        g, mono_div(lcm, lmg), cg.inverse()
+    return _shift_scale(f, mono_div(lcm, lmf), finv) - _shift_scale(
+        g, mono_div(lcm, lmg), ginv
     )
 
 
@@ -57,43 +69,62 @@ def _shift_scale(p: Polynomial, shift, factor) -> Polynomial:
 
 
 def _reducer(g: Polynomial, order: MonomialOrder):
-    """The (lm, lc_inverse, terms) triple of a nonzero polynomial, as
-    `_reduce_terms` takes it."""
+    """The (lm, lc_inverse, tail, support) reducer of a nonzero
+    polynomial, as `_reduce_terms` takes it: `tail` lists the other
+    terms as (monomial, raw payload) pairs and `support` is
+    `mono_support(lm)`."""
     lm, lc = g.leading(order)
-    return lm, lc.inverse(), g.terms
+    tail = [(m, c.value) for m, c in g.terms.items() if m != lm]
+    return lm, lc.inverse(), tail, mono_support(lm)
 
 
 def _reduce_terms(
     terms: dict, reducers, order: MonomialOrder, quotient: Optional[dict] = None
 ) -> dict:
-    """Full normal form of a term dict against (lm, lc_inverse, terms)
-    reducer triples; first divisible reducer wins.  With a single
-    reducer, a `quotient` dict collects the quotient's terms."""
+    """Full normal form of a term dict against `_reducer`s; the first
+    divisible reducer wins.  With a single reducer, a `quotient` dict
+    collects the quotient's terms."""
+    if not terms:
+        return {}
+    field = next(iter(terms.values())).field
+    mul, add, negate, is_zero = field._mul, field._add, field._neg, field._is_zero
     key = order.key
+    # work maps each queued monomial to its raw coefficient, or to None
+    # once it cancelled; the heap holds each queued monomial once
+    work = {m: c.value for m, c in terms.items()}
+    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    heapq.heapify(heap)
     result = {}
-    work = dict(terms)
-    while work:
-        t = max(work, key=key)
+    while heap:
+        t = heapq.heappop(heap)[1]
         c = work.pop(t)
-        for lm, lcinv, gterms in reducers:
-            if mono_divides(lm, t):
-                ratio = c * lcinv
-                shift = mono_div(t, lm)
-                if quotient is not None:
-                    quotient[shift] = ratio
-                for me, mc in gterms.items():
-                    if me == lm:
-                        continue
-                    m2 = mono_mul(me, shift)
-                    cur = work.get(m2)
-                    nv = -(ratio * mc) if cur is None else cur - ratio * mc
-                    if nv.is_zero():
-                        work.pop(m2, None)
-                    else:
-                        work[m2] = nv
-                break
+        if c is None:
+            continue
+        outside = ~mono_support(t)
+        for lm, lcinv, tail, support in reducers:
+            if support & outside or not mono_divides(lm, t):
+                continue
+            ratio = mul(c, lcinv.value)
+            shift = mono_div(t, lm)
+            if quotient is not None:
+                quotient[shift] = Scalar(field, ratio)
+            ratio = negate(ratio)
+            for m, mc in tail:
+                m2 = mono_mul(m, shift)
+                cur = work.get(m2)
+                if cur is not None:
+                    cur = add(cur, mul(ratio, mc))
+                    work[m2] = None if is_zero(cur) else cur
+                    continue
+                cur = mul(ratio, mc)
+                if is_zero(cur):
+                    continue  # zero divisors: a reducible minimal polynomial
+                if m2 not in work:
+                    heapq.heappush(heap, (tuple(map(neg, key(m2))), m2))
+                work[m2] = cur
+            break
         else:
-            result[t] = c
+            result[t] = Scalar(field, c)
     return result
 
 
@@ -124,14 +155,13 @@ class BuchbergerEngine:
         self.ring = ring
         self.order = order
         self.basis = []
-        self._lms = []
         self._reducers = []
         self._pairs = {}
         self._heap = []
         self.max_processed_degree = 0
 
     def leading_monomials(self):
-        return list(self._lms)
+        return [r[0] for r in self._reducers]
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
@@ -154,38 +184,40 @@ class BuchbergerEngine:
         Gebauer-Moeller criteria."""
         t = len(self.basis)
         reducer = _reducer(h, self.order)
-        lm_t = reducer[0]
+        lm_t, support_t = reducer[0], reducer[3]
+        lms = [r[0] for r in self._reducers]
+        supports = [r[3] for r in self._reducers]
         # chain criterion on queued pairs
         for (i, j), lcm_ij in list(self._pairs.items()):
             if (
-                mono_divides(lm_t, lcm_ij)
-                and mono_lcm(self._lms[i], lm_t) != lcm_ij
-                and mono_lcm(self._lms[j], lm_t) != lcm_ij
+                not support_t & ~(supports[i] | supports[j])
+                and mono_divides(lm_t, lcm_ij)
+                and mono_lcm(lms[i], lm_t) != lcm_ij
+                and mono_lcm(lms[j], lm_t) != lcm_ij
             ):
                 del self._pairs[(i, j)]
-        lcms = [mono_lcm(self._lms[i], lm_t) for i in range(t)]
-        coprime = [lcms[i] == mono_mul(self._lms[i], lm_t) for i in range(t)]
+        lcms = [mono_lcm(lm, lm_t) for lm in lms]
+        lcm_supports = [s | support_t for s in supports]
         kept = []
-        remaining = list(range(t))
-        while remaining:
-            i = remaining.pop(0)
-            li = lcms[i]
-            if not coprime[i]:
-                if any(mono_divides(lcms[j], li) for j in remaining) or any(
-                    mono_divides(lcms[j], li) for j in kept
-                ):
-                    continue
+        for i in range(t):
+            # unless its leading monomials are coprime, the pair (i, t)
+            # goes when a later lcm, or one already kept, divides its lcm
+            li, outside = lcms[i], ~lcm_supports[i]
+            if supports[i] & support_t and any(
+                not lcm_supports[j] & outside and mono_divides(lcms[j], li)
+                for j in chain(range(i + 1, t), kept)
+            ):
+                continue
             kept.append(i)
         for i in kept:
-            if coprime[i]:
-                continue
+            if not supports[i] & support_t:
+                continue  # coprime leading monomials
             li = lcms[i]
             self._pairs[(i, t)] = li
             heapq.heappush(
                 self._heap, (mono_degree(li), self.order.key(li), i, t)
             )
         self.basis.append(h)
-        self._lms.append(lm_t)
         self._reducers.append(reducer)
 
     def extend(self, degree_limit: Optional[int] = None):
@@ -198,7 +230,9 @@ class BuchbergerEngine:
             heapq.heappop(self._heap)
             if self._pairs.pop((i, j), None) is None:
                 continue  # pruned since queuing
-            s = s_polynomial(self.basis[i], self.basis[j], self.order)
+            s = s_polynomial(
+                self.basis[i], self.basis[j], self.order, (self._reducers[i], self._reducers[j])
+            )
             h = self.normal_form(s)
             if deg > self.max_processed_degree:
                 self.max_processed_degree = deg
@@ -256,20 +290,20 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     if basis.truncation_degree is not None:
         raise TruncatedBasis("cannot reduce a truncated basis")
     order = basis.order
-    polys = [g for g in basis.generators if not g.is_zero()]
-    if not polys:
-        return GroebnerBasis(basis.ring, order, (), None, True)
-    polys.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    minimal = []
-    for g in polys:
-        lm = g.leading_monomial(order)
-        if any(mono_divides(k.leading_monomial(order), lm) for k in minimal):
-            continue
-        minimal.append(g)
+    leads = sorted(
+        ((g.leading(order), g) for g in basis.generators if not g.is_zero()),
+        key=lambda lead: order.key(lead[0][0]),
+    )
     # a normal form does not depend on the scale of the reducers, so the
-    # basis is made monic once and its reducer triples are built once
-    monic = [g.monic(order) for g in minimal]
-    reducers = [_reducer(g, order) for g in monic]
+    # minimal basis is made monic once and its reducers are built once
+    monic, reducers = [], []
+    for (lm, lc), g in leads:
+        outside = ~mono_support(lm)
+        if any(not r[3] & outside and mono_divides(r[0], lm) for r in reducers):
+            continue
+        h = g * lc.inverse()
+        monic.append(h)
+        reducers.append(_reducer(h, order))
     changed = True
     while changed:
         changed = False

@@ -17,6 +17,7 @@ groups, which builds the same images with polynomial entries.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, neg, sub
 from typing import Optional, Sequence
 
 from .errors import (
@@ -34,25 +35,35 @@ from .fields import Field, NumberField, Scalar
 # ---------------------------------------------------------------------------
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 def mono_divides(a, b):
     """Does x^a divide x^b?"""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
+
+def mono_support(a):
+    """Bitmask of the variables that occur in x^a.  x^a can divide x^b
+    only if mono_support(a) & ~mono_support(b) == 0, a test on two ints
+    that rules candidates out before `mono_divides` runs."""
+    return sum(1 << i for i, e in enumerate(a) if e)
 
 def mono_div(a, b):
     """Exponent vector of x^a / x^b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 def mono_degree(a):
     return sum(a)
 
 
 class MonomialOrder:
-    """Total, multiplicative well-order on monomials, via a sort key."""
+    """Total, multiplicative well-order on monomials, via a sort key.
+
+    Every key is a flat tuple of ints, so keys compare in C and can be
+    negated entrywise for a max-heap; monomials of one ring all have
+    keys of one length."""
 
     name = "abstract"
 
@@ -80,14 +91,14 @@ class _GradedLex(MonomialOrder):
     name = "gradedlex"
 
     def key(self, exps):
-        return (sum(exps), exps)
+        return (sum(exps), *exps)
 
 
 class _Grevlex(MonomialOrder):
     name = "grevlex"
 
     def key(self, exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+        return (sum(exps), *map(neg, reversed(exps)))
 
 
 LEX = _Lex()
@@ -97,7 +108,8 @@ GREVLEX = _Grevlex()
 
 class BlockElimination(MonomialOrder):
     """Front block dominates; graded inner orders make it an elimination
-    order for the front variables."""
+    order for the front variables.  The key concatenates the inner keys
+    of the two blocks, whose lengths are fixed by the block sizes."""
 
     def __init__(self, front_size: int, inner: MonomialOrder = GREVLEX):
         self.front_size = front_size
@@ -109,7 +121,7 @@ class BlockElimination(MonomialOrder):
 
     def key(self, exps):
         k = self.front_size
-        return (self.inner.key(exps[:k]), self.inner.key(exps[k:]))
+        return self.inner.key(exps[:k]) + self.inner.key(exps[k:])
 
 
 def order_by_name(name: str) -> MonomialOrder:

@@ -6,6 +6,11 @@ through `groups.apply_element`, the only caller of
 `algebraic.action_graph_generators`, the only reader of an entry of the
 action matrix.  Every other action is derived from these two.
 
+Sparse division has one kernel, `groebner._reduce_terms`, working on
+raw field payloads: only `groebner` and `ratfunc` touch it or its
+`_reducer`s, and inside `groebner` only the kernel wraps payloads into
+`Scalar`s.
+
 Results reach the user through one report path.  Every CLI command
 takes the parsed arguments and returns raw result values; `cli.main`
 converts them once with `cli._jsonable` and is the only writer of the
@@ -51,6 +56,26 @@ def test_action_matrix_is_indexed_only_by_the_graph_generators():
                 and node.value.attr == "action_matrix")
 
     assert _sites(is_index) == {("algebraic", "action_graph_generators")}
+
+
+def test_division_kernel_is_used_only_by_groebner_and_ratfunc():
+    kernel = {"_reduce_terms", "_reducer"}
+
+    def is_reference(node):
+        return ((isinstance(node, ast.Name) and node.id in kernel)
+                or (isinstance(node, ast.Attribute) and node.attr in kernel)
+                or (isinstance(node, ast.alias) and node.name in kernel))
+
+    assert {module for module, _ in _sites(is_reference)} == {"groebner", "ratfunc"}
+
+
+def test_groebner_wraps_scalars_only_in_the_kernel():
+    def is_scalar(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Scalar")
+
+    assert {function for module, function in _sites(is_scalar)
+            if module == "groebner"} == {"_reduce_terms"}
 
 
 def _cli_sites(matches):

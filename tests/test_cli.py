@@ -229,6 +229,18 @@ def test_malformed_argument_is_a_parse_error(capsys, argv):
     assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("options", [("--monic",), ("--order", "lex"), ("--order", "gradedlex")],
+                         ids=["monic", "lex", "gradedlex"])
+def test_derksen_generators_reject_king_only_options(capsys, options):
+    # Derksen's generators come in grevlex and unscaled, so these options
+    # would be ignored without a word
+    argv = ("generators", fixture_path("sl2_binary_quadratics"), "--algorithm", "derksen")
+    code, out, err = run_cli(capsys, *argv, *options, "--json")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "ParseError"
+    assert run_cli(capsys, *argv, "--order", "grevlex", "--json")[0] == 0
+
+
 def test_failed_internal_check_exits_6(capsys, monkeypatch):
     # must fail loudly under python -O too, instead of reporting hsop_verified
     monkeypatch.setattr(invariants, "is_hsop", lambda polys, n: False)

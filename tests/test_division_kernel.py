@@ -1,23 +1,151 @@
-"""Differential tests of the sparse division kernel against sympy.
+"""Tests of the sparse division kernel.
 
-Every caller of `groebner._reduce_terms` is checked on seeded random
-inputs: reduced Groebner bases (normal forms, s-pair reduction and
-inter-reduction) over Q and GF(p), and gcds over Q, whose univariate
-Euclid and exact divisions run on the same kernel.
+`groebner._reduce_terms` is compared with the plain division loop it
+replaced, kept below as the reference, on hypothesis-drawn inputs over
+fields with and without zero divisors and under every monomial order.
+The differential tests against sympy check every caller of the kernel
+on seeded random inputs: reduced Groebner bases (normal forms, s-pair
+reduction and inter-reduction) and elimination ideals over Q and GF(p),
+and gcds over Q, whose univariate Euclid and exact divisions run on the
+same kernel.  They are skipped when sympy is missing.
 """
 
-import pytest
+import warnings
 
-from invar.fields import PrimeField, Rationals
-from invar.groebner import buchberger, reduce_basis
-from invar.polynomials import GREVLEX, PolynomialRing
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from invar.fields import NumberField, PrimeField, Rationals
+from invar.groebner import _reduce_terms, _reducer, buchberger, elimination_ideal, reduce_basis
+from invar.polynomials import GRADEDLEX, GREVLEX, LEX, BlockElimination, PolynomialRing
 from invar.prng import XorShift
 from invar.ratfunc import multivariate_gcd
 
-sympy = pytest.importorskip("sympy")
-
 P = 32003
 
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the reference loop
+# ---------------------------------------------------------------------------
+
+def _reference_reduce(terms, reducers, order, quotient=None):
+    """The division loop before the heap: the greatest term by a full
+    scan, the first reducer whose leading monomial divides it, and
+    `Scalar` arithmetic throughout."""
+    result, work = {}, dict(terms)
+    while work:
+        t = max(work, key=order.key)
+        c = work.pop(t)
+        for g in reducers:
+            lm, lc = g.leading(order)
+            if all(x <= y for x, y in zip(lm, t)):
+                ratio = c * lc.inverse()
+                shift = tuple(x - y for x, y in zip(t, lm))
+                if quotient is not None:
+                    quotient[shift] = ratio
+                for m, mc in g.terms.items():
+                    if m == lm:
+                        continue
+                    m2 = tuple(x + y for x, y in zip(m, shift))
+                    value = work[m2] - ratio * mc if m2 in work else -(ratio * mc)
+                    if value.is_zero():
+                        work.pop(m2, None)
+                    else:
+                        work[m2] = value
+                break
+        else:
+            result[t] = c
+    return result
+
+
+def _fields():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        # w^2 - 1 = (w - 1)(w + 1): products of nonzero payloads can vanish
+        reducible = NumberField([-1, 0, 1], "w")
+    return {
+        "GF7": PrimeField(7),
+        "QQ": Rationals(),
+        "QQ(sqrt2)": NumberField([-2, 0, 1], "w"),
+        "QQ[w]/(w^2-1)": reducible,
+    }
+
+
+FIELDS = _fields()
+ORDERS = {
+    "lex": LEX,
+    "gradedlex": GRADEDLEX,
+    "grevlex": GREVLEX,
+    "block1": BlockElimination(1),
+    "block2": BlockElimination(2),
+}
+NAMES = ("x", "y", "z")
+
+_monomials = st.tuples(*[st.integers(0, 3)] * len(NAMES))
+_coefficients = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_term_dicts = st.dictionaries(_monomials, _coefficients, max_size=7)
+
+
+def _polynomial(ring, terms):
+    """sum (a + b*w) x^m, with w the generator of a number field and
+    1/2 otherwise."""
+    field = ring.field
+    w = field.generator if isinstance(field, NumberField) else field.scalar(1) / 2
+    p = ring.zero
+    for m, (a, b) in terms.items():
+        p = p + ring.monomial(m, field.scalar(a) + w * b)
+    return p
+
+
+def _divisor(ring, order, terms, lead):
+    """A nonzero polynomial whose leading coefficient is the nonzero
+    integer `lead`, a unit of every field drawn here."""
+    p = _polynomial(ring, terms)
+    if p.is_zero():
+        return ring.from_int(lead)
+    lm = p.leading_monomial(order)
+    return p + ring.monomial(lm, ring.field.scalar(lead) - p.terms[lm])
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(
+    dividend=_term_dicts,
+    divisors=st.lists(st.tuples(_term_dicts, st.sampled_from([1, -1, 2, 3])),
+                      min_size=1, max_size=3),
+    with_quotient=st.booleans(),
+)
+def test_kernel_matches_reference_loop(field_name, order_name, dividend, divisors, with_quotient):
+    field, order = FIELDS[field_name], ORDERS[order_name]
+    ring = PolynomialRing(field, NAMES)
+    f = _polynomial(ring, dividend)
+    gs = [_divisor(ring, order, terms, lead) for terms, lead in divisors]
+    if with_quotient:
+        gs = gs[:1]
+    ours, theirs = ({} if with_quotient else None), ({} if with_quotient else None)
+    remainder = _reduce_terms(f.terms, [_reducer(g, order) for g in gs], order, ours)
+    # same terms in the same (descending) order, as Scalars of the field
+    assert list(remainder.items()) == list(_reference_reduce(f.terms, gs, order, theirs).items())
+    assert all(c.field == field for c in remainder.values())
+    if with_quotient:
+        assert list(ours.items()) == list(theirs.items())
+        q = r = ring.zero
+        for m, c in ours.items():
+            q = q + ring.monomial(m, c)
+        for m, c in remainder.items():
+            r = r + ring.monomial(m, c)
+        assert q * gs[0] + r == f
+
+
+# ---------------------------------------------------------------------------
+# differential tests against sympy
+# ---------------------------------------------------------------------------
 
 def _random_poly(ring, rng, terms, max_degree):
     """A nonzero polynomial with up to `terms` terms."""
@@ -31,37 +159,68 @@ def _random_poly(ring, rng, terms, max_degree):
     return p
 
 
-def _to_sympy(p, gens, **opts):
+def _to_sympy(sympy, p, gens, **opts):
     return sympy.Poly(sympy.sympify(p.format(GREVLEX).replace("^", "**")), *gens, **opts)
+
+
+def _sympy_options(field):
+    return {"modulus": P} if field.characteristic() else {"domain": "QQ"}
 
 
 @pytest.mark.parametrize("names", [("x",), ("x", "y", "z")], ids=["univariate", "multivariate"])
 @pytest.mark.parametrize("seed", range(6))
-def test_gcd_matches_sympy(names, seed):
+def test_gcd_matches_sympy(sympy, names, seed):
     rng = XorShift(seed)
     ring = PolynomialRing(Rationals(), names)
     gens = sympy.symbols(" ".join(names), seq=True)
     common = _random_poly(ring, rng, 3, 2)
     f = common * _random_poly(ring, rng, 3, 2)
     g = common * _random_poly(ring, rng, 3, 2)
-    ours = _to_sympy(multivariate_gcd(f, g), gens, domain="QQ")
-    theirs = sympy.gcd(_to_sympy(f, gens, domain="QQ"), _to_sympy(g, gens, domain="QQ"))
+    ours = _to_sympy(sympy, multivariate_gcd(f, g), gens, domain="QQ")
+    theirs = sympy.gcd(_to_sympy(sympy, f, gens, domain="QQ"),
+                       _to_sympy(sympy, g, gens, domain="QQ"))
     assert ours == theirs.quo_ground(theirs.LC(order="grevlex"))
 
 
 @pytest.mark.parametrize("field", [Rationals(), PrimeField(P)], ids=["QQ", "GF32003"])
 @pytest.mark.parametrize("seed", range(6))
-def test_reduced_basis_matches_sympy(field, seed):
+def test_reduced_basis_matches_sympy(sympy, field, seed):
     rng = XorShift(100 + seed)
     names = ("x", "y", "z")
     ring = PolynomialRing(field, names)
     polys = [_random_poly(ring, rng, 4, 3) for _ in range(2)]
     gens = sympy.symbols(" ".join(names), seq=True)
-    opts = {"modulus": P} if field.characteristic() else {"domain": "QQ"}
+    opts = _sympy_options(field)
     ours = reduce_basis(buchberger(polys, GREVLEX)).generators
     assert all(g.leading(GREVLEX)[1] == field.one for g in ours)
-    theirs = sympy.groebner([_to_sympy(p, gens, **opts) for p in polys], *gens,
+    theirs = sympy.groebner([_to_sympy(sympy, p, gens, **opts) for p in polys], *gens,
                             order="grevlex", **opts)
-    assert sorted(str(_to_sympy(g, gens, **opts).monic()) for g in ours) == sorted(
+    assert sorted(str(_to_sympy(sympy, g, gens, **opts).monic()) for g in ours) == sorted(
         str(sympy.Poly(e, *gens, **opts).monic()) for e in theirs.exprs
+    )
+
+
+@pytest.mark.parametrize("field", [Rationals(), PrimeField(P)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("seed", range(4))
+def test_elimination_ideal_matches_sympy(sympy, field, seed):
+    # sympy's route: a lex basis with the eliminated variables first, its
+    # elements free of them, and their reduced grevlex basis
+    rng = XorShift(200 + seed)
+    names = ("x", "y", "z", "u")
+    eliminate = names[: 1 + seed % 2]
+    kept = names[len(eliminate):]
+    ring = PolynomialRing(field, names)
+    polys = [_random_poly(ring, rng, 3, 2) for _ in range(len(eliminate) + 1)]
+    opts = _sympy_options(field)
+    gens = sympy.symbols(" ".join(names), seq=True)
+    kept_gens = gens[len(eliminate):]
+    lex = sympy.groebner([_to_sympy(sympy, p, gens, **opts) for p in polys], *gens,
+                         order="lex", **opts)
+    free = [e for e in lex.exprs if not (e.free_symbols & set(gens[: len(eliminate)]))]
+    theirs = (sympy.groebner(free, *kept_gens, order="grevlex", **opts).exprs
+              if free else [])
+    ours = elimination_ideal(polys, eliminate)
+    assert all(g.ring.names == kept for g in ours)
+    assert sorted(str(_to_sympy(sympy, g, kept_gens, **opts).monic()) for g in ours) == sorted(
+        str(sympy.Poly(e, *kept_gens, **opts).monic()) for e in theirs
     )

@@ -151,6 +151,33 @@ def test_order_axioms(name):
         assert order.key(zero) <= order.key(a)
 
 
+def _nested_key(order, exps):
+    """The sort keys as first defined, with nested tuples."""
+    if isinstance(order, BlockElimination):
+        k = order.front_size
+        return (_nested_key(order.inner, exps[:k]), _nested_key(order.inner, exps[k:]))
+    return {
+        "lex": lambda: exps,
+        "gradedlex": lambda: (sum(exps), exps),
+        "grevlex": lambda: (sum(exps), tuple(-e for e in reversed(exps))),
+    }[order.name]()
+
+
+FLAT_KEY_ORDERS = [LEX, GRADEDLEX, GREVLEX, BlockElimination(1), BlockElimination(2),
+                   BlockElimination(3), BlockElimination(2, LEX), BlockElimination(1, GRADEDLEX),
+                   BlockElimination(1, BlockElimination(1))]
+
+
+@pytest.mark.parametrize("order", FLAT_KEY_ORDERS, ids=repr)
+def test_flat_keys_keep_the_nested_order(order):
+    rng = XorShift(23)
+    monos = list({tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(400)})
+    keys = [order.key(m) for m in monos]
+    assert all(type(k) is tuple and all(type(e) is int for e in k) for k in keys)
+    assert len({len(k) for k in keys}) == 1
+    assert sorted(monos, key=order.key) == sorted(monos, key=lambda m: _nested_key(order, m))
+
+
 def test_block_order_eliminates_front_block():
     order = BlockElimination(2)
     rng = XorShift(19)
