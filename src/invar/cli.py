@@ -224,9 +224,10 @@ def _parse_groebner_problem(cfg):
 def cmd_groebner(args):
     (polys, order, truncate, eliminate), digest = _read_spec(args.file, _parse_groebner_problem)
     if eliminate:
-        # an elimination ideal is reported in grevlex, whatever the problem's order
+        if truncate is not None or order != GREVLEX:
+            raise ParseError("eliminate computes in a block order and reports in grevlex; "
+                             "it takes neither truncate nor an order other than grevlex")
         payload = {"eliminated": eliminate, "basis": elimination_ideal(polys, eliminate)}
-        order = GREVLEX
     elif truncate is None:
         basis = reduce_basis(buchberger(polys, order))
         dim = ideal_dimension(basis)

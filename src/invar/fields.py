@@ -4,7 +4,9 @@ Three kinds of field are supported: the rationals, prime fields GF(p),
 and simple extensions Q[t]/(m(t)) of the rationals by a monic minimal
 polynomial.  All arithmetic is exact; scalars are immutable values in
 canonical form (reduced fractions with positive denominator, residues
-in [0, p), extension elements reduced modulo m).
+in [0, p), and extension elements reduced modulo m and stored as
+integer coefficient vectors over one positive denominator that shares
+no factor with all of them).
 
 Scalar text grammar (used by all input files): signed decimal integers,
 fractions ``a/b``, and extension-generator expressions built from
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero, FieldMismatch, InvalidFieldSpec, ParseError
 
@@ -31,7 +33,7 @@ class UnverifiedIrreducibilityWarning(UserWarning):
 
 # ---------------------------------------------------------------------------
 # univariate polynomials over Q, represented as tuples of Fractions
-# (index = power), used only for extension-field bookkeeping
+# (index = power), used only to parse and check minimal polynomials
 # ---------------------------------------------------------------------------
 
 def _trim(c):
@@ -48,10 +50,6 @@ def _uadd(a, b):
     )
 
 
-def _uneg(a):
-    return tuple(-x for x in a)
-
-
 def _umul(a, b):
     if not a or not b:
         return ()
@@ -62,47 +60,6 @@ def _umul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return _trim(out)
-
-
-def _udivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = Fraction(1) / b[-1]
-    while len(a) >= len(b) and _trim(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        coef = a[-1] * inv
-        q[shift] = coef
-        for i, y in enumerate(b):
-            a[shift + i] -= coef * y
-        a.pop()
-    return _trim(q), _trim(a)
-
-
-def _uderiv(a):
-    return _trim(i * x for i, x in enumerate(a) if i > 0)
-
-
-def _uext_gcd(a, b):
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g, g monic or 0."""
-    r0, r1 = a, b
-    u0, u1 = (Fraction(1),), ()
-    v0, v1 = (), (Fraction(1),)
-    while r1:
-        q, r = _udivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _uadd(u0, _uneg(_umul(q, u1)))
-        v0, v1 = v1, _uadd(v0, _uneg(_umul(q, v1)))
-    if r0:
-        inv = Fraction(1) / r0[-1]
-        r0 = tuple(x * inv for x in r0)
-        u0 = tuple(x * inv for x in u0)
-        v0 = tuple(x * inv for x in v0)
-    return r0, u0, v0
 
 
 def _is_square_fraction(q: Fraction):
@@ -134,8 +91,6 @@ def _rational_roots(coeffs):
     coeffs = _trim(coeffs)
     if len(coeffs) <= 1:
         return []
-    from math import lcm
-
     den = lcm(*[c.denominator for c in coeffs])
     ints = [int(c * den) for c in coeffs]
     roots = set()
@@ -363,6 +318,17 @@ class PrimeField(Field):
         return f"GF({self.p})"
 
 
+def _normal(nums, den):
+    """Canonical extension payload: den > 0 and gcd(den, *nums) == 1."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            return tuple(x // g for x in nums), den // g
+    return tuple(nums), den
+
+
 class NumberField(Field):
     """Q[t]/(m(t)) for monic squarefree m of degree >= 2.
 
@@ -370,6 +336,10 @@ class NumberField(Field):
     quadratic-factor search); a detected factor or an unverified higher
     degree only warns.  A reducible m produces a ring with zero
     divisors, in which inverting a zero divisor raises DivisionByZero.
+
+    An element is the payload (nums, den): the coefficients of
+    t^0 .. t^(d-1) are nums[i] / den, with den > 0 and no common factor
+    of den and every nums[i], so equal elements have equal payloads.
     """
 
     kind = "simple_extension"
@@ -381,13 +351,29 @@ class NumberField(Field):
             raise InvalidFieldSpec("minimal polynomial must have degree >= 2")
         if coeffs[-1] != 1:
             raise InvalidFieldSpec("minimal polynomial must be monic")
-        if _uext_gcd(coeffs, _uderiv(coeffs))[0] != (Fraction(1),):
-            raise InvalidFieldSpec("minimal polynomial must be squarefree")
+        self.minimal_poly = coeffs
+        self.degree = d = len(coeffs) - 1
+        # t^(d+k) mod m for k = 0 .. d-2, scaled to integers by one
+        # common denominator
+        row = [-c for c in coeffs[:-1]]
+        rows = []
+        for _ in range(d - 1):
+            rows.append(row)
+            row = [row[-1] * rows[0][0]] + [
+                x + row[-1] * y for x, y in zip(row, rows[0][1:])
+            ]
+        self._scale = lcm(*(c.denominator for r in rows for c in r))
+        self._rows = tuple(tuple(int(c * self._scale) for c in r) for r in rows)
+        # m is squarefree iff its derivative is invertible modulo m
+        deriv = [i * c for i, c in enumerate(coeffs) if i > 0]
+        den = lcm(*(c.denominator for c in deriv))
+        try:
+            self._invert(tuple(int(c * den) for c in deriv), den)
+        except DivisionByZero:
+            raise InvalidFieldSpec("minimal polynomial must be squarefree") from None
         if not generator_name.isidentifier():
             raise InvalidFieldSpec(f"bad generator name {generator_name!r}")
-        self.minimal_poly = coeffs
         self.generator_name = generator_name
-        self.degree = len(coeffs) - 1
         self._warn_if_reducible()
 
     def _warn_if_reducible(self):
@@ -420,53 +406,87 @@ class NumberField(Field):
 
     @property
     def generator(self) -> "Scalar":
-        pay = [Fraction(0)] * self.degree
-        pay[1] = Fraction(1)
-        return Scalar(self, tuple(pay))
-
-    def _pad(self, c):
-        return tuple(c) + (Fraction(0),) * (self.degree - len(c))
+        return Scalar(self, ((0, 1) + (0,) * (self.degree - 2), 1))
 
     def _from_rational(self, q):
-        return self._pad((q,) if q else ())
+        return (q.numerator,) + (0,) * (self.degree - 1), q.denominator
 
     def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        (an, ad), (bn, bd) = a, b
+        if ad == bd:
+            return _normal([x + y for x, y in zip(an, bn)], ad)
+        return _normal([x * bd + y * ad for x, y in zip(an, bn)], ad * bd)
 
     def _neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(-x for x in a[0]), a[1]
+
+    def _product(self, an, bn):
+        """Integer vector of scale * an * bn reduced modulo m."""
+        d = self.degree
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(an):
+            if x:
+                for j, y in enumerate(bn):
+                    conv[i + j] += x * y
+        scale = self._scale
+        out = conv[:d] if scale == 1 else [scale * x for x in conv[:d]]
+        for c, row in zip(conv[d:], self._rows):
+            if c:
+                for j, r in enumerate(row):
+                    out[j] += c * r
+        return out
 
     def _mul(self, a, b):
-        ta, tb = _trim(a), _trim(b)
+        (an, ad), (bn, bd) = a, b
         # constants are very common inside polynomial arithmetic
-        if len(ta) <= 1:
-            c = ta[0] if ta else Fraction(0)
-            return tuple(c * y for y in b)
-        if len(tb) <= 1:
-            c = tb[0] if tb else Fraction(0)
-            return tuple(c * x for x in a)
-        _, rem = _udivmod(_umul(ta, tb), self.minimal_poly)
-        return self._pad(rem)
+        if not any(an[1:]):
+            return _normal([an[0] * y for y in bn], ad * bd)
+        if not any(bn[1:]):
+            return _normal([x * bn[0] for x in an], ad * bd)
+        return _normal(self._product(an, bn), ad * bd * self._scale)
 
     def _inv(self, a):
-        ta = _trim(a)
-        if not ta:
+        return self._invert(*a)
+
+    def _invert(self, nums, den):
+        """Solve (nums / den) * x = 1 by fraction-free (Bareiss)
+        elimination on the integer matrix of multiplication by nums."""
+        if not any(nums):
             raise DivisionByZero("division by zero")
-        g, u, _ = _uext_gcd(ta, self.minimal_poly)
-        if len(g) != 1:
-            raise DivisionByZero(
-                "nonzero zero divisor inverted; minimal polynomial is reducible"
-            )
-        _, rem = _udivmod(u, self.minimal_poly)
-        return self._pad(rem)
+        d = self.degree
+        cols = [self._product(nums, (0,) * j + (1,)) for j in range(d)]
+        rows = [[col[i] for col in cols] + [0] for i in range(d)]
+        rows[0][d] = self._scale * den
+        prev = 1
+        for k in range(d):
+            p = next((i for i in range(k, d) if rows[i][k]), None)
+            if p is None:
+                raise DivisionByZero(
+                    "nonzero zero divisor inverted; minimal polynomial is reducible"
+                )
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot = rows[k]
+            for row in rows[k + 1:]:
+                f = row[k]
+                for j in range(k + 1, d + 1):
+                    row[j] = (pivot[k] * row[j] - f * pivot[j]) // prev
+            prev = pivot[k]
+        # back substitution for prev * x, which is integral by Cramer's rule
+        sol = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = rows[i]
+            rest = sum(row[j] * sol[j] for j in range(i + 1, d))
+            sol[i] = (prev * row[d] - rest) // row[i]
+        return _normal(sol, prev)
 
     def _is_zero(self, a):
-        return all(x == 0 for x in a)
+        return not any(a[0])
 
     def _format(self, a):
+        nums, den = a
         parts = []
         for i in range(self.degree - 1, -1, -1):
-            c = a[i]
+            c = Fraction(nums[i], den)
             if c == 0:
                 continue
             if i == 0:

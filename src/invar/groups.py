@@ -111,7 +111,7 @@ def close_group(
 def apply_element(p: Polynomial, m: Matrix) -> Polynomial:
     """The finite-group action on polynomials: x_i -> sum_j m[i][j] x_j
     on the first m.nrows variables of p's ring, the rest left fixed."""
-    return p.apply_linear_map(m.rows)
+    return p.apply_linear_map(m)
 
 
 def point_image(m: Matrix, point) -> tuple:

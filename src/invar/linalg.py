@@ -14,15 +14,17 @@ from .fields import Field, Scalar
 
 
 class Matrix:
-    """Immutable matrix of scalars over one field."""
+    """Immutable matrix of scalars over one field; its rank is computed
+    at most once."""
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_rank")
 
     def __init__(self, field: Field, rows):
         self.field = field
         self.rows = tuple(tuple(r) for r in rows)
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
+        self._rank = None
         for r in self.rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged matrix")
@@ -86,7 +88,9 @@ class Matrix:
         return tuple(out)
 
     def rank(self) -> int:
-        return len(_echelon([list(r) for r in self.rows])[1])
+        if self._rank is None:
+            self._rank = len(_echelon([list(r) for r in self.rows])[1])
+        return self._rank
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:

@@ -17,11 +17,12 @@ groups, which builds the same images with polynomial entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, le, neg, sub
+from operator import add, le, mul, neg, sub
 from typing import Optional, Sequence
 
 from .errors import (
     ContextMismatch,
+    FieldMismatch,
     LengthMismatch,
     ParseError,
     SingularMatrix,
@@ -371,8 +372,10 @@ class Polynomial:
                 f"point has {len(point)} coordinates, ring has {self.ring.nvars}"
             )
         field = self.ring.field
-        pt = [field.scalar(x) for x in point]
-        return self._power_sum(pt, field.zero, field.one, lambda c: c)
+        pt = [field.scalar(x).value for x in point]
+        value = self._power_sum(pt, field.zero.value, field.one.value,
+                                lambda c: c.value, field._mul, field._add)
+        return Scalar(field, value)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Map variable i to images[i].  The polynomial images share one
@@ -387,11 +390,12 @@ class Polynomial:
             if im.ring != target:
                 raise ContextMismatch("substitution images in different rings")
             imgs.append(im)
-        return self._power_sum(imgs, target.zero, target.one, target.from_scalar)
+        return self._power_sum(imgs, target.zero, target.one, target.from_scalar, mul, add)
 
-    def _power_sum(self, values, zero, one, lift):
+    def _power_sum(self, values, zero, one, lift, mul, add):
         """Sum over the terms c*x^m of lift(c) * prod_i values[i]^m_i,
-        building each power of values[i] once."""
+        building each power of values[i] once; all arithmetic goes
+        through `mul` and `add`, so evaluation runs on raw payloads."""
         powers = [[one] for _ in values]
         total = zero
         for m, c in self.terms.items():
@@ -400,20 +404,26 @@ class Polynomial:
                 if e:
                     cache = powers[i]
                     while len(cache) <= e:
-                        cache.append(cache[-1] * values[i])
-                    acc = acc * cache[e]
-            total = total + acc
+                        cache.append(mul(cache[-1], values[i]))
+                    acc = mul(acc, cache[e])
+            total = add(total, acc)
         return total
 
     def apply_linear_map(self, rows) -> "Polynomial":
         """Substitute x_i -> sum_j rows[i][j] x_j for the first len(rows)
-        variables, leaving any remaining variables fixed.  The matrix must
-        be invertible."""
+        variables, leaving any remaining variables fixed.  `rows` is a
+        Matrix over the ring's field, whose rank is computed once, or
+        plain rows of scalars.  The matrix must be invertible."""
         from .linalg import Matrix
 
-        k = len(rows)
         field = self.ring.field
-        mat = Matrix.from_rows(field, rows)
+        if isinstance(rows, Matrix):
+            if rows.field != field:
+                raise FieldMismatch(f"matrix over {rows.field} acting on a ring over {field}")
+            mat = rows
+        else:
+            mat = Matrix.from_rows(field, rows)
+        k = mat.nrows
         if mat.rank() != k:
             raise SingularMatrix("linear action matrix is singular")
         images = []

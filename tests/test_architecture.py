@@ -11,6 +11,11 @@ raw field payloads: only `groebner` and `ratfunc` touch it or its
 `_reducer`s, and inside `groebner` only the kernel wraps payloads into
 `Scalar`s.
 
+Number-field arithmetic runs on integer vectors, never on `Fraction`s
+or the univariate helpers kept for checking minimal polynomials, and
+the one power loop behind `Polynomial.evaluate` and `substitute` does
+arithmetic only through the callables it is given.
+
 Results reach the user through one report path.  Every CLI command
 takes the parsed arguments and returns raw result values; `cli.main`
 converts them once with `cli._jsonable` and is the only writer of the
@@ -76,6 +81,42 @@ def test_groebner_wraps_scalars_only_in_the_kernel():
 
     assert {function for module, function in _sites(is_scalar)
             if module == "groebner"} == {"_reduce_terms"}
+
+
+def _source(module):
+    return ast.parse(Path(invar.__file__).with_name(f"{module}.py").read_text())
+
+
+def _class(tree, name):
+    return next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+
+
+def test_number_field_arithmetic_avoids_fractions_and_univariate_helpers():
+    tree = _source("fields")
+    functions = {node.name: node for node in tree.body + _class(tree, "NumberField").body
+                 if isinstance(node, ast.FunctionDef)}
+    todo = ["_add", "_mul", "_neg", "_inv", "_is_zero"]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            ref = (node.id if isinstance(node, ast.Name)
+                   else node.attr if isinstance(node, ast.Attribute) else None)
+            assert ref != "Fraction" and not (ref or "").startswith("_u"), (name, ref)
+            if ref in functions:
+                todo.append(ref)
+    assert {"_product", "_normal"} <= reached
+
+
+def test_power_sum_computes_only_through_its_callables():
+    loop = next(node for node in _class(_source("polynomials"), "Polynomial").body
+                if isinstance(node, ast.FunctionDef) and node.name == "_power_sum")
+    assert [a.arg for a in loop.args.args] == ["self", "values", "zero", "one",
+                                               "lift", "mul", "add"]
+    assert not [node for node in ast.walk(loop) if isinstance(node, (ast.BinOp, ast.AugAssign))]
 
 
 def _cli_sites(matches):

@@ -205,8 +205,11 @@ _PROBLEM = {"field": {"kind": "rationals"}, "variables": ["x"], "polynomials": [
     ("generators", {**_C2, "field": "rationals"}),
     ("generators", {**_C2, "generators": [[[0, 1], [1, 0]]]}),
     ("groebner", {**_PROBLEM, "polynomials": [3]}),
+    ("groebner", {**_PROBLEM, "eliminate": ["x"], "truncate": 2}),
+    ("groebner", {**_PROBLEM, "eliminate": ["x"], "order": "gradedlex"}),
 ], ids=["top-level-list", "prime-not-int", "no-dimension", "no-polynomials",
-        "groebner-list", "field-not-object", "entry-a-number", "polynomial-a-number"])
+        "groebner-list", "field-not-object", "entry-a-number", "polynomial-a-number",
+        "eliminate-truncate", "eliminate-gradedlex"])
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(document))

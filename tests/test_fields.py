@@ -1,6 +1,9 @@
 import warnings
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invar.errors import DivisionByZero, FieldMismatch, InvalidFieldSpec, ParseError
 from invar.fields import (
@@ -8,6 +11,7 @@ from invar.fields import (
     PrimeField,
     Rationals,
     ReducibleMinimalPolynomialWarning,
+    Scalar,
     UnverifiedIrreducibilityWarning,
     characteristic,
     field_arith,
@@ -163,3 +167,157 @@ def test_parse_format_roundtrip(field):
     rng = XorShift(13)
     for a in _random_scalars(field, rng, 300):
         assert field.parse(str(a)) == a
+
+
+# ---------------------------------------------------------------------------
+# differential test: integer-vector payloads against the Fraction-tuple
+# arithmetic they replaced, kept here as the reference
+# ---------------------------------------------------------------------------
+
+def _ref_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_sub(a, b):
+    n = max(len(a), len(b))
+    return _ref_trim((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                     for i in range(n))
+
+
+def _ref_divmod(a, b):
+    a, q = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        coef = a[-1] / b[-1]
+        q[len(a) - len(b)] = coef
+        for i, y in enumerate(b):
+            a[len(a) - len(b) + i] -= coef * y
+        a = list(_ref_trim(a))
+    return _ref_trim(q), _ref_trim(a)
+
+
+class _FractionTupleField:
+    """Q[w]/(m) with elements as tuples of Fractions, low degree first."""
+
+    def __init__(self, minimal_poly, name):
+        self.m = tuple(Fraction(c) for c in minimal_poly)
+        self.d = len(self.m) - 1
+        self.name = name
+
+    def pad(self, c):
+        return tuple(c) + (Fraction(0),) * (self.d - len(c))
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple(-x for x in a)
+
+    def mul(self, a, b):
+        return self.pad(_ref_divmod(_ref_mul(_ref_trim(a), _ref_trim(b)), self.m)[1])
+
+    def inv(self, a):
+        """Extended Euclid; None for zero and for zero divisors."""
+        r0, r1, u0, u1 = self.m, _ref_trim(a), (), (Fraction(1),)
+        if not r1:
+            return None
+        while r1:
+            q, r = _ref_divmod(r0, r1)
+            r0, r1, u0, u1 = r1, r, u1, _ref_sub(u0, _ref_mul(q, u1))
+        if len(r0) != 1:
+            return None
+        return self.pad(_ref_divmod(tuple(x / r0[0] for x in u0), self.m)[1])
+
+    def format(self, a):
+        parts = []
+        for i in range(self.d - 1, -1, -1):
+            c = a[i]
+            if c == 0:
+                continue
+            mono = None if i == 0 else self.name if i == 1 else f"{self.name}^{i}"
+            if mono is None:
+                parts.append(str(c))
+            elif c in (1, -1):
+                parts.append(mono if c == 1 else f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+        out = parts[0] if parts else "0"
+        for piece in parts[1:]:
+            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+        return out
+
+
+DIFFERENTIAL_FIELDS = {
+    "Q(sqrt2)": [-2, 0, 1],
+    "Q(zeta5)": [1, 1, 1, 1, 1],
+    "w^2-1": [-1, 0, 1],
+    "w^2-1/2": [Fraction(-1, 2), 0, 1],
+}
+
+
+def _as_fractions(payload):
+    nums, den = payload
+    return tuple(Fraction(n, den) for n in nums)
+
+
+def _element(field, fractions):
+    """The canonical payload: the least common denominator."""
+    den = lcm(*(c.denominator for c in fractions))
+    return Scalar(field, (tuple(int(c * den) for c in fractions), den))
+
+
+def _assert_canonical(payload):
+    nums, den = payload
+    assert den > 0 and gcd(den, *nums) == 1
+
+
+@pytest.mark.parametrize("minimal_poly", DIFFERENTIAL_FIELDS.values(),
+                         ids=DIFFERENTIAL_FIELDS.keys())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_integer_vectors_match_fraction_tuples(minimal_poly, data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = NumberField(minimal_poly, "w")
+    ref = _FractionTupleField(minimal_poly, "w")
+    coeffs = st.lists(st.fractions(-30, 30, max_denominator=12),
+                      min_size=field.degree, max_size=field.degree)
+    fa, fb, fc = (tuple(data.draw(coeffs)) for _ in range(3))
+    a, b, c = (_element(field, f) for f in (fa, fb, fc))
+    for value, expected in [
+        (a + b, ref.add(fa, fb)),
+        (-a, ref.neg(fa)),
+        (a * b, ref.mul(fa, fb)),
+    ]:
+        _assert_canonical(value.value)
+        assert _as_fractions(value.value) == expected
+    # a times w - 1 is a zero divisor in Q[w]/(w^2 - 1)
+    for x in (a, a * (field.generator - 1)):
+        expected_inverse = ref.inv(_as_fractions(x.value))
+        if expected_inverse is None:
+            with pytest.raises(DivisionByZero):
+                x.inverse()
+        else:
+            inverse = x.inverse()
+            _assert_canonical(inverse.value)
+            assert _as_fractions(inverse.value) == expected_inverse
+            assert x * inverse == field.one
+    assert str(a) == ref.format(fa)
+    assert field.parse(str(a)) == a
+    assert a.is_zero() == (not any(fa))
+    assert a == sum((field.generator ** i * x for i, x in enumerate(fa)), field.zero)
+    # canonical payloads: equal elements built differently hash equal
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c

@@ -74,6 +74,9 @@ PROBLEMS = {
     "groebner-eliminate": {"field": {"kind": "rationals"}, "variables": ["t", "x", "y"],
                            "polynomials": ["x - t^2", "y - t^3"], "eliminate": ["t"],
                            "order": "lex"},
+    "groebner-eliminate-grevlex": {"field": {"kind": "rationals"}, "variables": ["t", "x", "y"],
+                                   "polynomials": ["x - t^2", "y - t^3"], "eliminate": ["t"],
+                                   "order": "grevlex"},
     "groebner-number-field": {"field": {"kind": "simple_extension", "minimal_poly": "w^2 - 2",
                                         "generator": "w"},
                               "variables": ["x", "y"], "polynomials": ["x^2 - w*y", "y^2 - 2"]},

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from invar.errors import (
@@ -7,7 +9,7 @@ from invar.errors import (
 )
 from invar.fields import Rationals
 from invar.groebner import SubalgebraOracle
-from invar.groups import close_group, reynolds
+from invar.groups import apply_element, close_group, reynolds
 from invar.invariants import (
     dade_primary_invariants,
     degree_bound_report,
@@ -22,6 +24,7 @@ from invar.invariants import (
 )
 from invar.linalg import Matrix
 from invar.polynomials import GREVLEX, monomials_of_degree
+from invar.specfile import fixture_path, load_spec_file
 
 Q = Rationals()
 
@@ -110,13 +113,20 @@ def test_king_alternative_orders_generate_same_subalgebra(c2_swap):
         assert all(ref_oracle.contains(g) for g in result.generators)
 
 
-def test_king_generators_are_invariant(d8, s3, cn3):
-    for group in (d8, s3, cn3):
-        result = king_generators(group)
-        for g in result.generators:
+def test_king_generators_are_invariant():
+    """Every bundled finite fixture that `generators` accepts."""
+    checked = 0
+    for path in sorted(Path(fixture_path("d8")).parent.glob("*.json")):
+        loaded = load_spec_file(str(path))
+        if loaded.kind != "finite_matrix" or loaded.group.is_modular():
+            continue
+        group = loaded.group
+        for g in king_generators(group).generators:
             assert g.is_homogeneous()
             for sigma in group.generators:
-                assert g.apply_linear_map(sigma.rows) == g
+                assert apply_element(g, sigma) == g
+        checked += 1
+    assert checked == 8
 
 
 def test_king_minimality_small_groups(c2_swap, cn3, minus_identity):

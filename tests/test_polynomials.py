@@ -1,12 +1,15 @@
 import pytest
 
+from invar import linalg
 from invar.errors import (
     ContextMismatch,
+    FieldMismatch,
     LengthMismatch,
     SingularMatrix,
     ZeroPolynomial,
 )
-from invar.fields import NumberField, Rationals
+from invar.fields import NumberField, PrimeField, Rationals
+from invar.groups import reynolds
 from invar.linalg import Matrix
 from invar.polynomials import (
     GRADEDLEX,
@@ -18,6 +21,7 @@ from invar.polynomials import (
     monomials_of_degree,
 )
 from invar.prng import XorShift
+from invar.specfile import fixture_path, load_spec_file
 
 Q = Rationals()
 R = PolynomialRing(Q, ("x", "y"))
@@ -63,6 +67,29 @@ def test_apply_linear_map_examples():
 
     with pytest.raises(SingularMatrix):
         p.apply_linear_map([[1, 1], [1, 1]])
+
+
+def test_reynolds_eliminates_once_per_group_element(monkeypatch):
+    group = load_spec_file(fixture_path("d8")).group
+    eliminations = []
+    echelon = linalg._echelon
+
+    def counted(rows, reduce=False):
+        eliminations.append(len(rows))
+        return echelon(rows, reduce)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    x, y = group.ring().variables()
+    f = x**3 * y + 2 * y**2
+    assert reynolds(f, group) == reynolds(f, group)
+    assert len(eliminations) == group.order
+
+    singular = Matrix.from_rows(Q, [[1, 1], [1, 1]])
+    for rows in (singular, singular, [[1, 1], [1, 1]]):
+        with pytest.raises(SingularMatrix):
+            (X * Y).apply_linear_map(rows)
+    with pytest.raises(FieldMismatch):
+        (X * Y).apply_linear_map(Matrix.from_rows(PrimeField(7), [[1, 0], [0, 1]]))
 
 
 def test_apply_linear_map_is_ring_hom():
