@@ -203,13 +203,7 @@ def algebraic_invariant_basis(spec: AlgebraicGroupSpec, d: int) -> list:
             for zm, c in zpoly.terms.items():
                 equations.setdefault((xm, zm), {})[cidx] = c
 
-    rows = []
-    for key in sorted(equations):
-        coeffs = equations[key]
-        rows.append([coeffs.get(j, field.zero) for j in range(len(monos))])
-    if not rows:
-        return [xring.monomial(m) for m in monos]
-    basis = nullspace(rows, field, len(monos))
+    basis = nullspace([equations[k] for k in sorted(equations)], field, len(monos))
     return [
         Polynomial(xring, {m: c for m, c in zip(monos, vec) if not c.is_zero()})
         for vec in basis

@@ -18,7 +18,6 @@ from .errors import (
     NotHInvariant,
     PositiveCharacteristic,
     SingularGenerator,
-    SingularMatrix,
 )
 from .fields import Field
 from .linalg import Matrix
@@ -77,10 +76,8 @@ def close_group(
     for g in gens:
         if g.nrows != n or g.ncols != n or g.field != field:
             raise ValueError("generators must be square over one field")
-        try:
-            g.inverse()
-        except SingularMatrix:
-            raise SingularGenerator("generator matrix is singular") from None
+        if g.rank() != n:
+            raise SingularGenerator("generator matrix is singular")
     identity = Matrix.identity(field, n)
     elements = [identity]
     seen = {identity}

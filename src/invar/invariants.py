@@ -54,17 +54,15 @@ def invariant_basis(group: FiniteMatrixGroup, d: int) -> list:
     monos = list(reversed(monomials_of_degree(ring, d)))  # descending grevlex
     if not monos:
         return []
-    zero = group.field.zero
     rows = []
     for sigma in group.generators:
         # column j holds the coordinates of sigma(m_j) - m_j
-        cols = []
-        for m in monos:
+        equations = {mm: {} for mm in monos}
+        for j, m in enumerate(monos):
             mono = ring.monomial(m)
-            cols.append((apply_element(mono, sigma) - mono).terms)
-        rows.extend([col.get(mm, zero) for col in cols] for mm in monos)
-    if not rows:  # no generators: trivial group
-        return [ring.monomial(m) for m in monos]
+            for mm, c in (apply_element(mono, sigma) - mono).terms.items():
+                equations[mm][j] = c
+        rows.extend(equations.values())
     basis = nullspace(rows, group.field, len(monos))
     out = []
     for vec in basis:

@@ -1,8 +1,11 @@
-"""Exact dense linear algebra over a ground field.
+"""Exact linear algebra over a ground field on sparse rows of raw payloads.
 
-Small matrices only: group elements, action matrices on monomial bases,
-and the linear systems behind invariant-space computations.  Everything
-is deterministic; pivoting always takes the first nonzero entry.
+Matrices are small and dense (group elements, action matrices); the
+linear systems behind invariant spaces are large and very sparse.  Both
+are eliminated by one kernel, `_echelon`, on rows that map a column to
+its nonzero field payload, touching only the pivot row's nonzero
+columns.  Everything is deterministic; pivoting always takes the first
+nonzero entry.
 """
 
 from __future__ import annotations
@@ -87,86 +90,91 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
+    def _sparse_rows(self):
+        is_zero = self.field._is_zero
+        return [{j: x.value for j, x in enumerate(r) if not is_zero(x.value)}
+                for r in self.rows]
+
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = len(_echelon([list(r) for r in self.rows])[1])
+            self._rank = len(_echelon(self.field, self._sparse_rows(), self.ncols)[1])
         return self._rank
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise SingularMatrix("only square matrices invert")
-        n = self.nrows
-        field = self.field
-        aug = [
-            list(self.rows[i]) + list(Matrix.identity(field, n).rows[i])
-            for i in range(n)
-        ]
-        reduced, pivots = _echelon(aug, reduce=True)
+        n, field = self.nrows, self.field
+        one, zero = field.one.value, field.zero
+        aug = self._sparse_rows()
+        for i, row in enumerate(aug):
+            row[n + i] = one
+        reduced, pivots = _echelon(field, aug, 2 * n, reduce=True)
         if pivots != list(range(n)):
             raise SingularMatrix("matrix is singular")
-        return Matrix(field, [row[n:] for row in reduced])
+        return Matrix(field, [[Scalar(field, row[j]) if j in row else zero
+                               for j in range(n, 2 * n)] for row in reduced])
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"Matrix[{body}]"
 
 
-def _echelon(rows, reduce=False):
-    """In-place row echelon form; returns (rows, pivot column list)."""
+def _echelon(field: Field, rows, ncols: int, reduce=False):
+    """In-place row echelon form of sparse rows, each a dict from column
+    to nonzero payload; returns (rows, pivot column list).  Pivot rows
+    are scaled to 1 at their pivot; with `reduce`, pivot columns are
+    cleared above the pivot as well as below it."""
+    mul, add, neg, inv, is_zero = field._mul, field._add, field._neg, field._inv, field._is_zero
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for col in range(ncols):
         if r == nrows:
             break
-        sel = None
-        for i in range(r, nrows):
-            if not rows[i][col].is_zero():
-                sel = i
-                break
+        sel = next((i for i in range(r, nrows) if col in rows[i]), None)
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        span = range(nrows) if reduce else range(r + 1, nrows)
-        for i in span:
-            if i == r:
+        scale = inv(rows[r][col])
+        rows[r] = {j: mul(x, scale) for j, x in rows[r].items()}
+        tail = [(j, x) for j, x in rows[r].items() if j != col]
+        for i in range(0 if reduce else r + 1, nrows):
+            row = rows[i]
+            if i == r or col not in row:
                 continue
-            f = rows[i][col]
-            if f.is_zero():
-                continue
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = neg(row.pop(col))
+            for j, b in tail:
+                if j in row:
+                    v = add(row[j], mul(f, b))
+                    if is_zero(v):
+                        del row[j]
+                    else:
+                        row[j] = v
+                else:
+                    row[j] = mul(f, b)
         pivots.append(col)
         r += 1
     return rows, pivots
 
 
-def rref(matrix_rows, field: Field):
-    """Reduced row echelon form of a list-of-lists of scalars."""
-    rows = [[field.scalar(x) for x in row] for row in matrix_rows]
-    if not rows:
-        return [], []
-    return _echelon(rows, reduce=True)
-
-
-def nullspace(matrix_rows, field: Field, ncols: int):
-    """Deterministic echelonized basis of the right kernel.
+def nullspace(rows, field: Field, ncols: int):
+    """Deterministic echelonized basis of the right kernel of sparse
+    rows, each a dict from column to `Scalar`.
 
     Basis vectors are indexed by free columns in ascending order; the
     free coordinate carries 1 and pivot coordinates are filled from the
     reduced echelon form.
     """
-    rows, pivots = rref(matrix_rows, field)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
+    is_zero = field._is_zero
+    rows = [{j: c.value for j, c in row.items() if not is_zero(c.value)} for row in rows]
+    rows, pivots = _echelon(field, rows, ncols, reduce=True)
     zero, one = field.zero, field.one
-    for f in free:
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
         vec = [zero] * ncols
         vec[f] = one
         for r, p in enumerate(pivots):
-            vec[p] = -rows[r][f]
+            if f in rows[r]:
+                vec[p] = Scalar(field, field._neg(rows[r][f]))
         basis.append(tuple(vec))
     return basis

@@ -16,6 +16,11 @@ or the univariate helpers kept for checking minimal polynomials, and
 the one power loop behind `Polynomial.evaluate` and `substitute` does
 arithmetic only through the callables it is given.
 
+Exact linear algebra has one elimination kernel, `linalg._echelon`, on
+sparse rows of raw payloads: it computes only through the field's
+payload methods, and the invariant-space solvers hand it their
+equations as sparse rows, never padded out with zeros.
+
 Results reach the user through one report path.  Every CLI command
 takes the parsed arguments and returns raw result values; `cli.main`
 converts them once with `cli._jsonable` and is the only writer of the
@@ -117,6 +122,29 @@ def test_power_sum_computes_only_through_its_callables():
     assert [a.arg for a in loop.args.args] == ["self", "values", "zero", "one",
                                                "lift", "mul", "add"]
     assert not [node for node in ast.walk(loop) if isinstance(node, (ast.BinOp, ast.AugAssign))]
+
+
+def test_echelon_computes_only_through_payload_methods():
+    kernel = next(node for node in _source("linalg").body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_echelon")
+    nodes = list(ast.walk(kernel))
+    assert "Scalar" not in {node.id for node in nodes if isinstance(node, ast.Name)}
+    assert {node.attr for node in nodes if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "field"} == {
+        "_mul", "_add", "_neg", "_inv", "_is_zero"}
+    # the only operators step the pivot row index
+    assert sorted(ast.unparse(node) for node in nodes
+                  if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.AugAssign))) == [
+        "r + 1", "r += 1"]
+
+
+def test_invariant_solvers_pass_sparse_equations():
+    def is_zero(node):
+        return ((isinstance(node, ast.Name) and node.id == "zero")
+                or (isinstance(node, ast.Attribute) and node.attr == "zero"))
+
+    assert not _sites(is_zero) & {("algebraic", "algebraic_invariant_basis"),
+                                  ("invariants", "invariant_basis")}
 
 
 def _cli_sites(matches):

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invar.errors import TruncatedBasis, TruncationInsufficient
 from invar.fields import Rationals
@@ -176,6 +178,34 @@ def test_normal_form_idempotent():
             p = p + R.monomial(exps, rng.randint(-9, 9))
         nf = normal_form(p, basis)
         assert normal_form(nf, basis) == nf
+
+
+@lru_cache(maxsize=None)
+def _seeded_reduced_basis(seed, order_name):
+    """Reduced basis of a small ideal: two or three random generators of
+    degree at most 2 in x, y."""
+    rng = XorShift(seed)
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        g = R.zero
+        for _ in range(3):
+            g = g + R.monomial((rng.randint(0, 2), rng.randint(0, 2)), rng.randint(-3, 3))
+        gens.append(g)
+    return reduce_basis(buchberger(gens, {"grevlex": GREVLEX, "lex": LEX}[order_name]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 30), order_name=st.sampled_from(["grevlex", "lex"]),
+       terms=st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                             st.integers(-9, 9), max_size=6))
+def test_normal_forms_are_idempotent_and_kill_the_basis(seed, order_name, terms):
+    basis = _seeded_reduced_basis(seed, order_name)
+    f = R.zero
+    for m, c in terms.items():
+        f = f + R.monomial(m, c)
+    nf = normal_form(f, basis)
+    assert normal_form(nf, basis) == nf
+    assert all(normal_form(g, basis).is_zero() for g in basis.generators)
 
 
 def test_truncated_equals_full_beyond_needed_degree():

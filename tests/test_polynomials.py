@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invar import linalg
 from invar.errors import (
@@ -74,9 +77,9 @@ def test_reynolds_eliminates_once_per_group_element(monkeypatch):
     eliminations = []
     echelon = linalg._echelon
 
-    def counted(rows, reduce=False):
+    def counted(field, rows, *args, **kwargs):
         eliminations.append(len(rows))
-        return echelon(rows, reduce)
+        return echelon(field, rows, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "_echelon", counted)
     x, y = group.ring().variables()
@@ -221,6 +224,31 @@ def _random_poly(ring, rng, terms=4, deg=3):
         exps = tuple(rng.randint(0, deg) for _ in range(ring.nvars))
         p = p + ring.monomial(exps, rng.randint(-5, 5))
     return p
+
+
+_term_dicts = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                              st.tuples(st.integers(-9, 9), st.integers(1, 4)), max_size=5)
+
+
+@pytest.mark.parametrize("field", [Q, PrimeField(32003)], ids=["Q", "GF32003"])
+@settings(max_examples=60, deadline=None)
+@given(a=_term_dicts, b=_term_dicts, c=_term_dicts)
+def test_ring_laws(field, a, b, c):
+    ring = PolynomialRing(field, ("x", "y"))
+
+    def poly(terms):
+        p = ring.zero
+        for m, (num, den) in terms.items():
+            p = p + ring.monomial(m, Fraction(num, den))
+        return p
+
+    f, g, h = poly(a), poly(b), poly(c)
+    assert f + g == g + f
+    assert f * g == g * f
+    assert (f + g) + h == f + (g + h)
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f - f == ring.zero and (f - f).is_zero()
 
 
 def test_linear_map_composition_convention():
