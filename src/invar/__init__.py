@@ -15,8 +15,6 @@ from .fields import (
     PrimeField,
     Rationals,
     Scalar,
-    characteristic,
-    field_arith,
 )
 from .groebner import (
     BuchbergerEngine,
@@ -80,7 +78,6 @@ from .polynomials import (
     MonomialOrder,
     Polynomial,
     PolynomialRing,
-    PowerSeries,
     monomials_of_degree,
 )
 from .ratfunc import RationalFunctionField, multivariate_gcd

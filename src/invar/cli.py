@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -158,8 +157,8 @@ def cmd_analyze(args):
     group, digest = _load(args, "finite_matrix")
     sub, seed = args.analysis, None
     if sub == "molien":
-        series = grp.molien_series(group, _nonnegative("--degree", args.degree))
-        payload = {"degree": args.degree, "coefficients": series.coeffs}
+        degree = _nonnegative("--degree", args.degree)
+        payload = {"degree": degree, "coefficients": grp.molien_series(group, degree)}
     elif sub == "classify":
         payload = {
             "elements": [
@@ -247,13 +246,6 @@ def build_parser():
         prog="invar",
         description="Exact invariant-theory computations for finite and "
         "algebraic groups.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("INVAR_THREADS", "1")),
-        help="worker thread budget (accepted for interface compatibility; "
-        "execution is sequential so output is reproducible)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

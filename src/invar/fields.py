@@ -28,38 +28,17 @@ class ReducibleMinimalPolynomialWarning(UserWarning):
 
 
 class UnverifiedIrreducibilityWarning(UserWarning):
-    """Irreducibility was not checked beyond squarefreeness (degree > 4)."""
+    """Irreducibility was not checked beyond squarefreeness: degree > 4,
+    or a rational-root search too long to run."""
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q, represented as tuples of Fractions
-# (index = power), used only to parse and check minimal polynomials
+# irreducibility checks on minimal polynomials, given as tuples of
+# Fractions (index = power)
 # ---------------------------------------------------------------------------
 
-def _trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _uadd(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _umul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
+# Trial division for rational-root candidates stops beyond this many steps.
+_DIVISOR_STEPS = 10**6
 
 
 def _is_square_fraction(q: Fraction):
@@ -74,7 +53,11 @@ def _is_square_fraction(q: Fraction):
 
 
 def _divisors(n: int):
+    """Positive divisors of n, or None when trial division would take
+    more than _DIVISOR_STEPS steps."""
     n = abs(n)
+    if isqrt(n) > _DIVISOR_STEPS:
+        return None
     out = []
     i = 1
     while i * i <= n:
@@ -87,21 +70,20 @@ def _divisors(n: int):
 
 
 def _rational_roots(coeffs):
-    """All rational roots of a univariate polynomial with Fraction coeffs."""
-    coeffs = _trim(coeffs)
-    if len(coeffs) <= 1:
-        return []
+    """All rational roots of a univariate polynomial with Fraction coeffs
+    and nonzero leading coefficient, or None when the divisor search
+    would be too long."""
     den = lcm(*[c.denominator for c in coeffs])
     ints = [int(c * den) for c in coeffs]
     roots = set()
-    while ints and ints[0] == 0:
+    while ints[0] == 0:
         ints = ints[1:]  # factor out x
         roots.add(Fraction(0))
-    if not ints:
-        return sorted(roots)
-    lead, const = ints[-1], ints[0]
-    for p in _divisors(const):
-        for q in _divisors(lead):
+    nums, dens = _divisors(ints[0]), _divisors(ints[-1])
+    if nums is None or dens is None:
+        return None
+    for p in nums:
+        for q in dens:
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 acc = Fraction(0)
                 for c in reversed(coeffs):
@@ -113,20 +95,13 @@ def _rational_roots(coeffs):
 
 def _quartic_has_quadratic_factor(m):
     """Monic quartic over Q with no rational root: does it split into two
-    rational quadratics?  Decided through the resolvent cubic."""
-    a3 = m[3]
-    # depress: x -> u - a3/4
-    shift = (-a3 / 4,)
-    comp = (Fraction(1),)
-    depressed = ()
-    base = _uadd((Fraction(0), Fraction(1)), shift)  # u + shift
-    for c in m:
-        depressed = _uadd(depressed, _umul((c,), comp))
-        comp = _umul(comp, base)
-    depressed = _trim(depressed)
-    p = depressed[2] if len(depressed) > 2 else Fraction(0)
-    q = depressed[1] if len(depressed) > 1 else Fraction(0)
-    r = depressed[0] if len(depressed) > 0 else Fraction(0)
+    rational quadratics?  Decided through the resolvent cubic; None when
+    its rational-root search would be too long."""
+    a0, a1, a2, a3 = m[:4]
+    # depress by x -> u - a3/4 to u^4 + p u^2 + q u + r
+    p = a2 - 3 * a3**2 / 8
+    q = a1 - a3 * a2 / 2 + a3**3 / 8
+    r = a0 - a3 * a1 / 4 + a3**2 * a2 / 16 - 3 * a3**4 / 256
     if q == 0:
         # biquadratic: (u^2+v)(u^2+w) needs p^2-4r square;
         # (u^2+au+b)(u^2-au+b) needs b^2 = r and 2b - p a square
@@ -139,8 +114,10 @@ def _quartic_has_quadratic_factor(m):
                     return True
         return False
     # resolvent cubic in s = a^2:  s^3 + 2p s^2 + (p^2 - 4r) s - q^2
-    resolvent = (-q * q, p * p - 4 * r, 2 * p, Fraction(1))
-    for s in _rational_roots(resolvent):
+    roots = _rational_roots((-q * q, p * p - 4 * r, 2 * p, Fraction(1)))
+    if roots is None:
+        return None
+    for s in roots:
         if s <= 0:
             continue
         a = _is_square_fraction(s)
@@ -345,8 +322,10 @@ class NumberField(Field):
     kind = "simple_extension"
 
     def __init__(self, minimal_poly, generator_name: str):
-        coeffs = tuple(Fraction(c) for c in minimal_poly)
-        coeffs = _trim(coeffs)
+        coeffs = [Fraction(c) for c in minimal_poly]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        coeffs = tuple(coeffs)
         if len(coeffs) < 3:
             raise InvalidFieldSpec("minimal polynomial must have degree >= 2")
         if coeffs[-1] != 1:
@@ -377,23 +356,27 @@ class NumberField(Field):
         self._warn_if_reducible()
 
     def _warn_if_reducible(self):
-        m = self.minimal_poly
-        if self.degree > 4:
+        m, d = self.minimal_poly, self.degree
+        if d == 2:
+            # t^2 + b t + c has a rational root iff b^2 - 4c is a square
+            roots = _is_square_fraction(m[1] * m[1] - 4 * m[0]) is not None
+        else:
+            roots = _rational_roots(m) if d <= 4 else None
+        split = _quartic_has_quadratic_factor(m) if d == 4 and roots == [] else False
+        if roots is None or split is None:
             warnings.warn(
-                f"irreducibility of degree-{self.degree} minimal polynomial "
-                "not verified",
+                f"irreducibility of degree-{d} minimal polynomial not verified",
                 UnverifiedIrreducibilityWarning,
                 stacklevel=3,
             )
-            return
-        if _rational_roots(m):
+        elif roots:
             warnings.warn(
                 "minimal polynomial has a rational root; the quotient is not "
                 "a field",
                 ReducibleMinimalPolynomialWarning,
                 stacklevel=3,
             )
-        elif self.degree == 4 and _quartic_has_quadratic_factor(m):
+        elif split:
             warnings.warn(
                 "minimal polynomial splits into two rational quadratics; the "
                 "quotient is not a field",
@@ -626,25 +609,6 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Named entry point over the operator dunders; op in {add,sub,mul,div}."""
-    if a.field != b.field:
-        raise FieldMismatch(f"mixing scalars of {a.field} and {b.field}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def characteristic(field: Field) -> int:
-    return field.characteristic()
-
-
 def field_from_config(cfg: dict) -> Field:
     """Build a field from a JSON-style configuration block."""
     if not isinstance(cfg, dict):
@@ -655,13 +619,9 @@ def field_from_config(cfg: dict) -> Field:
     if kind == "prime":
         return PrimeField(int(cfg["p"]))
     if kind == "simple_extension":
-        name = cfg.get("generator", "t")
-        text = cfg["minimal_poly"]
-        if isinstance(text, str):
-            from .parsing import parse_univariate_rational
+        from .parsing import parse_univariate_rational
 
-            coeffs = parse_univariate_rational(text, name)
-        else:
-            coeffs = [Fraction(c) for c in text]
+        name = cfg.get("generator", "t")
+        coeffs = parse_univariate_rational(cfg["minimal_poly"], name)
         return NumberField(coeffs, name)
     raise ParseError(f"unknown field kind {kind!r}")

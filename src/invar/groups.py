@@ -8,6 +8,7 @@ is a plain breadth-first search keyed by the matrices themselves.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -21,7 +22,7 @@ from .errors import (
 )
 from .fields import Field
 from .linalg import Matrix
-from .polynomials import Polynomial, PolynomialRing, PowerSeries
+from .polynomials import Polynomial, PolynomialRing
 
 DEFAULT_CLOSURE_CAP = 100000
 
@@ -278,48 +279,34 @@ def cohen_macaulay_necessary_condition(group: FiniteMatrixGroup) -> bool:
     return generated_by_predicate(group, pred)
 
 
-def _det_one_minus_t_sigma(m: Matrix, tring: PolynomialRing) -> Polynomial:
-    """det(I - t*sigma) as a univariate polynomial, by cofactor expansion."""
-    n = m.nrows
-    t = tring.variable(0)
-    entries = [
-        [
-            tring.from_int(1 if i == j else 0) - t * m.rows[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+def molien_series(group: FiniteMatrixGroup, truncation: int) -> tuple:
+    """Hilbert series of the invariant ring: the coefficients of t^0 ..
+    t^truncation of the group average of 1/det(1 - t*sigma).
 
-    def det(rows):
-        k = len(rows)
-        if k == 0:
-            return tring.one
-        if k == 1:
-            return rows[0][0]
-        total = tring.zero
-        sign = 1
-        for i in range(k):
-            lead = rows[i][0]
-            if not lead.is_zero():
-                minor = [r[1:] for j, r in enumerate(rows) if j != i]
-                term = lead * det(minor)
-                total = total + term if sign > 0 else total - term
-            sign = -sign
-        return total
-
-    return det(entries)
-
-
-def molien_series(group: FiniteMatrixGroup, truncation: int) -> PowerSeries:
-    """Hilbert series of the invariant ring, averaged over the group as
-    1/det(1 - t*sigma) expanded to the truncation degree."""
-    if group.field.characteristic() != 0:
-        raise PositiveCharacteristic("Molien series needs characteristic 0")
+    For each sigma, Newton's identities turn the traces p_i = tr(sigma^i)
+    into the coefficients of det(1 - t*sigma) = sum c_i t^i, through
+    i*c_i = -sum_{j<=i} c_{i-j} p_j, and the reciprocal series sum h_k t^k
+    follows from h_k = -sum_{1<=i<=min(k,n)} c_i h_{k-i}."""
     field = group.field
-    tring = PolynomialRing(field, ("t",))
-    total = PowerSeries(field, [field.zero] * (truncation + 1))
+    if field.characteristic() != 0:
+        raise PositiveCharacteristic("Molien series needs characteristic 0")
+    n, zero, one = group.dimension, field.zero, field.one
+    # elements with one characteristic polynomial share their series
+    dets = Counter()
     for sigma in group.elements:
-        det = _det_one_minus_t_sigma(sigma, tring)
-        coeffs = [det.coefficient_of((k,)) for k in range(det.total_degree() + 1)]
-        total = total + PowerSeries.reciprocal(field, coeffs, truncation)
-    return total * field.scalar(group.order).inverse()
+        powers = [sigma]
+        for _ in range(n - 1):
+            powers.append(powers[-1] @ sigma)
+        p = [None] + [sum((m.rows[j][j] for j in range(n)), zero) for m in powers]
+        c = [one]
+        for i in range(1, n + 1):
+            c.append(-sum((c[i - j] * p[j] for j in range(1, i + 1)), zero) / i)
+        dets[tuple(c)] += 1
+    total = [zero] * (truncation + 1)
+    for c, count in dets.items():
+        h = [one]
+        for k in range(1, truncation + 1):
+            h.append(-sum((c[i] * h[k - i] for i in range(1, min(k, n) + 1)), zero))
+        total = [a + count * b for a, b in zip(total, h)]
+    scale = field.scalar(group.order).inverse()
+    return tuple(x * scale for x in total)

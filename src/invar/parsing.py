@@ -164,14 +164,15 @@ class _UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        from .fields import _trim
-
-        self.coeffs = _trim(coeffs)
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
 
     def __add__(self, other):
-        from .fields import _uadd
-
-        return _UniPoly(_uadd(self.coeffs, other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        return _UniPoly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                        for i in range(max(len(a), len(b))))
 
     def __sub__(self, other):
         return self + (-other)
@@ -180,9 +181,13 @@ class _UniPoly:
         return _UniPoly(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        from .fields import _umul
-
-        return _UniPoly(_umul(self.coeffs, other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _UniPoly(out)
 
     def __truediv__(self, other):
         if len(other.coeffs) > 1:

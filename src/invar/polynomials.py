@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials, monomial orders, and power series.
+"""Sparse multivariate polynomials and monomial orders.
 
 A monomial is a plain tuple of exponents, one per ring variable.
 Polynomials map monomials to nonzero scalars of the ring's field; all
@@ -531,73 +531,3 @@ def transport_by_name(p: Polynomial, target: PolynomialRing) -> Polynomial:
     for n in p.ring.names:
         index_map.append(target.names.index(n) if n in target.names else None)
     return transport(p, target, index_map)
-
-
-# ---------------------------------------------------------------------------
-# truncated power series (Hilbert/Molien series carrier)
-# ---------------------------------------------------------------------------
-
-class PowerSeries:
-    """Truncated univariate power series over a field."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: Field, coeffs):
-        self.field = field
-        self.coeffs = tuple(field.scalar(c) for c in coeffs)
-
-    @property
-    def truncation_degree(self):
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PowerSeries)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
-
-    def __add__(self, other):
-        n = min(len(self.coeffs), len(other.coeffs))
-        return PowerSeries(
-            self.field, [self.coeffs[i] + other.coeffs[i] for i in range(n)]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            c = self.field.scalar(other)
-            return PowerSeries(self.field, [x * c for x in self.coeffs])
-        n = min(len(self.coeffs), len(other.coeffs))
-        out = [self.field.zero] * n
-        for i, x in enumerate(self.coeffs[:n]):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(other.coeffs[: n - i]):
-                out[i + j] = out[i + j] + x * y
-        return PowerSeries(self.field, out)
-
-    __rmul__ = __mul__
-
-    @classmethod
-    def reciprocal(cls, field: Field, poly_coeffs, truncation: int) -> "PowerSeries":
-        """1 / p(t) as a series to the given truncation; p(0) must be nonzero."""
-        a = [field.scalar(c) for c in poly_coeffs]
-        if not a or a[0].is_zero():
-            raise ZeroPolynomial("series inverse needs a unit constant term")
-        inv0 = a[0].inverse()
-        out = [inv0]
-        for k in range(1, truncation + 1):
-            acc = field.zero
-            for i in range(1, min(k, len(a) - 1) + 1):
-                acc = acc + a[i] * out[k - i]
-            out.append(-inv0 * acc)
-        return cls(field, out)
-
-    def __str__(self):
-        return " + ".join(f"{c}*t^{i}" for i, c in enumerate(self.coeffs))
-
-    def __repr__(self):
-        return f"PowerSeries({self})"

@@ -11,15 +11,19 @@ raw field payloads: only `groebner` and `ratfunc` touch it or its
 `_reducer`s, and inside `groebner` only the kernel wraps payloads into
 `Scalar`s.
 
-Number-field arithmetic runs on integer vectors, never on `Fraction`s
-or the univariate helpers kept for checking minimal polynomials, and
-the one power loop behind `Polynomial.evaluate` and `substitute` does
-arithmetic only through the callables it is given.
+Number-field arithmetic runs on integer vectors, never on `Fraction`s,
+and `fields` keeps no univariate polynomial helpers: minimal
+polynomials are parsed by `parsing._UniPoly` alone.  The one power
+loop behind `Polynomial.evaluate` and `substitute` does arithmetic only
+through the callables it is given.
 
 Exact linear algebra has one elimination kernel, `linalg._echelon`, on
 sparse rows of raw payloads: it computes only through the field's
 payload methods, and the invariant-space solvers hand it their
 equations as sparse rows, never padded out with zeros.
+
+The Molien series works on the group's own matrices, through traces of
+their powers and Newton's identities, without a ring of polynomials in t.
 
 Results reach the user through one report path.  Every CLI command
 takes the parsed arguments and returns raw result values; `cli.main`
@@ -114,6 +118,18 @@ def test_number_field_arithmetic_avoids_fractions_and_univariate_helpers():
             if ref in functions:
                 todo.append(ref)
     assert {"_product", "_normal"} <= reached
+
+
+def test_fields_defines_no_univariate_helpers():
+    names = {node.name for node in _source("fields").body if isinstance(node, ast.FunctionDef)}
+    assert not names & {"_trim", "_uadd", "_umul"}
+
+
+def test_molien_series_builds_no_polynomial_ring():
+    def is_ring(node):
+        return isinstance(node, ast.Name) and node.id == "PolynomialRing"
+
+    assert ("groups", "molien_series") not in _sites(is_ring)
 
 
 def test_power_sum_computes_only_through_its_callables():

@@ -207,9 +207,11 @@ _PROBLEM = {"field": {"kind": "rationals"}, "variables": ["x"], "polynomials": [
     ("groebner", {**_PROBLEM, "polynomials": [3]}),
     ("groebner", {**_PROBLEM, "eliminate": ["x"], "truncate": 2}),
     ("groebner", {**_PROBLEM, "eliminate": ["x"], "order": "gradedlex"}),
+    ("generators", {**_C2, "field": {"kind": "simple_extension", "generator": "w",
+                                     "minimal_poly": [-2, 0, 1]}}),
 ], ids=["top-level-list", "prime-not-int", "no-dimension", "no-polynomials",
         "groebner-list", "field-not-object", "entry-a-number", "polynomial-a-number",
-        "eliminate-truncate", "eliminate-gradedlex"])
+        "eliminate-truncate", "eliminate-gradedlex", "minimal-poly-a-list"])
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(document))

@@ -1,3 +1,4 @@
+import time
 import warnings
 from fractions import Fraction
 from math import gcd, lcm
@@ -13,8 +14,7 @@ from invar.fields import (
     ReducibleMinimalPolynomialWarning,
     Scalar,
     UnverifiedIrreducibilityWarning,
-    characteristic,
-    field_arith,
+    field_from_config,
 )
 from invar.prng import XorShift
 
@@ -38,10 +38,10 @@ def test_extension_multiplication():
 
 def test_field_arith_dispatch():
     a, b = Q.scalar(3), Q.scalar(4)
-    assert field_arith(a, b, "add") == Q.scalar(7)
-    assert field_arith(a, b, "sub") == Q.scalar(-1)
-    assert field_arith(a, b, "mul") == Q.scalar(12)
-    assert field_arith(a, b, "div") == Q.parse("3/4")
+    assert a + b == Q.scalar(7)
+    assert a - b == Q.scalar(-1)
+    assert a * b == Q.scalar(12)
+    assert a / b == Q.parse("3/4")
 
 
 def test_division_by_zero():
@@ -57,7 +57,7 @@ def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         Q.one + G7.one
     with pytest.raises(FieldMismatch):
-        field_arith(Q.one, SQRT2.one, "mul")
+        Q.one * SQRT2.one
 
 
 def test_parse_examples():
@@ -77,9 +77,9 @@ def test_parse_errors():
 
 
 def test_characteristic():
-    assert characteristic(Q) == 0
-    assert characteristic(PrimeField(7)) == 7
-    assert characteristic(SQRT2) == 0
+    assert Q.characteristic() == 0
+    assert PrimeField(7).characteristic() == 7
+    assert SQRT2.characteristic() == 0
 
 
 def test_prime_validation():
@@ -106,6 +106,8 @@ def test_reducibility_warnings():
     with pytest.warns(ReducibleMinimalPolynomialWarning):
         NumberField([2, 0, 3, 0, 1], "w")  # (w^2+1)(w^2+2)
     with pytest.warns(ReducibleMinimalPolynomialWarning):
+        NumberField([2, 2, 3, 1, 1], "w")  # (w^2+w+1)(w^2+2): a cubic term
+    with pytest.warns(ReducibleMinimalPolynomialWarning):
         NumberField([0, 1, 0, 1], "w")  # w(w^2+1): zero is a root
     with pytest.warns(UnverifiedIrreducibilityWarning):
         NumberField([-2, 0, 0, 0, 0, 1], "w")  # degree 5, unverified
@@ -114,6 +116,22 @@ def test_reducibility_warnings():
         NumberField([1, 1, 1, 1, 1], "w")  # 5th cyclotomic: irreducible quartic
         NumberField([1, 0, 0, 0, 1], "w")  # w^4 + 1: irreducible
         NumberField([-2, 0, 1], "w")
+
+
+@pytest.mark.parametrize("text,warning", [
+    ("w^2 - 1000000000000000003", None),
+    ("w^2 - 1000000000000000014000000000000000049", ReducibleMinimalPolynomialWarning),
+    ("w^3 - 1000000000000000003", UnverifiedIrreducibilityWarning),
+    ("w^4 + w + 1000000000000000003", UnverifiedIrreducibilityWarning),
+], ids=["quadratic", "quadratic-square", "cubic", "quartic"])
+def test_large_minimal_polynomials_finish_promptly(text, warning):
+    # a full trial-division search of these constants takes 10^9 steps
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        field_from_config({"kind": "simple_extension", "generator": "w", "minimal_poly": text})
+    assert time.perf_counter() - start < 5
+    assert [w.category for w in caught] == ([warning] if warning else [])
 
 
 def test_zero_divisor_detection():

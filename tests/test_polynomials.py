@@ -20,7 +20,6 @@ from invar.polynomials import (
     LEX,
     BlockElimination,
     PolynomialRing,
-    PowerSeries,
     monomials_of_degree,
 )
 from invar.prng import XorShift
@@ -287,11 +286,3 @@ def test_format_is_order_descending():
     assert p.format(LEX) == "x^2 + x*y^2 + 1"
     assert p.format(GREVLEX) == "x*y^2 + x^2 + 1"
 
-
-def test_power_series():
-    geo = PowerSeries.reciprocal(Q, [Q.one, -Q.one], 5)  # 1/(1-t)
-    assert geo == PowerSeries(Q, [1, 1, 1, 1, 1, 1])
-    sq = geo * geo
-    assert sq == PowerSeries(Q, [1, 2, 3, 4, 5, 6])
-    with pytest.raises(ZeroPolynomial):
-        PowerSeries.reciprocal(Q, [Q.zero, Q.one], 3)
