@@ -217,7 +217,10 @@ def _parse_groebner_problem(cfg):
     ring = PolynomialRing(field_from_config(cfg["field"]), tuple(cfg["variables"]))
     polys = [ring.parse(t) for t in cfg["polynomials"]]
     order = order_by_name(cfg.get("order", "grevlex"))
-    return polys, order, cfg.get("truncate"), list(cfg.get("eliminate", []))
+    truncate = cfg.get("truncate")
+    if truncate is not None and (type(truncate) is not int or truncate < 0):
+        raise ParseError(f"truncate must be a non-negative integer or null, not {truncate!r}")
+    return polys, order, truncate, list(cfg.get("eliminate", []))
 
 
 def cmd_groebner(args):

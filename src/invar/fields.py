@@ -617,7 +617,10 @@ def field_from_config(cfg: dict) -> Field:
     if kind == "rationals":
         return Rationals()
     if kind == "prime":
-        return PrimeField(int(cfg["p"]))
+        p = cfg["p"]
+        if type(p) is not int and not isinstance(p, str):
+            raise ParseError(f"prime p must be an integer or an integer string, not {p!r}")
+        return PrimeField(int(p))
     if kind == "simple_extension":
         from .parsing import parse_univariate_rational
 

@@ -15,14 +15,19 @@ Schoenemann, ISSAC 1998, cut down to one bit per variable), and the
 arithmetic runs on raw field payloads, wrapped into `Scalar`s only for
 the result and the quotient.
 
-Determinism is a hard requirement: pair selection follows the normal
-strategy (lowest lcm degree, ties by the monomial order on the lcm,
-then by pair indices), the reducer is always the first basis element
-whose leading monomial divides, and queued pairs survive truncation so
-a d-truncated basis can be continued to higher degree without
-recomputation.  Pair pruning uses the classic Gebauer-Moeller criteria,
-which depend only on leading monomials and therefore commute with
-truncation.
+Determinism is a hard requirement: pair selection follows the sugar
+strategy (Giovini, Mora, Niesi, Robbiano & Traverso, ISSAC 1991).
+Every basis element carries a sugar degree, the degree it would have
+had if the input had been homogenised; a pair's sugar is the larger of
+its two elements' sugars lifted to the lcm.  The lowest sugar goes
+first, ties by lcm degree, then by the monomial order on the lcm, then
+by pair indices.  On homogeneous input the sugar is the lcm degree, so
+this is the normal strategy there.  The reducer is always the first
+basis element whose leading monomial divides, and queued pairs survive
+truncation: a run truncated at sugar d is a prefix of the full run, so
+it can be continued to higher degree without recomputation.  Pair
+pruning uses the classic Gebauer-Moeller criteria, which depend only
+on leading monomials and therefore commute with truncation.
 """
 
 from __future__ import annotations
@@ -148,7 +153,7 @@ class GroebnerBasis:
 
 class BuchbergerEngine:
     """Incremental Buchberger: generators can be adjoined between
-    extension calls, and extension can stop at a degree bound with the
+    extension calls, and extension can stop at a sugar bound with the
     remaining pairs kept queued."""
 
     def __init__(self, ring: PolynomialRing, order: MonomialOrder):
@@ -156,6 +161,7 @@ class BuchbergerEngine:
         self.order = order
         self.basis = []
         self._reducers = []
+        self._sugars = []
         self._pairs = {}
         self._heap = []
         self.max_processed_degree = 0
@@ -176,15 +182,19 @@ class BuchbergerEngine:
                 raise ContextMismatch("generator from a different ring")
             h = self.normal_form(g)
             if not h.is_zero():
-                self.add_generator(h)
+                self.add_generator(h, g.total_degree())
 
-    def add_generator(self, h: Polynomial):
+    def add_generator(self, h: Polynomial, sugar: int):
         """Adjoin a nonzero polynomial assumed to be in normal form with
         respect to the current basis, updating the pair queue with the
-        Gebauer-Moeller criteria."""
+        Gebauer-Moeller criteria.  Its sugar is the given one, or its
+        total degree if that is larger."""
         t = len(self.basis)
         reducer = _reducer(h, self.order)
         lm_t, support_t = reducer[0], reducer[3]
+        sugar = max(sugar, h.total_degree())
+        # a pair lifts the larger excess of sugar over leading degree
+        excess_t = sugar - mono_degree(lm_t)
         lms = [r[0] for r in self._reducers]
         supports = [r[3] for r in self._reducers]
         # chain criterion on queued pairs
@@ -213,19 +223,21 @@ class BuchbergerEngine:
             if not supports[i] & support_t:
                 continue  # coprime leading monomials
             li = lcms[i]
+            deg = mono_degree(li)
+            pair_sugar = max(self._sugars[i] - mono_degree(lms[i]), excess_t) + deg
             self._pairs[(i, t)] = li
-            heapq.heappush(
-                self._heap, (mono_degree(li), self.order.key(li), i, t)
-            )
+            heapq.heappush(self._heap, (pair_sugar, deg, self.order.key(li), i, t))
         self.basis.append(h)
         self._reducers.append(reducer)
+        self._sugars.append(sugar)
 
     def extend(self, degree_limit: Optional[int] = None):
-        """Process queued s-pairs in normal-strategy order; pairs above
-        the degree limit stay queued for a later call."""
+        """Process queued s-pairs in sugar order; pairs whose sugar
+        exceeds the degree limit stay queued for a later call.  On
+        homogeneous input the sugar is the ordinary degree."""
         while self._heap:
-            deg, _, i, j = self._heap[0]
-            if degree_limit is not None and deg > degree_limit:
+            sugar, _, _, i, j = self._heap[0]
+            if degree_limit is not None and sugar > degree_limit:
                 return
             heapq.heappop(self._heap)
             if self._pairs.pop((i, j), None) is None:
@@ -234,10 +246,10 @@ class BuchbergerEngine:
                 self.basis[i], self.basis[j], self.order, (self._reducers[i], self._reducers[j])
             )
             h = self.normal_form(s)
-            if deg > self.max_processed_degree:
-                self.max_processed_degree = deg
+            if sugar > self.max_processed_degree:
+                self.max_processed_degree = sugar
             if not h.is_zero():
-                self.add_generator(h)
+                self.add_generator(h, sugar)
 
     def snapshot(self, truncation_degree: Optional[int] = None) -> GroebnerBasis:
         return GroebnerBasis(

@@ -153,7 +153,7 @@ def king_generators(
             gens.append(f)
             degrees.append(d)
             lm_h = h.leading_monomial(order)
-            engine.add_generator(h)
+            engine.add_generator(h, d)
             alive.discard(lm_h)
             trace.append((d, t, lm_h))
 

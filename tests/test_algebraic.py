@@ -1,5 +1,6 @@
 import pytest
 
+from invar import groebner
 from invar.algebraic import (
     AlgebraicGroupSpec,
     action_graph_generators,
@@ -246,6 +247,21 @@ def test_separating_variety_gm(gm):
     target = ring.parse("x1*x2 - y1*y2")
     basis = reduce_basis(buchberger(gens, GREVLEX))
     assert ideal_membership(target, basis)
+
+
+def test_separating_variety_pair_count(monkeypatch, sl2):
+    # sugar selection forms 123 s-pairs here; the normal strategy (lowest
+    # lcm degree first) formed 155
+    formed = []
+    original = groebner.s_polynomial
+
+    def spy(*args):
+        formed.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groebner, "s_polynomial", spy)
+    separating_variety(sl2)
+    assert len(formed) <= 123
 
 
 def test_separating_variety_c2_variety_equals_graph_ideal(c2_variety):

@@ -22,6 +22,10 @@ sparse rows of raw payloads: it computes only through the field's
 payload methods, and the invariant-space solvers hand it their
 equations as sparse rows, never padded out with zeros.
 
+The Buchberger engine has one pair-selection path: one heap of pairs
+keyed on sugar, and `BuchbergerEngine.add_generator` takes the sugar
+of every generator it adjoins, with no default.
+
 The Molien series works on the group's own matrices, through traces of
 their powers and Newton's identities, without a ring of polynomials in t.
 
@@ -98,6 +102,34 @@ def _source(module):
 
 def _class(tree, name):
     return next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+
+
+def _signature(function):
+    args = function.args
+    return ([a.arg for a in args.posonlyargs + args.args], args.vararg, args.kwonlyargs,
+            args.kwarg, args.defaults, args.kw_defaults)
+
+
+def test_buchberger_engine_has_one_selection_path():
+    tree = _source("groebner")
+    methods = {node.name: node for node in _class(tree, "BuchbergerEngine").body
+               if isinstance(node, ast.FunctionDef)}
+    assert _signature(methods["add_generator"]) == (["self", "h", "sugar"], None, [], None, [], [])
+    assert [a.arg for a in methods["extend"].args.args] == ["self", "degree_limit"]
+    buchberger = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "buchberger")
+    assert [a.arg for a in buchberger.args.args] == ["gens", "order", "truncate"]
+
+    # one pair heap, pushed to only by add_generator; the division
+    # kernel's monomial heap is the only other heap
+    def is_push(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("heappush", "heapify"))
+
+    pushes = [node for node in ast.walk(tree) if is_push(node)]
+    assert sorted(ast.unparse(node.args[0]) for node in pushes) == ["heap", "heap", "self._heap"]
+    assert {function for module, function in _sites(is_push)
+            if module == "groebner"} == {"add_generator", "_reduce_terms"}
 
 
 def test_number_field_arithmetic_avoids_fractions_and_univariate_helpers():

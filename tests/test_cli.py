@@ -209,9 +209,17 @@ _PROBLEM = {"field": {"kind": "rationals"}, "variables": ["x"], "polynomials": [
     ("groebner", {**_PROBLEM, "eliminate": ["x"], "order": "gradedlex"}),
     ("generators", {**_C2, "field": {"kind": "simple_extension", "generator": "w",
                                      "minimal_poly": [-2, 0, 1]}}),
+    ("groebner", {**_PROBLEM, "truncate": "2"}),
+    ("groebner", {**_PROBLEM, "truncate": 2.5}),
+    ("groebner", {**_PROBLEM, "truncate": -1}),
+    ("groebner", {**_PROBLEM, "truncate": True}),
+    ("generators", {**_C2, "field": {"kind": "prime", "p": 2.9}}),
+    ("generators", {**_C2, "field": {"kind": "prime", "p": True}}),
 ], ids=["top-level-list", "prime-not-int", "no-dimension", "no-polynomials",
         "groebner-list", "field-not-object", "entry-a-number", "polynomial-a-number",
-        "eliminate-truncate", "eliminate-gradedlex", "minimal-poly-a-list"])
+        "eliminate-truncate", "eliminate-gradedlex", "minimal-poly-a-list",
+        "truncate-a-string", "truncate-a-float", "truncate-negative", "truncate-a-bool",
+        "prime-a-float", "prime-a-bool"])
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(document))

@@ -5,8 +5,9 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invar import groebner
 from invar.errors import TruncatedBasis, TruncationInsufficient
-from invar.fields import Rationals
+from invar.fields import PrimeField, Rationals
 from invar.groebner import (
     BuchbergerEngine,
     GroebnerBasis,
@@ -294,25 +295,100 @@ def _naive_buchberger(gens, order):
     return GroebnerBasis(gens[0].ring, order, tuple(basis))
 
 
+def _random_ideal(rng, ring):
+    """Up to three random generators of three terms, exponents at most
+    2: non-homogeneous in general."""
+    gens = []
+    for _ in range(3):
+        p = ring.zero
+        for _ in range(3):
+            exps = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
+            p = p + ring.monomial(exps, rng.randint(-3, 3))
+        if not p.is_zero():
+            gens.append(p)
+    return gens
+
+
+_FIELDS = [Q, PrimeField(32003)]
+_ORDERS = [GREVLEX, LEX, BlockElimination(1)]
+
+
 def test_engine_matches_naive_buchberger_on_random_ideals():
     # reduced bases are unique, so the pruned engine must agree with the
     # pairwise-complete reference on every input
-    rng = XorShift(97)
-    r3 = PolynomialRing(Q, ("x", "y", "z"))
-    for _ in range(15):
-        gens = []
-        for _ in range(3):
-            p = r3.zero
-            for _ in range(3):
-                exps = tuple(rng.randint(0, 2) for _ in range(3))
-                p = p + r3.monomial(exps, rng.randint(-3, 3))
-            if not p.is_zero():
-                gens.append(p)
+    for field in _FIELDS:
+        r3 = PolynomialRing(field, ("x", "y", "z"))
+        for order in _ORDERS:
+            rng = XorShift(97)
+            for _ in range(15):
+                gens = _random_ideal(rng, r3)
+                if not gens:
+                    continue
+                fast = reduce_basis(buchberger(gens, order))
+                slow = reduce_basis(_naive_buchberger(gens, order))
+                assert fast.generators == slow.generators, (field, order)
+
+
+@pytest.mark.parametrize("order", _ORDERS, ids=["grevlex", "lex", "block1"])
+@pytest.mark.parametrize("field", _FIELDS, ids=["Q", "GF32003"])
+def test_sugar_truncated_run_continues_to_the_full_basis(field, order):
+    # a run truncated at sugar d processes no pair of larger sugar, and
+    # continuing it gives exactly the basis of one untruncated run
+    rng = XorShift(13)
+    r3 = PolynomialRing(field, ("x", "y", "z"))
+    for _ in range(10):
+        gens = _random_ideal(rng, r3)
         if not gens:
             continue
-        fast = reduce_basis(buchberger(gens, GREVLEX))
-        slow = reduce_basis(_naive_buchberger(gens, GREVLEX))
-        assert fast.generators == slow.generators
+        full = buchberger(gens, order).generators
+        for limit in (2, 3, 4):
+            engine = BuchbergerEngine(r3, order)
+            engine.seed(gens)
+            engine.extend(limit)
+            assert engine.max_processed_degree <= limit
+            assert full[: len(engine.basis)] == tuple(engine.basis)
+            engine.extend()
+            assert engine.snapshot().generators == full
+
+
+def _processed_pairs(monkeypatch, gens, order):
+    """The (i, j) basis indices of every s-pair that `extend` forms."""
+    engine = BuchbergerEngine(gens[0].ring, order)
+    engine.seed(gens)
+    formed = []
+    original = groebner.s_polynomial
+
+    def spy(f, g, *args):
+        formed.append((f, g))
+        return original(f, g, *args)
+
+    monkeypatch.setattr(groebner, "s_polynomial", spy)
+    engine.extend()
+    index = {id(b): k for k, b in enumerate(engine.basis)}
+    return [(index[id(f)], index[id(g)]) for f, g in formed]
+
+
+_R4 = PolynomialRing(Q, ("a", "b", "c", "d"))
+_A, _B, _C, _D = _R4.variables()
+_HOMOGENEOUS = [_A**2 - _B * _C, _B**3 - _A * _C * _D, _C**2 * _D - _A**3, _A * _B * _D - _C**3]
+
+
+@pytest.mark.parametrize("gens,order,expected", [
+    ([_A * _C - _B**2, _B * _D - _C**2, _A * _D - _B * _C], GREVLEX, [(1, 2), (0, 2)]),
+    (_HOMOGENEOUS, GREVLEX,
+     [(0, 2), (3, 4), (2, 3), (1, 4), (2, 4), (1, 2), (3, 7), (3, 6), (4, 5), (5, 7),
+      (2, 6), (6, 7), (0, 6), (1, 5), (2, 5), (5, 8), (1, 8), (0, 8)]),
+    (_HOMOGENEOUS, LEX,
+     [(1, 2), (2, 3), (0, 1), (0, 3), (0, 2), (4, 8), (1, 7), (5, 7), (2, 7), (3, 6),
+      (2, 6), (6, 8), (4, 6), (0, 7), (0, 6), (12, 13), (5, 13), (10, 11), (11, 12),
+      (9, 11), (11, 13), (5, 9), (8, 10), (8, 11), (8, 9), (3, 12), (7, 13), (3, 10),
+      (3, 11), (7, 9)]),
+], ids=["twisted-cubic-grevlex", "grevlex", "lex"])
+def test_homogeneous_input_keeps_the_normal_strategy_sequence(monkeypatch, gens, order, expected):
+    # on homogeneous input the sugar is the lcm degree; the expected
+    # sequences were recorded under the normal strategy (lowest lcm
+    # degree first), before sugar selection
+    assert _processed_pairs(monkeypatch, gens, order) == expected
 
 
 def test_full_basis_property_spot_check():
