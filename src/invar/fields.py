@@ -3,10 +3,10 @@
 Three kinds of field are supported: the rationals, prime fields GF(p),
 and simple extensions Q[t]/(m(t)) of the rationals by a monic minimal
 polynomial.  All arithmetic is exact; scalars are immutable values in
-canonical form (reduced fractions with positive denominator, residues
-in [0, p), and extension elements reduced modulo m and stored as
-integer coefficient vectors over one positive denominator that shares
-no factor with all of them).
+canonical form: rationals as integer pairs (numerator, positive
+denominator) in lowest terms, residues in [0, p), and extension
+elements reduced modulo m and stored as integer coefficient vectors
+over one positive denominator that shares no factor with all of them.
 
 Scalar text grammar (used by all input files): signed decimal integers,
 fractions ``a/b``, and extension-generator expressions built from
@@ -167,7 +167,7 @@ class Field:
                 raise FieldMismatch(f"scalar of {value.field} used in {self}")
             return value
         if isinstance(value, (int, Fraction)):
-            return Scalar(self, self._from_rational(Fraction(value)))
+            return Scalar(self, self._from_rational(value))
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     @property
@@ -187,7 +187,8 @@ class Field:
         return parse_scalar(text, self)
 
     # payload protocol, implemented per field kind
-    def _from_rational(self, q: Fraction):
+    def _from_rational(self, q):
+        """Payload of an int or a Fraction."""
         raise NotImplementedError
 
     def _add(self, a, b):
@@ -209,34 +210,50 @@ class Field:
         raise NotImplementedError
 
 
+def _lowest(n, d):
+    """Q payload of n / d for d > 0, in lowest terms."""
+    g = gcd(n, d)
+    return (n, d) if g == 1 else (n // g, d // g)
+
+
 class Rationals(Field):
+    """Q, on payloads (num, den) with den > 0 and gcd(num, den) == 1, so
+    zero is (0, 1); integer operands skip the gcd."""
+
     kind = "rationals"
 
     def characteristic(self):
         return 0
 
     def _from_rational(self, q):
-        return q
+        return q.numerator, q.denominator
 
     def _add(self, a, b):
-        return a + b
+        (an, ad), (bn, bd) = a, b
+        if ad == bd == 1:
+            return an + bn, 1
+        return _lowest(an * bd + bn * ad, ad * bd)
 
     def _neg(self, a):
-        return -a
+        return -a[0], a[1]
 
     def _mul(self, a, b):
-        return a * b
+        (an, ad), (bn, bd) = a, b
+        if ad == bd == 1:
+            return an * bn, 1
+        return _lowest(an * bn, ad * bd)
 
     def _inv(self, a):
-        if a == 0:
+        n, d = a
+        if n == 0:
             raise DivisionByZero("division by zero")
-        return 1 / a
+        return (d, n) if n > 0 else (-d, -n)
 
     def _is_zero(self, a):
-        return a == 0
+        return a[0] == 0
 
     def _format(self, a):
-        return str(a)
+        return str(a[0]) if a[1] == 1 else f"{a[0]}/{a[1]}"
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -353,6 +370,7 @@ class NumberField(Field):
         if not generator_name.isidentifier():
             raise InvalidFieldSpec(f"bad generator name {generator_name!r}")
         self.generator_name = generator_name
+        self._hash = hash(("ext", coeffs, generator_name))
         self._warn_if_reducible()
 
     def _warn_if_reducible(self):
@@ -498,14 +516,14 @@ class NumberField(Field):
         return out
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, NumberField)
             and other.minimal_poly == self.minimal_poly
             and other.generator_name == self.generator_name
         )
 
     def __hash__(self):
-        return hash(("ext", self.minimal_poly, self.generator_name))
+        return self._hash
 
     def __repr__(self):
         return f"QQ[{self.generator_name}]/(m)"
@@ -522,7 +540,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(
                     f"mixing scalars of {self.field} and {other.field}"
                 )

@@ -284,11 +284,12 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
     """Unique fully reduced remainder of f modulo the basis."""
     if f.ring != basis.ring:
         raise ContextMismatch("polynomial from a different ring")
-    if basis.truncation_degree is not None and f.total_degree() > basis.truncation_degree:
-        raise TruncationInsufficient(
-            f"degree {f.total_degree()} exceeds truncation "
-            f"{basis.truncation_degree}"
-        )
+    d = basis.truncation_degree
+    if d is not None and not all(g.is_homogeneous() for g in basis.generators):
+        # an inhomogeneous pair above d can still yield a generator of degree <= d
+        raise TruncationInsufficient(f"basis truncated at {d} is not homogeneous")
+    if d is not None and f.total_degree() > d:
+        raise TruncationInsufficient(f"degree {f.total_degree()} exceeds truncation {d}")
     return Polynomial(f.ring, _reduce_terms(f.terms, basis.reducers(), basis.order))
 
 

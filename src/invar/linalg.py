@@ -10,9 +10,10 @@ nonzero entry.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Sequence
 
-from .errors import SingularMatrix
+from .errors import FieldMismatch, SingularMatrix
 from .fields import Field, Scalar
 
 
@@ -54,19 +55,17 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        zero = self.field.zero
+        if other.field != self.field:
+            raise FieldMismatch(f"matrices over {self.field} and {other.field}")
+        field = self.field
+        zero, mul, add = field.zero, field._mul, field._add
+        cols = list(zip(*(tuple(x.value for x in r) for r in other.rows)))
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    a = self.rows[i][k]
-                    if not a.is_zero():
-                        acc = acc + a * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.field, out)
+        for r in self.rows:
+            left = [(k, x.value) for k, x in enumerate(r) if not x.is_zero()]
+            out.append([Scalar(field, reduce(add, [mul(a, col[k]) for k, a in left]))
+                        if left else zero for col in cols])
+        return Matrix(field, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return Matrix(

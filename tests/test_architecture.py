@@ -11,11 +11,12 @@ raw field payloads: only `groebner` and `ratfunc` touch it or its
 `_reducer`s, and inside `groebner` only the kernel wraps payloads into
 `Scalar`s.
 
-Number-field arithmetic runs on integer vectors, never on `Fraction`s,
-and `fields` keeps no univariate polynomial helpers: minimal
-polynomials are parsed by `parsing._UniPoly` alone.  The one power
-loop behind `Polynomial.evaluate` and `substitute` does arithmetic only
-through the callables it is given.
+Rational arithmetic runs on integer pairs and number-field arithmetic
+on integer vectors, never on `Fraction`s, and `fields` keeps no
+univariate polynomial helpers: minimal polynomials are parsed by
+`parsing._UniPoly` alone.  The one power loop behind
+`Polynomial.evaluate` and `substitute` does arithmetic only through the
+callables it is given.
 
 Exact linear algebra has one elimination kernel, `linalg._echelon`, on
 sparse rows of raw payloads: it computes only through the field's
@@ -132,9 +133,11 @@ def test_buchberger_engine_has_one_selection_path():
             if module == "groebner"} == {"add_generator", "_reduce_terms"}
 
 
-def test_number_field_arithmetic_avoids_fractions_and_univariate_helpers():
+def _field_arithmetic_reach(cls):
+    """Names reached from a field class's arithmetic methods; none of
+    them may be `Fraction` or a univariate helper."""
     tree = _source("fields")
-    functions = {node.name: node for node in tree.body + _class(tree, "NumberField").body
+    functions = {node.name: node for node in tree.body + _class(tree, cls).body
                  if isinstance(node, ast.FunctionDef)}
     todo = ["_add", "_mul", "_neg", "_inv", "_is_zero"]
     reached = set()
@@ -149,7 +152,15 @@ def test_number_field_arithmetic_avoids_fractions_and_univariate_helpers():
             assert ref != "Fraction" and not (ref or "").startswith("_u"), (name, ref)
             if ref in functions:
                 todo.append(ref)
-    assert {"_product", "_normal"} <= reached
+    return reached
+
+
+def test_number_field_arithmetic_avoids_fractions_and_univariate_helpers():
+    assert {"_product", "_normal"} <= _field_arithmetic_reach("NumberField")
+
+
+def test_rational_arithmetic_avoids_fractions():
+    assert "_lowest" in _field_arithmetic_reach("Rationals")
 
 
 def test_fields_defines_no_univariate_helpers():

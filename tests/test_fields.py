@@ -339,3 +339,45 @@ def test_integer_vectors_match_fraction_tuples(minimal_poly, data):
     assert a * b == b * a and hash(a * b) == hash(b * a)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-20, 20).map(Fraction),
+    st.fractions(-30, 30, max_denominator=12),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+)
+
+
+def _pair(q):
+    return q.numerator, q.denominator
+
+
+@settings(max_examples=300, deadline=None)
+@given(fa=RATIONALS, fb=RATIONALS)
+def test_integer_pairs_match_fractions(fa, fb):
+    a, b = Q.scalar(fa), Q.scalar(fb)
+    # canonical payloads: den > 0, gcd(num, den) == 1, zero is (0, 1)
+    for value, expected in [
+        (a + b, fa + fb),
+        (-a, -fa),
+        (a - b, fa - fb),
+        (a * b, fa * fb),
+        (a - a, Fraction(0)),
+        (a * 0, Fraction(0)),
+    ]:
+        assert value.value == _pair(expected)
+        assert all(type(x) is int for x in value.value)
+    if fa == 0:
+        with pytest.raises(DivisionByZero):
+            a.inverse()
+    else:
+        assert a.inverse().value == _pair(1 / fa)
+        assert a * a.inverse() == Q.one
+    assert str(a) == str(fa)
+    assert Q.parse(str(a)) == a
+    assert a.is_zero() == (fa == 0)
+    # equal values built differently hash equal
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert hash(Q.scalar(fa + fb)) == hash(a + b)

@@ -79,6 +79,18 @@ def test_truncation_guard():
         reduce_basis(basis)
 
 
+def test_truncated_inhomogeneous_basis_refuses_low_degree_reduction():
+    # x^2 - y^2 lies in the ideal, but only a pair above the truncation
+    # degree produces the generator that reduces it to zero
+    gens = [X**3 - Y, X * Y - 1]
+    assert ideal_membership(X**2 - Y**2, buchberger(gens, GREVLEX))
+    truncated = buchberger(gens, GREVLEX, truncate=3)
+    with pytest.raises(TruncationInsufficient):
+        ideal_membership(X**2 - Y**2, truncated)
+    homogeneous = buchberger([X**2 - Y**2], GREVLEX, truncate=2)
+    assert ideal_membership(X**2 - Y**2, homogeneous)
+
+
 def test_reduce_basis_examples():
     basis = buchberger([X**2, X**2 + Y], GREVLEX)
     reduced = reduce_basis(basis)

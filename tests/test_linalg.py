@@ -12,7 +12,7 @@ wide and singular square ones.  A seeded cross-check against sympy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invar.errors import SingularMatrix
+from invar.errors import FieldMismatch, SingularMatrix
 from invar.fields import NumberField, PrimeField, Rationals
 from invar.linalg import Matrix, nullspace
 from invar.prng import XorShift
@@ -125,6 +125,21 @@ def test_kernel_matches_dense_reference(drawn):
         inverse = matrix.inverse()
         assert inverse == Matrix(field, expected)
         assert matrix @ inverse == Matrix.identity(field, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_matmul_matches_scalar_sums(name, data):
+    field = FIELDS[name]
+    m, k, n = (data.draw(st.integers(1, 4)) for _ in range(3))
+    b, c = ([[_scalar(field, *data.draw(_entries)) for _ in range(cols)] for _ in range(rows)]
+            for rows, cols in ((m, k), (k, n)))
+    assert Matrix(field, b) @ Matrix(field, c) == Matrix(field, [
+        [sum((b[i][t] * c[t][j] for t in range(k)), field.zero) for j in range(n)]
+        for i in range(m)])
+    other = FIELDS[min(set(FIELDS) - {name})]
+    with pytest.raises(FieldMismatch):
+        Matrix(field, b) @ Matrix.identity(other, k)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
