@@ -31,7 +31,6 @@ from .groebner import (
     elimination_ideal,
     normal_form,
     radical_membership,
-    reduce_basis,
 )
 from .invariants import GeneratingSetResult
 from .linalg import nullspace
@@ -78,7 +77,7 @@ class AlgebraicGroupSpec:
                 if entry.ring != zring:
                     raise ContextMismatch("action entries must live in the z ring")
         if self.ideal_gens:
-            basis = reduce_basis(buchberger(self.ideal_gens, GREVLEX))
+            basis = buchberger(self.ideal_gens, GREVLEX)
             if basis.contains_one():
                 raise ContextMismatch("group ideal is the whole ring")
             self._cache["group_basis"] = basis

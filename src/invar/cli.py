@@ -28,7 +28,7 @@ from .groebner import buchberger, elimination_ideal, ideal_dimension, ideal_memb
 from .groups import DEFAULT_CLOSURE_CAP
 from .linalg import Matrix
 from .polynomials import GREVLEX, Polynomial, PolynomialRing, order_by_name
-from .specfile import _read_spec, load_spec_file
+from .specfile import _read_spec, load_spec_file, string_list
 
 
 def _jsonable(value, order):
@@ -116,8 +116,8 @@ def _verify_derksen(spec, result) -> bool:
     hilbert = alg.hilbert_ideal_generators(spec)
     if not hilbert or not result.generators:
         return not hilbert and not result.generators
-    b1 = reduce_basis(buchberger(hilbert, GREVLEX))
-    b2 = reduce_basis(buchberger(result.generators, GREVLEX))
+    b1 = buchberger(hilbert, GREVLEX)
+    b2 = buchberger(result.generators, GREVLEX)
     return all(ideal_membership(g, b1) for g in result.generators) and all(
         ideal_membership(h, b2) for h in hilbert
     )
@@ -214,13 +214,13 @@ def cmd_separating_variety(args):
 
 
 def _parse_groebner_problem(cfg):
-    ring = PolynomialRing(field_from_config(cfg["field"]), tuple(cfg["variables"]))
-    polys = [ring.parse(t) for t in cfg["polynomials"]]
+    ring = PolynomialRing(field_from_config(cfg["field"]), tuple(string_list(cfg, "variables")))
+    polys = [ring.parse(t) for t in string_list(cfg, "polynomials")]
     order = order_by_name(cfg.get("order", "grevlex"))
     truncate = cfg.get("truncate")
     if truncate is not None and (type(truncate) is not int or truncate < 0):
         raise ParseError(f"truncate must be a non-negative integer or null, not {truncate!r}")
-    return polys, order, truncate, list(cfg.get("eliminate", []))
+    return polys, order, truncate, string_list(cfg, "eliminate", required=False)
 
 
 def cmd_groebner(args):

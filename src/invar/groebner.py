@@ -299,7 +299,10 @@ def ideal_membership(f: Polynomial, basis: GroebnerBasis) -> bool:
 
 def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     """The reduced Groebner basis: inter-reduced, monic, sorted by
-    leading monomial; unique for (ideal, order)."""
+    leading monomial; unique for (ideal, order).  One pass, smallest
+    leading monomial first: no term below lm(g) is divisible by a larger
+    leading monomial, so reducing g against the smaller elements, which
+    are reduced already, leaves it reduced against the whole basis."""
     if basis.truncation_degree is not None:
         raise TruncatedBasis("cannot reduce a truncated basis")
     order = basis.order
@@ -307,35 +310,25 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
         ((g.leading(order), g) for g in basis.generators if not g.is_zero()),
         key=lambda lead: order.key(lead[0][0]),
     )
-    # a normal form does not depend on the scale of the reducers, so the
-    # minimal basis is made monic once and its reducers are built once
     monic, reducers = [], []
     for (lm, lc), g in leads:
         outside = ~mono_support(lm)
         if any(not r[3] & outside and mono_divides(r[0], lm) for r in reducers):
             continue
-        h = g * lc.inverse()
+        # the leading term survives, as no smaller leading monomial divides it
+        h = Polynomial(basis.ring, _reduce_terms((g * lc.inverse()).terms, reducers, order))
         monic.append(h)
         reducers.append(_reducer(h, order))
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(monic):
-            # the leading term survives (pairwise non-divisible), so the
-            # list stays sorted; only the tails shrink
-            others = reducers[:i] + reducers[i + 1:]
-            h = Polynomial(basis.ring, _reduce_terms(g.terms, others, order))
-            if h != g:
-                monic[i] = h
-                reducers[i] = _reducer(h, order)
-                changed = True
     return GroebnerBasis(basis.ring, order, tuple(monic), None, True)
 
 
 def elimination_ideal(gens: Sequence[Polynomial], eliminate) -> list:
     """Reduced Groebner basis (under the induced grevlex order) of the
-    intersection of the ideal with the subring in the kept variables.
-    Result polynomials live in a ring over the kept variables only."""
+    intersection of the ideal with the subring in the kept variables,
+    sorted by leading monomial.  Result polynomials live in a ring over
+    the kept variables only.  In the block order a leading monomial free
+    of the eliminated block has a free tail, so only those basis
+    elements are reduced."""
     gens = list(gens)
     if not gens:
         return []
@@ -351,21 +344,13 @@ def elimination_ideal(gens: Sequence[Polynomial], eliminate) -> list:
     index_map = [work_ring.names.index(n) for n in ring.names]
     order = BlockElimination(len(front))
     moved = [transport(g, work_ring, index_map) for g in gens]
-    basis = reduce_basis(buchberger(moved, order))
+    basis = buchberger(moved, order).generators
+    free = tuple(g for g in basis if not any(g.leading_monomial(order)[:len(front)]))
+    # the block key of a free monomial is its grevlex key on the kept block
+    reduced = reduce_basis(GroebnerBasis(work_ring, order, free)).generators
     kept_ring = PolynomialRing(ring.field, kept)
-    out = []
-    nfront = len(front)
-    for g in basis.generators:
-        if all(all(e == 0 for e in m[:nfront]) for m in g.terms):
-            out.append(
-                transport(
-                    g,
-                    kept_ring,
-                    [None] * nfront + list(range(len(kept))),
-                )
-            )
-    out.sort(key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
-    return out
+    lift = [None] * len(front) + list(range(len(kept)))
+    return [transport(g, kept_ring, lift) for g in reduced]
 
 
 def ideal_dimension(basis: GroebnerBasis):
@@ -438,7 +423,7 @@ class SubalgebraOracle:
             tag = self.big_ring.variable(ring.nvars + i)
             ideal.append(tag - transport(g, self.big_ring, self._lift))
         order = BlockElimination(ring.nvars)
-        self.basis = reduce_basis(buchberger(ideal, order))
+        self.basis = buchberger(ideal, order)
 
     def express(self, f: Polynomial) -> Optional[Polynomial]:
         """Witness polynomial in the tag ring, or None."""

@@ -26,7 +26,6 @@ from .groebner import (
     elimination_ideal,
     ideal_dimension,
     ideal_membership,
-    reduce_basis,
 )
 from .groups import FiniteMatrixGroup, apply_element, orbit, point_image, reynolds
 from .linalg import nullspace
@@ -190,7 +189,7 @@ def verify_noether_and_hilbert(
 
     hilbert_ok = True
     if gens:
-        basis = reduce_basis(buchberger(gens, GREVLEX))
+        basis = buchberger(gens, GREVLEX)
         for m in monomials_of_degree(ring, g_order):
             if not ideal_membership(ring.monomial(m), basis):
                 hilbert_ok = False
@@ -336,7 +335,6 @@ def reduce_separating_set(
         relations = elimination_ideal(ideal, big.names[:2 * n + 1])
         if not relations:
             raise VerificationFailed("more than 2n+1 invariants must be dependent")
-        relations.sort(key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
         relation = relations[0]
         alpha = _find_nonvanishing_point(relation, k)
         alphas.append(alpha)
@@ -468,8 +466,8 @@ def dade_primary_invariants(
 ) -> list:
     """Primary invariants as orbit products of seeded random linear
     forms; each addition is retried with fresh forms until the partial
-    system of parameters test passes, and the final list is verified to
-    be a homogeneous system of parameters."""
+    system of parameters test passes.  Slot n's test runs on all n
+    forms, so it is the hsop test of the returned list."""
     if group.field.kind == "prime":
         # general-position forms need an infinite ground field
         raise FieldTooSmall("orbit-product construction needs an infinite field")
@@ -502,10 +500,6 @@ def dade_primary_invariants(
             raise RetryLimitExceeded(
                 f"no suitable linear form found for slot {slot + 1}"
             )
-    if not is_hsop(chosen, n):
-        raise VerificationFailed(
-            "orbit products are not a homogeneous system of parameters"
-        )
     return chosen
 
 

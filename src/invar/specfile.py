@@ -51,11 +51,20 @@ def _parse_finite(cfg: dict, cap: int) -> FiniteMatrixGroup:
     return close_group(gens, field=field, cap=cap, label=cfg.get("label", ""))
 
 
+def string_list(cfg: dict, key: str, required: bool = True) -> list:
+    """cfg[key], which must be a JSON list of strings; an optional key
+    defaults to [].  A bare string is refused, not split into characters."""
+    value = cfg[key] if required else cfg.get(key, [])
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise ParseError(f"{key} must be a list of strings, not {value!r}")
+    return value
+
+
 def _parse_algebraic(cfg: dict) -> AlgebraicGroupSpec:
     field = field_from_config(cfg["field"])
-    group_vars = tuple(cfg.get("group_vars", ()))
+    group_vars = tuple(string_list(cfg, "group_vars", required=False))
     zring = PolynomialRing(field, group_vars)
-    ideal_gens = [zring.parse(t) for t in cfg.get("ideal_gens", ())]
+    ideal_gens = [zring.parse(t) for t in string_list(cfg, "ideal_gens", required=False)]
     n = int(cfg["dimension"])
     rows = cfg["action_matrix"]
     if len(rows) != n or any(len(r) != n for r in rows):

@@ -30,6 +30,13 @@ of every generator it adjoins, with no default.
 The Molien series works on the group's own matrices, through traces of
 their powers and Newton's identities, without a ring of polynomials in t.
 
+Every Groebner basis is computed once, and it is reduced only when the
+reduced basis is the output: `reduce_basis` runs for the printed basis
+of `cli.cmd_groebner` and for `groebner.elimination_ideal`, while bases
+used for normal forms, membership or a dimension count stay unreduced.
+Dade's construction tests each candidate list once: the test that
+accepts the last slot is the hsop test of the result.
+
 Results reach the user through one report path.  Every CLI command
 takes the parsed arguments and returns raw result values; `cli.main`
 converts them once with `cli._jsonable` and is the only writer of the
@@ -95,6 +102,24 @@ def test_groebner_wraps_scalars_only_in_the_kernel():
 
     assert {function for module, function in _sites(is_scalar)
             if module == "groebner"} == {"_reduce_terms"}
+
+
+def _calls(name):
+    def is_call(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return ((isinstance(func, ast.Name) and func.id == name)
+                or (isinstance(func, ast.Attribute) and func.attr == name))
+
+    return _sites(is_call)
+
+
+def test_only_printed_bases_are_reduced():
+    assert _calls("reduce_basis") == {("cli", "cmd_groebner"), ("groebner", "elimination_ideal")}
+
+
+def test_dade_runs_no_second_hsop_test():
+    assert ("invariants", "dade_primary_invariants") not in _calls("is_hsop")
+    assert ("invariants", "dade_primary_invariants") in _calls("is_phsop")
 
 
 def _source(module):

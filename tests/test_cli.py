@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +195,7 @@ def test_exit_codes(capsys, tmp_path):
 _C2 = {"kind": "finite_matrix", "field": {"kind": "rationals"}, "dimension": 2,
        "generators": [[["0", "1"], ["1", "0"]]]}
 _PROBLEM = {"field": {"kind": "rationals"}, "variables": ["x"], "polynomials": ["x"]}
+_GM = json.loads(Path(fixture_path("gm_weights")).read_text())
 
 
 @pytest.mark.parametrize("command,document", [
@@ -215,11 +217,18 @@ _PROBLEM = {"field": {"kind": "rationals"}, "variables": ["x"], "polynomials": [
     ("groebner", {**_PROBLEM, "truncate": True}),
     ("generators", {**_C2, "field": {"kind": "prime", "p": 2.9}}),
     ("generators", {**_C2, "field": {"kind": "prime", "p": True}}),
+    # a string where a list of strings belongs is not split into characters
+    ("groebner", {**_PROBLEM, "variables": "xy"}),
+    ("groebner", {**_PROBLEM, "polynomials": "x"}),
+    ("groebner", {**_PROBLEM, "eliminate": "x"}),
+    ("field", {**_GM, "group_vars": "z1"}),
+    ("field", {**_GM, "ideal_gens": "z1*z2 - 1"}),
 ], ids=["top-level-list", "prime-not-int", "no-dimension", "no-polynomials",
         "groebner-list", "field-not-object", "entry-a-number", "polynomial-a-number",
         "eliminate-truncate", "eliminate-gradedlex", "minimal-poly-a-list",
         "truncate-a-string", "truncate-a-float", "truncate-negative", "truncate-a-bool",
-        "prime-a-float", "prime-a-bool"])
+        "prime-a-float", "prime-a-bool", "variables-a-string", "polynomials-a-string",
+        "eliminate-a-string", "group-vars-a-string", "ideal-gens-a-string"])
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(document))
@@ -255,11 +264,18 @@ def test_derksen_generators_reject_king_only_options(capsys, options):
 
 
 def test_failed_internal_check_exits_6(capsys, monkeypatch):
-    # must fail loudly under python -O too, instead of reporting hsop_verified
-    monkeypatch.setattr(invariants, "is_hsop", lambda polys, n: False)
-    code, out, err = run_cli(capsys, "analyze", "primary", fixture_path("c2_swap"), "--json")
+    # must fail loudly under python -O too, instead of printing a result
+    with monkeypatch.context() as patch:
+        patch.setattr(invariants, "elimination_ideal", lambda gens, eliminate: [])
+        code, out, err = run_cli(capsys, "separating", fixture_path("s3_natural"),
+                                 "--method", "reduce", "--json")
     assert (code, out) == (6, "")
     assert json.loads(err)["error"] == "VerificationFailed"
+    # a rejected hsop test is never reported as hsop_verified
+    monkeypatch.setattr(invariants, "is_phsop", lambda polys: False)
+    code, out, err = run_cli(capsys, "analyze", "primary", fixture_path("c2_swap"), "--json")
+    assert (code, out) == (6, "")
+    assert json.loads(err)["error"] == "RetryLimitExceeded"
 
 
 def test_wall_time_only_in_human_output(capsys):

@@ -22,7 +22,7 @@ from invar.groebner import (
     s_polynomial,
     subalgebra_membership,
 )
-from invar.polynomials import GREVLEX, LEX, BlockElimination, PolynomialRing
+from invar.polynomials import GREVLEX, LEX, BlockElimination, PolynomialRing, mono_divides, transport
 from invar.prng import XorShift
 
 Q = Rationals()
@@ -339,6 +339,75 @@ def test_engine_matches_naive_buchberger_on_random_ideals():
                 fast = reduce_basis(buchberger(gens, order))
                 slow = reduce_basis(_naive_buchberger(gens, order))
                 assert fast.generators == slow.generators, (field, order)
+
+
+_R3 = {field: PolynomialRing(field, ("x", "y", "z")) for field in _FIELDS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 200), field=st.sampled_from(_FIELDS), order=st.sampled_from(_ORDERS))
+def test_reduce_basis_output_is_reduced_by_definition(seed, field, order):
+    # the pairwise-complete reference leaves redundant elements and long
+    # tails, so one pass of inter-reduction is put to work on it
+    gens = _random_ideal(XorShift(seed), _R3[field])
+    if not gens:
+        return
+    reduced = reduce_basis(_naive_buchberger(gens, order))
+    lms = [g.leading_monomial(order) for g in reduced.generators]
+    for i, g in enumerate(reduced.generators):
+        assert g.leading(order)[1] == field.one
+        for j, lm in enumerate(lms):
+            assert j == i or not any(mono_divides(lm, m) for m in g.terms)
+    assert reduce_basis(reduced).generators == reduced.generators
+    assert reduce_basis(buchberger(gens, order)).generators == reduced.generators
+
+
+def _reference_elimination(gens, eliminate):
+    """The front-free part of the whole reduced basis, transported and sorted."""
+    ring = gens[0].ring
+    front = [n for n in ring.names if n in eliminate]
+    kept = [n for n in ring.names if n not in eliminate]
+    work_ring = PolynomialRing(ring.field, front + kept)
+    moved = [transport(g, work_ring, [work_ring.names.index(n) for n in ring.names])
+             for g in gens]
+    basis = reduce_basis(buchberger(moved, BlockElimination(len(front))))
+    kept_ring = PolynomialRing(ring.field, kept)
+    out = [transport(g, kept_ring, [None] * len(front) + list(range(len(kept))))
+           for g in basis.generators
+           if all(not any(m[:len(front)]) for m in g.terms)]
+    return sorted(out, key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 200), field=st.sampled_from(_FIELDS),
+       eliminate=st.sampled_from([("x",), ("y",), ("z",), ("x", "z"), ("y", "z")]))
+def test_elimination_ideal_matches_the_front_free_reduced_basis(seed, field, eliminate):
+    gens = _random_ideal(XorShift(seed), _R3[field])
+    if not gens:
+        return
+    assert elimination_ideal(gens, eliminate) == _reference_elimination(gens, eliminate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 30), order_name=st.sampled_from(["grevlex", "lex"]),
+       terms=st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                             st.integers(-9, 9), max_size=6))
+def test_normal_forms_do_not_depend_on_reducing_the_basis(seed, order_name, terms):
+    reduced = _seeded_reduced_basis(seed, order_name)
+    f = R.zero
+    for m, c in terms.items():
+        f = f + R.monomial(m, c)
+    gens = list(reduced.generators)
+    # a Groebner basis of the same ideal with redundant elements
+    basis = _naive_buchberger(gens + [g * (X + 2) for g in gens], reduced.order)
+    assert normal_form(f, basis) == normal_form(f, reduced)
+    if len(gens) < 2 or any(g.is_constant() for g in gens):
+        return
+    oracle = SubalgebraOracle(gens[:2])
+    on_reduced = SubalgebraOracle(gens[:2])
+    on_reduced.basis = reduce_basis(oracle.basis)
+    for h in (f, gens[0] * gens[1] - gens[0] * 2):
+        assert oracle.express(h) == on_reduced.express(h)
 
 
 @pytest.mark.parametrize("order", _ORDERS, ids=["grevlex", "lex", "block1"])

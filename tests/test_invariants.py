@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from invar import invariants
 from invar.errors import (
     FieldTooSmall,
     ModularCase,
@@ -321,6 +322,21 @@ def test_dade_c2(c2_swap):
     assert is_hsop(prim, 2)
     for p in prim:
         assert c2_swap.order % p.total_degree() == 0  # orbit sizes divide |G|
+
+
+def test_dade_tests_each_list_once(s3, monkeypatch):
+    # the test that accepts the last slot is the hsop test of the result,
+    # so no list is tested again
+    tested = []
+
+    def recording_is_phsop(polys):
+        tested.append(tuple(polys))
+        return is_phsop(polys)
+
+    monkeypatch.setattr(invariants, "is_phsop", recording_is_phsop)
+    prim = dade_primary_invariants(s3, seed=1)
+    assert len(set(tested)) == len(tested)
+    assert tested[-1] == tuple(prim)
 
 
 def test_dade_s3_and_d8(s3, d8):
