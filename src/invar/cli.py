@@ -8,8 +8,8 @@ produce byte-identical output; the default human-readable report adds
 wall time.  Domain errors exit with a documented code and print a
 machine-readable error name on stderr:
 
-    0 success, 2 parse error, 3 modular case, 4 closure cap exceeded,
-    5 truncation/degree cap insufficient, 6 other domain error.
+    0 success, 2 parse error, 3 modular case, 4 closure cap or exponent
+    bound exceeded, 5 truncation/degree cap insufficient, 6 other domain error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .groebner import buchberger, elimination_ideal, ideal_dimension, ideal_memb
 from .groups import DEFAULT_CLOSURE_CAP
 from .linalg import Matrix
 from .polynomials import GREVLEX, Polynomial, PolynomialRing, order_by_name
-from .specfile import _read_spec, load_spec_file, string_list
+from .specfile import _read_spec, json_value, load_spec_file
 
 
 def _jsonable(value, order):
@@ -214,13 +214,14 @@ def cmd_separating_variety(args):
 
 
 def _parse_groebner_problem(cfg):
-    ring = PolynomialRing(field_from_config(cfg["field"]), tuple(string_list(cfg, "variables")))
-    polys = [ring.parse(t) for t in string_list(cfg, "polynomials")]
+    names = json_value(cfg, "variables", list, item=str)
+    ring = PolynomialRing(field_from_config(cfg["field"]), tuple(names))
+    polys = [ring.parse(t) for t in json_value(cfg, "polynomials", list, item=str)]
     order = order_by_name(cfg.get("order", "grevlex"))
     truncate = cfg.get("truncate")
     if truncate is not None and (type(truncate) is not int or truncate < 0):
         raise ParseError(f"truncate must be a non-negative integer or null, not {truncate!r}")
-    return polys, order, truncate, string_list(cfg, "eliminate", required=False)
+    return polys, order, truncate, json_value(cfg, "eliminate", list, [], str)
 
 
 def cmd_groebner(args):

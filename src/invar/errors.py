@@ -55,7 +55,8 @@ class ModularCase(InvarError):
 
 
 class CapExceeded(InvarError):
-    pass
+    """A size cap was reached: the group closure cap, or the degree
+    bound 2^15 of the packed monomials in Groebner computations."""
 
 
 class SingularGenerator(InvarError):

@@ -5,15 +5,16 @@ ideal/radical/subalgebra membership.
 `_reduce_terms` is the package's one sparse division loop.  Normal
 forms, s-pair reduction, basis inter-reduction, and the exact division
 and univariate Euclid of `ratfunc` all run through it, on reducers
-built by `_reducer`.  It is heap-driven (Monagan & Pearce, CASC 2007):
-each monomial's sort key is computed once, when the monomial enters
-the work dict, and the greatest term comes off a heap of negated keys;
-a cancelled monomial stays queued and is skipped when it surfaces.  A
-support bitmask per monomial rules out most reducers before
-`mono_divides` runs (the short exponent vectors of Bachmann &
-Schoenemann, ISSAC 1998, cut down to one bit per variable), and the
-arithmetic runs on raw field payloads, wrapped into `Scalar`s only for
-the result and the quotient.
+built by `_reducer`.  Inside it a monomial is one int (Bachmann &
+Schoenemann, ISSAC 1998), laid out by `_Packer`: a product is an int
+sum, a quotient a difference, the order int comparison and divisibility
+one guard-bit mask test.  The loop is heap-driven (Monagan & Pearce,
+J. Symb. Comput. 2011): the greatest term comes off a heap of negated
+packed monomials; a cancelled monomial stays queued and is skipped
+when it surfaces.  The arithmetic runs on raw field payloads; tuples
+and `Scalar`s come back only in the result and the quotient.  Packing
+refuses degree 2^15, and a division that raises a field to it stops:
+`CapExceeded`, never a wrong answer.
 
 Determinism is a hard requirement: pair selection follows the sugar
 strategy (Giovini, Mora, Niesi, Robbiano & Traverso, ISSAC 1991).
@@ -33,12 +34,13 @@ on leading monomials and therefore commute with truncation.
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass, field as dataclass_field
 from itertools import chain, combinations
-from operator import neg
+from operator import add, mul
 from typing import Optional, Sequence
 
-from .errors import ContextMismatch, TruncatedBasis, TruncationInsufficient
+from .errors import CapExceeded, ContextMismatch, TruncatedBasis, TruncationInsufficient
 from .fields import Scalar
 from .polynomials import (
     GREVLEX,
@@ -60,27 +62,71 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder, reducers=No
     """Classic s-polynomial, with both lead terms scaled to 1.  A caller
     holding the `_reducer`s of f and g passes them, so that neither
     leading term is searched for nor inverted again."""
-    (lmf, finv, *_), (lmg, ginv, *_) = reducers or (_reducer(f, order), _reducer(g, order))
+    (*_, lmf, finv), (*_, lmg, ginv) = reducers or (_reducer(f, order), _reducer(g, order))
     lcm = mono_lcm(lmf, lmg)
-    return _shift_scale(f, mono_div(lcm, lmf), finv) - _shift_scale(
-        g, mono_div(lcm, lmg), ginv
-    )
+    return _shift_scale(f, mono_div(lcm, lmf), finv) - _shift_scale(g, mono_div(lcm, lmg), ginv)
 
 
 def _shift_scale(p: Polynomial, shift, factor) -> Polynomial:
-    return Polynomial(
-        p.ring, {mono_mul(m, shift): c * factor for m, c in p.terms.items()}
-    )
+    return Polynomial(p.ring, {mono_mul(m, shift): c * factor for m, c in p.terms.items()})
+
+
+_W = 16  # bits per packed field, the top one a guard bit; unpacked as "H"
+_BOUND = 1 << (_W - 1)
+
+
+class _Packer:
+    """Monomials as ints of `_W`-bit fields, most significant first: the
+    rows of the order's key (linear in the exponents), each made 0/1 by
+    adding the row above (grevlex's -x_k becomes x_1 + ... + x_(k-1)), then
+    the exponents unless the rows end with them.  Below degree `_BOUND` no
+    field reaches its guard bit G, and a | b iff ((b | G) - a) & G == G."""
+
+    def __init__(self, order: MonomialOrder, n: int):
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        rows = []
+        for row in zip(*map(order.key, units)):
+            if min(row) < 0:
+                row = tuple(map(add, row, rows[-1]))
+            if any(row):  # a zero row never decides
+                rows.append(row)
+        if rows[len(rows) - n:] != units:
+            rows += units
+        if not set(chain(*rows)) <= {0, 1}:
+            raise ValueError(f"the keys of {order!r} have no 0/1 packing")
+        shifts = [_W * j for j in reversed(range(len(rows)))]
+        self.unit = [sum(row[i] << s for row, s in zip(rows, shifts)) for i in range(n)]
+        self.guard = sum(_BOUND << s for s in shifts)
+        self.size, self.exponents = len(rows) * _W // 8, struct.Struct(f">{n}H")
+
+    def pack(self, m) -> int:
+        if sum(m) >= _BOUND:
+            raise CapExceeded(f"monomial degree {sum(m)} reaches the bound {_BOUND}")
+        return sum(map(mul, m, self.unit))
+
+    def unpack(self, p: int) -> tuple:
+        exponents = self.exponents
+        return exponents.unpack_from(p.to_bytes(self.size, "big"), self.size - exponents.size)
+
+
+def _packer(order: MonomialOrder, n: int) -> _Packer:
+    """The packer of (order, n), kept on the order: no lookup hashes it."""
+    packers = vars(order).setdefault("_packers", {})
+    return packers.get(n) or packers.setdefault(n, _Packer(order, n))
 
 
 def _reducer(g: Polynomial, order: MonomialOrder):
-    """The (lm, lc_inverse, tail, support) reducer of a nonzero
-    polynomial, as `_reduce_terms` takes it: `tail` lists the other
-    terms as (monomial, raw payload) pairs and `support` is
-    `mono_support(lm)`."""
-    lm, lc = g.leading(order)
-    tail = [(m, c.value) for m, c in g.terms.items() if m != lm]
-    return lm, lc.inverse(), tail, mono_support(lm)
+    """The (plm, inv, tail, lm, lc_inverse) reducer of a nonzero
+    polynomial: for `_reduce_terms`, the packed leading monomial, the
+    raw inverse of the leading coefficient and the other terms as
+    (packed monomial, raw payload) pairs; for the pair criteria and
+    `s_polynomial`, the leading monomial and the inverse as a `Scalar`."""
+    packer = _packer(order, g.ring.nvars)
+    packed = [(packer.pack(m), c) for m, c in g.terms.items()]
+    plm, lc = max(packed)  # packed monomials are distinct ints
+    inverse = lc.inverse()
+    tail = [(m, c.value) for m, c in packed if m != plm]
+    return plm, inverse.value, tail, packer.unpack(plm), inverse
 
 
 def _reduce_terms(
@@ -88,34 +134,36 @@ def _reduce_terms(
 ) -> dict:
     """Full normal form of a term dict against `_reducer`s; the first
     divisible reducer wins.  With a single reducer, a `quotient` dict
-    collects the quotient's terms."""
+    collects the quotient's terms.  Both come back with tuple monomials,
+    in descending order."""
     if not terms:
         return {}
     field = next(iter(terms.values())).field
     mul, add, negate, is_zero = field._mul, field._add, field._neg, field._is_zero
-    key = order.key
-    # work maps each queued monomial to its raw coefficient, or to None
-    # once it cancelled; the heap holds each queued monomial once
-    work = {m: c.value for m, c in terms.items()}
-    heap = [(tuple(map(neg, key(m))), m) for m in work]
+    packer = _packer(order, len(next(iter(terms))))
+    guard, unpack = packer.guard, packer.unpack
+    # work maps each queued packed monomial to its raw coefficient, or
+    # to None once it cancelled; the heap holds each queued one once
+    work = {packer.pack(m): c.value for m, c in terms.items()}
+    heap = [-m for m in work]
     heapq.heapify(heap)
-    result = {}
+    result = []
     while heap:
-        t = heapq.heappop(heap)[1]
+        t = -heapq.heappop(heap)
         c = work.pop(t)
         if c is None:
             continue
-        outside = ~mono_support(t)
-        for lm, lcinv, tail, support in reducers:
-            if support & outside or not mono_divides(lm, t):
+        tg = t | guard
+        for plm, inv, tail, _, _ in reducers:
+            if (tg - plm) & guard != guard:
                 continue
-            ratio = mul(c, lcinv.value)
-            shift = mono_div(t, lm)
+            ratio = mul(c, inv)
+            shift = t - plm
             if quotient is not None:
-                quotient[shift] = Scalar(field, ratio)
+                quotient[unpack(shift)] = Scalar(field, ratio)
             ratio = negate(ratio)
             for m, mc in tail:
-                m2 = mono_mul(m, shift)
+                m2 = m + shift
                 cur = work.get(m2)
                 if cur is not None:
                     cur = add(cur, mul(ratio, mc))
@@ -125,12 +173,15 @@ def _reduce_terms(
                 if is_zero(cur):
                     continue  # zero divisors: a reducible minimal polynomial
                 if m2 not in work:
-                    heapq.heappush(heap, (tuple(map(neg, key(m2))), m2))
+                    # in-range fields sum below 2^_W: overflow only sets a guard bit
+                    if m2 & guard:
+                        raise CapExceeded(f"an exponent reached {_BOUND} in division")
+                    heapq.heappush(heap, -m2)
                 work[m2] = cur
             break
         else:
-            result[t] = Scalar(field, c)
-    return result
+            result.append((t, c))
+    return {unpack(t): Scalar(field, c) for t, c in result}
 
 
 @dataclass(frozen=True)
@@ -167,7 +218,7 @@ class BuchbergerEngine:
         self.max_processed_degree = 0
 
     def leading_monomials(self):
-        return [r[0] for r in self._reducers]
+        return [r[3] for r in self._reducers]
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
@@ -191,12 +242,13 @@ class BuchbergerEngine:
         total degree if that is larger."""
         t = len(self.basis)
         reducer = _reducer(h, self.order)
-        lm_t, support_t = reducer[0], reducer[3]
+        lm_t = reducer[3]
+        support_t = mono_support(lm_t)
         sugar = max(sugar, h.total_degree())
         # a pair lifts the larger excess of sugar over leading degree
         excess_t = sugar - mono_degree(lm_t)
-        lms = [r[0] for r in self._reducers]
-        supports = [r[3] for r in self._reducers]
+        lms = [r[3] for r in self._reducers]
+        supports = [mono_support(lm) for lm in lms]
         # chain criterion on queued pairs
         for (i, j), lcm_ij in list(self._pairs.items()):
             if (
@@ -268,14 +320,10 @@ def buchberger(
     """Groebner basis (or d-truncated basis) of the ideal generated by
     gens.  All-zero input yields the empty basis."""
     gens = list(gens)
-    rings = {g.ring for g in gens}
-    if len(rings) > 1:
-        raise ContextMismatch("generators from different rings")
     if not gens:
         raise ContextMismatch("buchberger needs at least one generator")
-    ring = gens[0].ring
-    engine = BuchbergerEngine(ring, order)
-    engine.seed(gens)
+    engine = BuchbergerEngine(gens[0].ring, order)
+    engine.seed(gens)  # refuses a generator from another ring
     engine.extend(truncate)
     return engine.snapshot(truncate)
 
@@ -312,14 +360,13 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     )
     monic, reducers = [], []
     for (lm, lc), g in leads:
-        outside = ~mono_support(lm)
-        if any(not r[3] & outside and mono_divides(r[0], lm) for r in reducers):
+        if any(mono_divides(r[3], lm) for r in reducers):
             continue
         # the leading term survives, as no smaller leading monomial divides it
         h = Polynomial(basis.ring, _reduce_terms((g * lc.inverse()).terms, reducers, order))
         monic.append(h)
         reducers.append(_reducer(h, order))
-    return GroebnerBasis(basis.ring, order, tuple(monic), None, True)
+    return GroebnerBasis(basis.ring, order, tuple(monic), None, True, {"reducers": reducers})
 
 
 def elimination_ideal(gens: Sequence[Polynomial], eliminate) -> list:
@@ -364,14 +411,11 @@ def ideal_dimension(basis: GroebnerBasis):
         return n
     if basis.contains_one():
         return None
-    supports = [
-        frozenset(i for i, e in enumerate(g.leading_monomial(basis.order)) if e > 0)
-        for g in gens
-    ]
+    supports = [mono_support(g.leading_monomial(basis.order)) for g in gens]
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
-            s = set(subset)
-            if not any(supp <= s for supp in supports):
+            outside = ~sum(1 << i for i in subset)
+            if all(s & outside for s in supports):
                 return size
     return 0
 

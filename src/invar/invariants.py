@@ -187,35 +187,20 @@ def verify_noether_and_hilbert(
     g_order = group.order
     max_degree_ok = all(g.total_degree() <= g_order for g in gens)
 
-    hilbert_ok = True
     if gens:
         basis = buchberger(gens, GREVLEX)
-        for m in monomials_of_degree(ring, g_order):
-            if not ideal_membership(ring.monomial(m), basis):
-                hilbert_ok = False
-                break
+        hilbert_ok = all(ideal_membership(ring.monomial(m), basis)
+                         for m in monomials_of_degree(ring, g_order))
     else:
         hilbert_ok = g_order == 1 or ring.nvars == 0
-
-    subalgebra_ok = True
-    if gens:
-        oracle = SubalgebraOracle(gens)
-        for d in range(1, result.termination_degree + 1):
-            for m in monomials_of_degree(ring, d):
-                image = reynolds(ring.monomial(m), group)
-                if image.is_zero():
-                    continue
-                if not oracle.contains(image):
-                    subalgebra_ok = False
-                    break
-            if not subalgebra_ok:
-                break
-    else:
-        subalgebra_ok = all(
-            reynolds(ring.monomial(m), group).is_zero()
-            for d in range(1, result.termination_degree + 1)
-            for m in monomials_of_degree(ring, d)
-        )
+    # without generators the subalgebra is the constants
+    oracle = SubalgebraOracle(gens) if gens else None
+    subalgebra_ok = all(
+        image.is_zero() or oracle is not None and oracle.contains(image)
+        for d in range(1, result.termination_degree + 1)
+        for m in monomials_of_degree(ring, d)
+        for image in [reynolds(ring.monomial(m), group)]
+    )
     return NoetherHilbertReport(
         max_degree_ok=max_degree_ok,
         hilbert_monomials_ok=hilbert_ok,
@@ -401,8 +386,9 @@ def verify_separation_samples(
         sigma = group.elements[rng.next_u64() % group.order]
         w = point_image(sigma, v)
         same_checked += 1
+        powers_v, powers_w = [], []  # each point's coordinate powers, shared
         for g in invariants:
-            if g.evaluate(v) != g.evaluate(w):
+            if g.evaluate(v, powers_v) != g.evaluate(w, powers_w):
                 counterexamples.append(
                     {"kind": "same-orbit", "invariant": g, "v": v, "w": w}
                 )
@@ -416,7 +402,8 @@ def verify_separation_samples(
         else:
             continue
         distinct_checked += 1
-        if all(g.evaluate(v) == g.evaluate(w) for g in invariants):
+        powers_v, powers_w = [], []
+        if all(g.evaluate(v, powers_v) == g.evaluate(w, powers_w) for g in invariants):
             counterexamples.append({"kind": "distinct-orbit", "invariant": None, "v": v, "w": w})
     return SeparationReport(
         passed=not counterexamples,

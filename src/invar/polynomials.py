@@ -1,6 +1,7 @@
 """Sparse multivariate polynomials and monomial orders.
 
-A monomial is a plain tuple of exponents, one per ring variable.
+A monomial is a plain tuple of exponents, one per ring variable, at
+every API; only the division kernel packs monomials into ints.
 Polynomials map monomials to nonzero scalars of the ring's field; all
 values are immutable and all operations pure.  Term iteration order in
 formatted output follows the chosen monomial order descending, so every
@@ -62,9 +63,9 @@ def mono_degree(a):
 class MonomialOrder:
     """Total, multiplicative well-order on monomials, via a sort key.
 
-    Every key is a flat tuple of ints, so keys compare in C and can be
-    negated entrywise for a max-heap; monomials of one ring all have
-    keys of one length."""
+    Every key is a flat tuple of ints, linear in the exponents, so keys
+    compare in C and the division kernel packs them into ints; monomials
+    of one ring all have keys of one length."""
 
     name = "abstract"
 
@@ -366,7 +367,8 @@ class Polynomial:
     def coefficient_of(self, exps) -> Scalar:
         return self.terms.get(tuple(exps), self.ring.field.zero)
 
-    def evaluate(self, point: Sequence) -> Scalar:
+    def evaluate(self, point: Sequence, powers: Optional[list] = None) -> Scalar:
+        """Value at the point; calls at one point may share a `powers` list."""
         if len(point) != self.ring.nvars:
             raise LengthMismatch(
                 f"point has {len(point)} coordinates, ring has {self.ring.nvars}"
@@ -374,7 +376,7 @@ class Polynomial:
         field = self.ring.field
         pt = [field.scalar(x).value for x in point]
         value = self._power_sum(pt, field.zero.value, field.one.value,
-                                lambda c: c.value, field._mul, field._add)
+                                lambda c: c.value, field._mul, field._add, powers=powers)
         return Scalar(field, value)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
@@ -392,11 +394,13 @@ class Polynomial:
             imgs.append(im)
         return self._power_sum(imgs, target.zero, target.one, target.from_scalar, mul, add)
 
-    def _power_sum(self, values, zero, one, lift, mul, add):
+    def _power_sum(self, values, zero, one, lift, mul, add, *, powers=None):
         """Sum over the terms c*x^m of lift(c) * prod_i values[i]^m_i,
-        building each power of values[i] once; all arithmetic goes
-        through `mul` and `add`, so evaluation runs on raw payloads."""
-        powers = [[one] for _ in values]
+        building each power of values[i] once, into `powers` if given;
+        all arithmetic goes through `mul` and `add`, so evaluation runs
+        on raw payloads."""
+        powers = [] if powers is None else powers
+        powers.extend([one] for _ in values[len(powers):])
         total = zero
         for m, c in self.terms.items():
             acc = lift(c)

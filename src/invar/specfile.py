@@ -42,7 +42,7 @@ def parse_group_config(cfg: dict, cap: int = DEFAULT_CLOSURE_CAP):
 
 def _parse_finite(cfg: dict, cap: int) -> FiniteMatrixGroup:
     field = field_from_config(cfg["field"])
-    n = int(cfg["dimension"])
+    n = json_value(cfg, "dimension", int)
     gens = []
     for rows in cfg["generators"]:
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -51,21 +51,24 @@ def _parse_finite(cfg: dict, cap: int) -> FiniteMatrixGroup:
     return close_group(gens, field=field, cap=cap, label=cfg.get("label", ""))
 
 
-def string_list(cfg: dict, key: str, required: bool = True) -> list:
-    """cfg[key], which must be a JSON list of strings; an optional key
-    defaults to [].  A bare string is refused, not split into characters."""
-    value = cfg[key] if required else cfg.get(key, [])
-    if type(value) is not list or not all(type(v) is str for v in value):
-        raise ParseError(f"{key} must be a list of strings, not {value!r}")
+def json_value(cfg: dict, key: str, kind: type, default=None, item: type = None):
+    """cfg[key], or the default of an optional key: a JSON value of
+    exactly this type, and for a list, entries of type `item`.  Nothing
+    is converted: a bool is no int, and a bare string given for a list
+    is refused, not split into characters."""
+    value = cfg[key] if default is None else cfg.get(key, default)
+    if type(value) is not kind or item and not all(type(v) is item for v in value):
+        of = f" of {item.__name__}" if item else ""
+        raise ParseError(f"{key} must be a JSON {kind.__name__}{of}, not {value!r}")
     return value
 
 
 def _parse_algebraic(cfg: dict) -> AlgebraicGroupSpec:
     field = field_from_config(cfg["field"])
-    group_vars = tuple(string_list(cfg, "group_vars", required=False))
+    group_vars = tuple(json_value(cfg, "group_vars", list, [], str))
     zring = PolynomialRing(field, group_vars)
-    ideal_gens = [zring.parse(t) for t in string_list(cfg, "ideal_gens", required=False)]
-    n = int(cfg["dimension"])
+    ideal_gens = [zring.parse(t) for t in json_value(cfg, "ideal_gens", list, [], str)]
+    n = json_value(cfg, "dimension", int)
     rows = cfg["action_matrix"]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError(f"action matrix is not {n}x{n}")
@@ -76,7 +79,7 @@ def _parse_algebraic(cfg: dict) -> AlgebraicGroupSpec:
         ideal_gens=ideal_gens,
         n=n,
         action_matrix=action,
-        linear_reductive=bool(cfg.get("linear_reductive", False)),
+        linear_reductive=json_value(cfg, "linear_reductive", bool, False),
         label=cfg.get("label", ""),
     )
 

@@ -7,9 +7,10 @@ through `groups.apply_element`, the only caller of
 action matrix.  Every other action is derived from these two.
 
 Sparse division has one kernel, `groebner._reduce_terms`, working on
-raw field payloads: only `groebner` and `ratfunc` touch it or its
-`_reducer`s, and inside `groebner` only the kernel wraps payloads into
-`Scalar`s.
+raw field payloads and packed-int monomials: only `groebner` and
+`ratfunc` touch it or its `_reducer`s, inside `groebner` only the kernel
+wraps payloads into `Scalar`s, the kernel calls no tuple monomial
+operation or sort key, and one function builds the packers.
 
 Rational arithmetic runs on integer pairs and number-field arithmetic
 on integer vectors, never on `Fraction`s, and `fields` keeps no
@@ -102,6 +103,15 @@ def test_groebner_wraps_scalars_only_in_the_kernel():
 
     assert {function for module, function in _sites(is_scalar)
             if module == "groebner"} == {"_reduce_terms"}
+
+
+def test_kernel_computes_on_packed_monomials():
+    kernel = next(node for node in _source("groebner").body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_reduce_terms")
+    called = {ast.unparse(node.func) for node in ast.walk(kernel) if isinstance(node, ast.Call)}
+    assert not {f for f in called if f.rpartition(".")[2] in (
+        "mono_mul", "mono_div", "mono_divides", "mono_support", "key")}
+    assert _calls("_Packer") == {("groebner", "_packer")}
 
 
 def _calls(name):

@@ -223,12 +223,22 @@ _GM = json.loads(Path(fixture_path("gm_weights")).read_text())
     ("groebner", {**_PROBLEM, "eliminate": "x"}),
     ("field", {**_GM, "group_vars": "z1"}),
     ("field", {**_GM, "ideal_gens": "z1*z2 - 1"}),
+    # JSON scalars of the wrong type are refused, not coerced
+    ("generators", {**_C2, "dimension": 2.9}),
+    ("generators", {**_C2, "dimension": True}),
+    ("generators", {**_C2, "dimension": "2"}),
+    ("field", {**_GM, "dimension": 2.0}),
+    ("field", {**_GM, "linear_reductive": "false"}),
+    ("field", {**_GM, "linear_reductive": 1}),
 ], ids=["top-level-list", "prime-not-int", "no-dimension", "no-polynomials",
         "groebner-list", "field-not-object", "entry-a-number", "polynomial-a-number",
         "eliminate-truncate", "eliminate-gradedlex", "minimal-poly-a-list",
         "truncate-a-string", "truncate-a-float", "truncate-negative", "truncate-a-bool",
         "prime-a-float", "prime-a-bool", "variables-a-string", "polynomials-a-string",
-        "eliminate-a-string", "group-vars-a-string", "ideal-gens-a-string"])
+        "eliminate-a-string", "group-vars-a-string", "ideal-gens-a-string",
+        "dimension-a-float", "dimension-a-bool", "dimension-a-string",
+        "algebraic-dimension-a-float", "linear-reductive-a-string",
+        "linear-reductive-a-number"])
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(document))

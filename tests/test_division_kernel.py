@@ -3,6 +3,10 @@
 `groebner._reduce_terms` is compared with the plain division loop it
 replaced, kept below as the reference, on hypothesis-drawn inputs over
 fields with and without zero divisors and under every monomial order.
+The packing of monomials into ints, which the kernel computes on, is
+checked against the tuple operations it stands for, and at its degree
+bound, where a computation must stop with `CapExceeded` rather than
+return a wrong answer.
 The differential tests against sympy check every caller of the kernel
 on seeded random inputs: reduced Groebner bases (normal forms, s-pair
 reduction and inter-reduction) and elimination ideals over Q and GF(p),
@@ -10,14 +14,33 @@ and gcds over Q, whose univariate Euclid and exact divisions run on the
 same kernel.  They are skipped when sympy is missing.
 """
 
+import json
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invar.cli import main
+from invar.errors import CapExceeded
 from invar.fields import NumberField, PrimeField, Rationals
-from invar.groebner import _reduce_terms, _reducer, buchberger, elimination_ideal, reduce_basis
-from invar.polynomials import GRADEDLEX, GREVLEX, LEX, BlockElimination, PolynomialRing
+from invar.groebner import (
+    _packer,
+    _reduce_terms,
+    _reducer,
+    buchberger,
+    elimination_ideal,
+    normal_form,
+    reduce_basis,
+)
+from invar.polynomials import (
+    GRADEDLEX,
+    GREVLEX,
+    LEX,
+    BlockElimination,
+    PolynomialRing,
+    mono_divides,
+    mono_mul,
+)
 from invar.prng import XorShift
 from invar.ratfunc import multivariate_gcd
 
@@ -141,6 +164,63 @@ def test_kernel_matches_reference_loop(field_name, order_name, dividend, divisor
         for m, c in remainder.items():
             r = r + ring.monomial(m, c)
         assert q * gs[0] + r == f
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+BOUND = 2**15  # the packing refuses this degree
+
+# two of these multiply to a monomial still below the bound
+_wide_monomials = st.tuples(*[st.integers(0, 5000)] * len(NAMES))
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+@settings(max_examples=200, deadline=None)
+@given(a=_wide_monomials, b=_wide_monomials)
+def test_packing_stands_for_the_tuple_operations(order_name, a, b):
+    order = ORDERS[order_name]
+    packer = _packer(order, len(NAMES))
+    pa, pb, guard = packer.pack(a), packer.pack(b), packer.guard
+    assert packer.unpack(pa) == a
+    assert (pa < pb, pa == pb) == (order.key(a) < order.key(b), a == b)
+    assert (((pb | guard) - pa) & guard == guard) == mono_divides(a, b)
+    assert pa + pb == packer.pack(mono_mul(a, b))
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+def test_packing_refuses_the_degree_bound(order_name):
+    packer = _packer(ORDERS[order_name], 3)
+    assert packer.unpack(packer.pack((BOUND - 3, 1, 1))) == (BOUND - 3, 1, 1)
+    with pytest.raises(CapExceeded):
+        packer.pack((BOUND - 2, 1, 1))
+
+
+@pytest.mark.parametrize("e", [11000, 22000])
+def test_lex_growth_is_exact_or_refused(e):
+    # lex reduction raises degrees: x^e reduces to y^(3e), past the
+    # bound for both e, and past twice the bound (a field's full width)
+    # for the second
+    ring = PolynomialRing(Rationals(), ("x", "y"))
+    x, y = ring.variables()
+    basis = buchberger([x - y**3], LEX)
+    assert normal_form(x**10000, basis) == y**30000
+    try:
+        remainder = normal_form(x**e, basis)
+    except CapExceeded:
+        return
+    assert remainder == y**(3 * e)
+
+
+def test_degree_bound_exits_4_through_the_cli(capsys, tmp_path):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"field": {"kind": "rationals"}, "variables": ["x", "y"],
+                                   "polynomials": [f"x^{BOUND} - y", "y^2"]}))
+    code = main(["groebner", str(problem), "--json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "CapExceeded"
 
 
 # ---------------------------------------------------------------------------
