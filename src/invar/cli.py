@@ -5,8 +5,8 @@ Every command loads its input file (a group spec, or a problem file for
 ``main`` converts them once and writes the report.  With ``--json`` the report is a single JSON object
 with sorted keys and no timing information, so equal inputs and seeds
 produce byte-identical output; the default human-readable report adds
-wall time.  Domain errors exit with a documented code and print a
-machine-readable error name on stderr:
+wall time.  Each warning and each domain error is one JSON line on
+stderr, and domain errors exit with a documented code:
 
     0 success, 2 parse error, 3 modular case, 4 closure cap or exponent
     bound exceeded, 5 truncation/degree cap insufficient, 6 other domain error.
@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 from . import algebraic as alg
 from . import groups as grp
@@ -306,13 +307,18 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.time()
-    try:
-        command, digest, seed, payload, order = args.func(args)
-    except InvarError as exc:
-        record, code = {"error": type(exc).__name__, "message": str(exc)}, exit_code_for(exc)
-    except FileNotFoundError as exc:
-        record, code = {"error": "FileNotFound", "message": str(exc)}, 2
-    else:
+    record = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            command, digest, seed, payload, order = args.func(args)
+        except InvarError as exc:
+            record, code = {"error": type(exc).__name__, "message": str(exc)}, exit_code_for(exc)
+        except FileNotFoundError as exc:
+            record, code = {"error": "FileNotFound", "message": str(exc)}, 2
+    for w in caught:  # one JSON line each, in the style of the error record
+        sys.stderr.write(json.dumps({"warning": w.category.__name__, "message": str(w.message)},
+                                    sort_keys=True) + "\n")
+    if record is None:
         report = {
             "command": command,
             "input_digest": digest,

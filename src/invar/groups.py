@@ -9,7 +9,7 @@ is a plain breadth-first search keyed by the matrices themselves.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -34,6 +34,8 @@ class FiniteMatrixGroup:
     generators: tuple
     elements: tuple
     label: str = ""
+    # per ring, one table of powers of the variables' images per element
+    _cache: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -106,10 +108,11 @@ def close_group(
     )
 
 
-def apply_element(p: Polynomial, m: Matrix) -> Polynomial:
+def apply_element(p: Polynomial, m: Matrix, powers: Optional[list] = None) -> Polynomial:
     """The finite-group action on polynomials: x_i -> sum_j m[i][j] x_j
-    on the first m.nrows variables of p's ring, the rest left fixed."""
-    return p.apply_linear_map(m)
+    on the first m.nrows variables of p's ring, the rest left fixed.
+    Calls with one element on one ring may share a `powers` table."""
+    return p.apply_linear_map(m, powers)
 
 
 def point_image(m: Matrix, point) -> tuple:
@@ -138,9 +141,10 @@ def reynolds(f: Polynomial, group: FiniteMatrixGroup) -> Polynomial:
         raise ModularCase(
             f"characteristic {p} divides the group order {group.order}"
         )
+    tables = group._cache.setdefault(f.ring, [[] for _ in group.elements])
     total = f.ring.zero
-    for sigma in group.elements:
-        total = total + apply_element(f, sigma)
+    for sigma, powers in zip(group.elements, tables):
+        total = total + apply_element(f, sigma, powers)
     return total / group.field.scalar(group.order)
 
 

@@ -19,6 +19,7 @@ from .errors import (
     RetryLimitExceeded,
     VerificationFailed,
 )
+from .fields import PrimeField, Scalar
 from .groebner import (
     BuchbergerEngine,
     SubalgebraOracle,
@@ -419,9 +420,39 @@ def verify_separation_samples(
 # systems of parameters and degree bounds
 # ---------------------------------------------------------------------------
 
+HSOP_PRIME = 2**31 - 1  # the prime of the modular hsop certificate
+
+
+def _dimension_mod_prime(polys: Sequence[Polynomial]):
+    """dim (f_1, ..., f_k) over GF(HSOP_PRIME) for f_i over Q, or None
+    when a denominator is divisible by the prime.  An f_i that vanishes
+    mod p only raises the dimension."""
+    p = HSOP_PRIME
+    field = PrimeField(p)
+    ring = PolynomialRing(field, polys[0].ring.names)
+    images = []
+    for f in polys:
+        terms = {}
+        for m, c in f.terms.items():
+            num, den = c.value
+            if den % p == 0:
+                return None
+            terms[m] = Scalar(field, num * pow(den, -1, p) % p)
+        images.append(Polynomial(ring, terms))
+    return ideal_dimension(buchberger(images, GREVLEX))
+
+
 def is_phsop(polys: Sequence[Polynomial]) -> bool:
     """Partial homogeneous system of parameters: the variety has the
-    least possible dimension n - k."""
+    least possible dimension n - k.
+
+    Over Q a test mod p = HSOP_PRIME runs first and can only certify:
+    with denominators prime to p, the degree-d part of the ideal is the
+    row space of one integer matrix, whose rank mod p is at most its
+    rank over Q, so degree by degree the Hilbert function mod p is at
+    least the one over Q and dim over Q <= dim mod p, while Krull's
+    principal ideal theorem gives dim over Q >= n - k (Arnold, J. Symb.
+    Comput. 35, 2003).  Any mod-p answer other than n - k is redone over Q."""
     polys = list(polys)
     if not polys:
         return True
@@ -434,6 +465,8 @@ def is_phsop(polys: Sequence[Polynomial]) -> bool:
     k = len(polys)
     if k > n:
         return False
+    if polys[0].ring.field.kind == "rationals" and _dimension_mod_prime(polys) == n - k:
+        return True
     dim = ideal_dimension(buchberger(polys, GREVLEX))
     return dim == n - k
 

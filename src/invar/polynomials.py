@@ -379,9 +379,9 @@ class Polynomial:
                                 lambda c: c.value, field._mul, field._add, powers=powers)
         return Scalar(field, value)
 
-    def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Map variable i to images[i].  The polynomial images share one
-        ring; scalar images are lifted into it."""
+    def substitute(self, images: Sequence["Polynomial"], powers: Optional[list] = None):
+        """Map variable i to images[i], lifting scalar images into the one
+        ring of the others; calls with one list of images may share `powers`."""
         if len(images) != self.ring.nvars:
             raise LengthMismatch("one image per variable required")
         target = next((im.ring for im in images if isinstance(im, Polynomial)), self.ring)
@@ -392,7 +392,8 @@ class Polynomial:
             if im.ring != target:
                 raise ContextMismatch("substitution images in different rings")
             imgs.append(im)
-        return self._power_sum(imgs, target.zero, target.one, target.from_scalar, mul, add)
+        return self._power_sum(imgs, target.zero, target.one, target.from_scalar, mul, add,
+                               powers=powers)
 
     def _power_sum(self, values, zero, one, lift, mul, add, *, powers=None):
         """Sum over the terms c*x^m of lift(c) * prod_i values[i]^m_i,
@@ -413,11 +414,12 @@ class Polynomial:
             total = add(total, acc)
         return total
 
-    def apply_linear_map(self, rows) -> "Polynomial":
+    def apply_linear_map(self, rows, powers: Optional[list] = None) -> "Polynomial":
         """Substitute x_i -> sum_j rows[i][j] x_j for the first len(rows)
         variables, leaving any remaining variables fixed.  `rows` is a
         Matrix over the ring's field, whose rank is computed once, or
-        plain rows of scalars.  The matrix must be invertible."""
+        plain rows of scalars.  The matrix must be invertible; `powers`
+        goes to `substitute`."""
         from .linalg import Matrix
 
         field = self.ring.field
@@ -443,7 +445,7 @@ class Polynomial:
                 images.append(Polynomial(self.ring, terms))
             else:
                 images.append(self.ring.variable(i))
-        return self.substitute(images)
+        return self.substitute(images, powers)
 
     # -- formatting ---------------------------------------------------------
 

@@ -313,6 +313,27 @@ def test_json_determinism_across_processes():
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_warnings_are_json_lines_on_stderr(tmp_path):
+    # a reducible minimal polynomial warns; stderr names no source location
+    import subprocess
+    import sys
+
+    spec = tmp_path / "c2_swap_w2m1.json"
+    spec.write_text(json.dumps({
+        "kind": "finite_matrix", "dimension": 2, "generators": [[["0", "1"], ["1", "0"]]],
+        "field": {"kind": "simple_extension", "minimal_poly": "w^2 - 1", "generator": "w"},
+    }))
+    proc = subprocess.run([sys.executable, "-m", "invar.cli", "analyze", "molien", str(spec),
+                           "--degree", "3", "--json"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["warnings"] == []
+    assert proc.stderr.splitlines() == [json.dumps({
+        "message": "minimal polynomial has a rational root; the quotient is not a field",
+        "warning": "ReducibleMinimalPolynomialWarning",
+    })]
+    assert ".py:" not in proc.stderr
+
+
 def test_json_determinism(capsys):
     battery = [
         ("generators", fixture_path("d8")),

@@ -91,6 +91,19 @@ def test_reynolds_idempotent_and_invariant(d8, c2_swap):
                 assert image.apply_linear_map(g.rows) == image
 
 
+def test_reynolds_shared_power_tables_match_the_plain_average(d8):
+    # each element's power table outlives the call and is kept per ring
+    small = d8.ring()
+    big = PolynomialRing(d8.field, small.names + ("t",))
+    rng = XorShift(5)
+    for ring in (small, big, small):
+        for _ in range(10):
+            exps = tuple(rng.randint(0, 3) for _ in range(ring.nvars))
+            f = ring.monomial(exps, rng.randint(1, 5))
+            plain = sum((apply_element(f, s) for s in d8.elements), ring.zero) / d8.order
+            assert reynolds(f, d8) == plain
+
+
 def test_reynolds_modular_case(c2_swap_gf2):
     ring = c2_swap_gf2.ring()
     with pytest.raises(ModularCase):

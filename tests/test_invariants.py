@@ -1,15 +1,18 @@
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from invar import invariants
+from invar.cli import main
 from invar.errors import (
     FieldTooSmall,
     ModularCase,
     NonHomogeneousInput,
 )
 from invar.fields import Rationals
-from invar.groebner import SubalgebraOracle
+from invar.groebner import SubalgebraOracle, buchberger, ideal_dimension
 from invar.groups import apply_element, close_group, reynolds
 from invar.invariants import (
     dade_primary_invariants,
@@ -24,7 +27,7 @@ from invar.invariants import (
     verify_separation_samples,
 )
 from invar.linalg import Matrix
-from invar.polynomials import GREVLEX, monomials_of_degree
+from invar.polynomials import GREVLEX, PolynomialRing, monomials_of_degree
 from invar.specfile import fixture_path, load_spec_file
 
 Q = Rationals()
@@ -355,3 +358,97 @@ def test_degree_bound_report(d8, c2_swap):
     assert rep.noether_applies
     assert degree_bound_report(d8, [1, 1]).symonds_bound == 0
     assert degree_bound_report(c2_swap, [1, 2]).coarse_bound == 2
+
+
+# ---------------------------------------------------------------------------
+# the modular certificate of the hsop test
+# ---------------------------------------------------------------------------
+
+def _dimension_over_q(polys):
+    return ideal_dimension(buchberger(polys, GREVLEX))
+
+
+def test_phsop_falls_back_to_q_when_the_prime_is_unlucky(monkeypatch):
+    # mod 7 the ideal is (xy, x^2), of dimension 1; over Q it has dimension 0
+    ring = PolynomialRing(Q, ("x", "y"))
+    polys = [ring.parse("x*y"), ring.parse("x^2 + 7*y^2")]
+    monkeypatch.setattr(invariants, "HSOP_PRIME", 7)
+    real = invariants._dimension_mod_prime
+    mod_p = []
+
+    def recording(fs):
+        mod_p.append(real(fs))
+        return mod_p[-1]
+
+    monkeypatch.setattr(invariants, "_dimension_mod_prime", recording)
+    assert is_phsop(polys)
+    assert mod_p == [1]
+    assert _dimension_over_q(polys) == 0
+
+
+def test_phsop_certificate_skips_denominators_and_vanishing_generators():
+    p = invariants.HSOP_PRIME
+    ring = PolynomialRing(Q, ("x", "y"))
+    x, y = ring.variables()
+    vanishing = [ring.parse(f"{p}*x^2")]
+    assert invariants._dimension_mod_prime(vanishing) == 2
+    assert is_phsop(vanishing)
+    assert not is_phsop([x * p, x])
+    dividing = [ring.parse(f"x^2/{p} + y^2"), x * y]
+    assert invariants._dimension_mod_prime(dividing) is None
+    assert is_phsop(dividing)
+    assert not is_phsop([ring.parse(f"x^2/{p}"), x * y])
+
+
+_COEFFICIENTS = st.builds(lambda num, den: Q.scalar(num) / den,
+                          st.integers(-10, 10), st.sampled_from([1] * 8 + [2, 3, 5]))
+
+
+@st.composite
+def _homogeneous_systems(draw):
+    n = draw(st.integers(1, 3))
+    ring = PolynomialRing(Q, tuple(f"x{i + 1}" for i in range(n)))
+    polys = []
+    for _ in range(draw(st.integers(1, n))):
+        d = draw(st.integers(1, 3 if n < 3 else 2))
+        monos = monomials_of_degree(ring, d)
+        coeffs = draw(st.lists(st.one_of(st.just(Q.zero), _COEFFICIENTS),
+                               min_size=len(monos), max_size=len(monos)))
+        f = sum((ring.monomial(m, c) for m, c in zip(monos, coeffs)), ring.zero)
+        assume(not f.is_zero())
+        polys.append(f)
+    return polys
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys=_homogeneous_systems())
+def test_phsop_matches_the_computation_over_q(polys):
+    # mod 5 many systems lose rank, so the certificate often has to decline
+    n, k = polys[0].ring.nvars, len(polys)
+    with mock.patch.object(invariants, "HSOP_PRIME", 5):
+        assert is_phsop(polys) == (_dimension_over_q(polys) == n - k)
+
+
+def test_primary_invariants_unchanged_by_the_certificate(capsys, monkeypatch):
+    # seeds 0-9 of s3_natural give the same reports with the certificate off
+    def reports():
+        out = []
+        for seed in range(10):
+            argv = ["analyze", "primary", fixture_path("s3_natural"), "--seed", str(seed), "--json"]
+            assert main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    real = invariants._dimension_mod_prime
+    certified = []
+
+    def recording(polys):
+        dim = real(polys)
+        certified.append(dim == 3 - len(polys))
+        return dim
+
+    monkeypatch.setattr(invariants, "_dimension_mod_prime", recording)
+    with_certificate = reports()
+    assert any(certified)
+    monkeypatch.setattr(invariants, "_dimension_mod_prime", lambda polys: None)
+    assert reports() == with_certificate
