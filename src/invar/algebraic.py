@@ -24,18 +24,22 @@ from .errors import (
     NotDeclaredReductive,
     VerificationFailed,
 )
-from .fields import Field
+from .fields import Field, Scalar
 from .groebner import (
+    GroebnerBasis,
     SubalgebraOracle,
     buchberger,
     elimination_ideal,
+    front_free_basis,
     normal_form,
     radical_membership,
+    reduce_basis,
 )
 from .invariants import GeneratingSetResult
 from .linalg import nullspace
 from .polynomials import (
     GREVLEX,
+    BlockElimination,
     Polynomial,
     PolynomialRing,
     monomials_of_degree,
@@ -244,31 +248,41 @@ def derksen_generators(spec: AlgebraicGroupSpec) -> GeneratingSetResult:
 
 def invariant_field_generators(spec: AlgebraicGroupSpec) -> list:
     """Generators of the invariant field: the nonconstant coefficients
-    of the reduced basis of the Derksen ideal computed over
-    L = K(x_1, ..., x_n), each normalized to a monic numerator and
-    deduplicated.  No reductivity assumption is needed."""
+    of the reduced basis of the Derksen ideal over L = K(x_1, ..., x_n),
+    each normalized to a monic numerator and deduplicated.  No
+    reductivity assumption is needed (Mueller-Quade & Beth, J. Symb.
+    Comput. 1999; Kemper, Transformation Groups 12, 2007).
+
+    Buchberger runs once over K, in K[z, y, x] under the block order
+    z >> y >> x.  The basis elements free of z form a Groebner basis of
+    the Derksen ideal for y >> x, and so of its extension to L[y]:
+    localisation commutes with elimination (see `BlockElimination`).
+    Only the final inter-reduction runs over L."""
+    n, r = spec.n, len(spec.group_vars)
+    ring = PolynomialRing(spec.field, spec.group_vars + spec.y_names() + spec.x_names())
+    to_zyx = list(range(r, r + 2 * n)) + list(range(r))  # from the graph ring's (y, x, z)
+    moved = [transport(g, ring, to_zyx) for g in action_graph_generators(spec)]
+    free = front_free_basis(moved, BlockElimination(r, n)) if moved else ()
     L = RationalFunctionField(spec.field, spec.x_names())
-    ring = PolynomialRing(L, spec.y_names() + spec.group_vars)
-    n = spec.n
+    yring = PolynomialRing(L, spec.y_names())
     gens = []
-    for g in action_graph_generators(spec):
+    for g in free:
         # the x block of each term moves into its coefficient in L
         coeffs = {}
         for m, c in g.terms.items():
-            coeffs.setdefault(m[:n] + m[2 * n:], {})[m[n:2 * n]] = c
-        gens.append(Polynomial(ring, {
+            coeffs.setdefault(m[r:r + n], {})[m[r + n:]] = c
+        gens.append(Polynomial(yring, {
             m: L.from_polynomial(Polynomial(L.ring, xterms)) for m, xterms in coeffs.items()
         }))
-    basis = elimination_ideal(gens, spec.group_vars)
     out = []
     seen = set()
-    for g in basis:
+    for g in reduce_basis(GroebnerBasis(yring, GREVLEX, tuple(gens))).generators:
         for _, c in g.sorted_terms(GREVLEX):
             num, den = c.value
             if num.is_constant() and den.is_constant():
                 continue
-            lc = num.leading(GREVLEX)[1]
-            normalized = c * L.from_base(lc).inverse()
+            # a constant factor keeps the fraction reduced and den monic
+            normalized = Scalar(L, (num * num.leading(GREVLEX)[1].inverse(), den))
             if normalized not in seen:
                 seen.add(normalized)
                 out.append(normalized)

@@ -369,13 +369,23 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     return GroebnerBasis(basis.ring, order, tuple(monic), None, True, {"reducers": reducers})
 
 
+def front_free_basis(gens: Sequence[Polynomial], order: BlockElimination) -> tuple:
+    """Buchberger in a block order, keeping the basis elements whose
+    leading monomial is free of the front block: a Groebner basis of the
+    ideal's intersection with the ring of the later blocks, under the
+    order those blocks keep.  In that order a leading monomial free of
+    the front block has a free tail."""
+    k = order.front_size
+    basis = buchberger(gens, order).generators
+    return tuple(g for g in basis if not any(g.leading_monomial(order)[:k]))
+
+
 def elimination_ideal(gens: Sequence[Polynomial], eliminate) -> list:
     """Reduced Groebner basis (under the induced grevlex order) of the
     intersection of the ideal with the subring in the kept variables,
     sorted by leading monomial.  Result polynomials live in a ring over
-    the kept variables only.  In the block order a leading monomial free
-    of the eliminated block has a free tail, so only those basis
-    elements are reduced."""
+    the kept variables only; only the front-free basis elements are
+    reduced."""
     gens = list(gens)
     if not gens:
         return []
@@ -390,9 +400,7 @@ def elimination_ideal(gens: Sequence[Polynomial], eliminate) -> list:
     work_ring = PolynomialRing(ring.field, front + kept)
     index_map = [work_ring.names.index(n) for n in ring.names]
     order = BlockElimination(len(front))
-    moved = [transport(g, work_ring, index_map) for g in gens]
-    basis = buchberger(moved, order).generators
-    free = tuple(g for g in basis if not any(g.leading_monomial(order)[:len(front)]))
+    free = front_free_basis([transport(g, work_ring, index_map) for g in gens], order)
     # the block key of a free monomial is its grevlex key on the kept block
     reduced = reduce_basis(GroebnerBasis(work_ring, order, free)).generators
     kept_ring = PolynomialRing(ring.field, kept)

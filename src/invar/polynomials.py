@@ -109,21 +109,39 @@ GREVLEX = _Grevlex()
 
 
 class BlockElimination(MonomialOrder):
-    """Front block dominates; graded inner orders make it an elimination
-    order for the front variables.  The key concatenates the inner keys
-    of the two blocks, whose lengths are fixed by the block sizes."""
+    """Blocks of variables, each dominating the blocks after it, with the
+    inner order inside each block: `BlockElimination(k)` splits the
+    variables into the first k and the rest, `BlockElimination(r, n)`
+    into the first r, the next n and the rest.  Graded inner orders make
+    it an elimination order for every leading run of blocks.
 
-    def __init__(self, front_size: int, inner: MonomialOrder = GREVLEX):
-        self.front_size = front_size
+    In K[z, y, x] under `BlockElimination(r, n)`, the elements of a
+    Groebner basis whose leading monomial is free of z form a Groebner
+    basis of the elimination ideal J in K[y, x] for y >> x.  They are
+    then also a Groebner basis of the extension of J to K(x)[y] under
+    the inner order on y: if c(x) f lies in J, its leading monomial has
+    the y-part of f's, and a leading monomial dividing it has a y-part
+    that divides f's.  Localisation commutes with elimination, so
+    invariant fields are computed over K and only inter-reduced over
+    K(x) (Mueller-Quade & Beth, J. Symb. Comput. 1999; Kemper,
+    Transformation Groups 12, 2007).
+
+    The key concatenates the inner key of the front block with the key
+    of the remaining blocks; all lengths are fixed by the block sizes."""
+
+    def __init__(self, *sizes: int, inner: MonomialOrder = GREVLEX):
+        self.sizes = sizes
+        self.front_size = sizes[0]
         self.inner = inner
+        self.rest = BlockElimination(*sizes[1:], inner=inner) if sizes[1:] else inner
 
     @property
     def name(self):
-        return f"block({self.front_size},{self.inner.name})"
+        return f"block({','.join(map(str, self.sizes))},{self.inner.name})"
 
     def key(self, exps):
         k = self.front_size
-        return self.inner.key(exps[:k]) + self.inner.key(exps[k:])
+        return self.inner.key(exps[:k]) + self.rest.key(exps[k:])
 
 
 def order_by_name(name: str) -> MonomialOrder:

@@ -127,11 +127,10 @@ def _univariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def _content_pp(f: Polynomial, k: int):
     """(content, primitive part) of f viewed as univariate in var k."""
-    coeffs = [
-        _coeff_in(f, k, d)
-        for d in range(_deg_in(f, k) + 1)
-        if not _coeff_in(f, k, d).is_zero()
-    ]
+    by_degree = {}  # one pass over the terms builds each coefficient once
+    for m, c in f.terms.items():
+        by_degree.setdefault(m[k], {})[m[:k] + (0,) + m[k + 1:]] = c
+    coeffs = [Polynomial(f.ring, by_degree[d]) for d in sorted(by_degree)]
     content = coeffs[0]
     for c in coeffs[1:]:
         if content.is_constant():

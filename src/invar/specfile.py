@@ -66,12 +66,16 @@ def json_value(cfg: dict, key: str, kind: type, default=None, item: type = None)
 def _parse_algebraic(cfg: dict) -> AlgebraicGroupSpec:
     field = field_from_config(cfg["field"])
     group_vars = tuple(json_value(cfg, "group_vars", list, [], str))
-    zring = PolynomialRing(field, group_vars)
-    ideal_gens = [zring.parse(t) for t in json_value(cfg, "ideal_gens", list, [], str)]
     n = json_value(cfg, "dimension", int)
     rows = cfg["action_matrix"]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError(f"action matrix is not {n}x{n}")
+    # the graph ring adds y1..yn and x1..xn to the group variables
+    coordinates = {f"{v}{i + 1}" for v in "xy" for i in range(n)}
+    if len(set(group_vars)) != len(group_vars) or coordinates.intersection(group_vars):
+        raise ParseError(f"group_vars {list(group_vars)} repeat a name or name a coordinate")
+    zring = PolynomialRing(field, group_vars)
+    ideal_gens = [zring.parse(t) for t in json_value(cfg, "ideal_gens", list, [], str)]
     action = [[zring.parse(e) for e in row] for row in rows]
     return AlgebraicGroupSpec(
         field=field,

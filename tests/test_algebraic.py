@@ -1,6 +1,9 @@
-import pytest
+from math import comb
 
-from invar import groebner
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from invar import algebraic, groebner
 from invar.algebraic import (
     AlgebraicGroupSpec,
     action_graph_generators,
@@ -24,7 +27,7 @@ from invar.groebner import (
     reduce_basis,
 )
 from invar.invariants import king_generators
-from invar.polynomials import GREVLEX, PolynomialRing, transport, transport_by_name
+from invar.polynomials import GREVLEX, Polynomial, PolynomialRing, transport, transport_by_name
 from invar.ratfunc import RationalFunctionField
 
 Q = Rationals()
@@ -234,6 +237,94 @@ def test_invariant_field_generators_fixed_by_action(gm, c2_variety):
                 if zbasis is not None:
                     zpoly = normal_form(zpoly, zbasis)
                 assert zpoly.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# invariant fields against the elimination over K(x)
+# ---------------------------------------------------------------------------
+
+def _field_generators_over_L(spec):
+    """The definition that the computation over the base field replaced,
+    kept as the reference: the whole elimination runs over
+    L = K(x_1, ..., x_n), and each nonconstant coefficient of the reduced
+    basis is divided by its numerator's leading coefficient in L."""
+    L = RationalFunctionField(spec.field, spec.x_names())
+    ring = PolynomialRing(L, spec.y_names() + spec.group_vars)
+    n = spec.n
+    gens = []
+    for g in action_graph_generators(spec):
+        coeffs = {}
+        for m, c in g.terms.items():
+            coeffs.setdefault(m[:n] + m[2 * n:], {})[m[n:2 * n]] = c
+        gens.append(Polynomial(ring, {
+            m: L.from_polynomial(Polynomial(L.ring, xterms)) for m, xterms in coeffs.items()
+        }))
+    out = set()
+    for g in elimination_ideal(gens, spec.group_vars):
+        for c in g.terms.values():
+            num, den = c.value
+            if not (num.is_constant() and den.is_constant()):
+                out.add(c * L.from_base(num.leading(GREVLEX)[1]).inverse())
+    return sorted(out, key=str)
+
+
+def _spec(group_vars, ideal_gens, action, linear_reductive=False):
+    zring = PolynomialRing(Q, group_vars)
+    return AlgebraicGroupSpec(
+        field=Q, group_vars=group_vars, ideal_gens=[zring.parse(g) for g in ideal_gens],
+        n=len(action), action_matrix=[[zring.parse(e) for e in row] for row in action],
+        linear_reductive=linear_reductive,
+    )
+
+
+def _ga_binary_forms(d):
+    """Ga acting on binary forms of degree d by (X, Y) -> (X + t Y, Y), in
+    the basis X^(d-j) Y^j: entry [i][j] is C(d-j, i-j) t^(i-j)."""
+    return _spec(("t",), [], [
+        [f"{comb(d - j, i - j)}*t^{i - j}" if i >= j else "0" for j in range(d + 1)]
+        for i in range(d + 1)
+    ])
+
+
+def _torus(weights):
+    """Gm = {z u = 1} scaling coordinate i by z^w_i (u^-w_i when w_i < 0)."""
+    return _spec(("z", "u"), ["z*u - 1"], [
+        [(f"z^{w}" if w > 0 else f"u^{-w}") if i == j else "0" for j in range(len(weights))]
+        for i, w in enumerate(weights)
+    ], linear_reductive=True)
+
+
+def _assert_same_field_generators(spec):
+    new, reference = invariant_field_generators(spec), _field_generators_over_L(spec)
+    assert new == reference
+    assert [str(c) for c in new] == [str(c) for c in reference]
+
+
+@pytest.mark.parametrize("name", ["gm", "trivial_algebraic", "c2_variety", "sl2"])
+def test_invariant_fields_match_the_elimination_over_L(request, name):
+    _assert_same_field_generators(request.getfixturevalue(name))
+
+
+def test_invariant_fields_match_the_elimination_over_L_for_ga_quartics(monkeypatch):
+    # here the front-free basis is not yet reduced over K(x): the final
+    # inter-reduction rewrites a tail, not only the leading coefficients
+    rewritten = []
+    reduce = algebraic.reduce_basis
+
+    def recording_reduce(basis):
+        reduced = reduce(basis)
+        rewritten.append(set(reduced.generators) - {g.monic(GREVLEX) for g in basis.generators})
+        return reduced
+
+    monkeypatch.setattr(algebraic, "reduce_basis", recording_reduce)
+    _assert_same_field_generators(_ga_binary_forms(4))
+    assert len(rewritten) == 1 and rewritten[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(weights=st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+def test_invariant_fields_match_the_elimination_over_L_on_tori(weights):
+    _assert_same_field_generators(_torus(weights))
 
 
 def test_separating_variety_trivial(trivial_algebraic):

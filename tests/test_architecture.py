@@ -1,4 +1,5 @@
-"""Single paths through the library, kept so by syntax checks.
+"""Single paths through the library, kept so by syntax checks (and one
+runtime check).
 
 The group action has exactly two entry points.  Finite groups act
 through `groups.apply_element`, the only caller of
@@ -33,8 +34,12 @@ their powers and Newton's identities, without a ring of polynomials in t.
 
 Every Groebner basis is computed once, and it is reduced only when the
 reduced basis is the output: `reduce_basis` runs for the printed basis
-of `cli.cmd_groebner` and for `groebner.elimination_ideal`, while bases
-used for normal forms, membership or a dimension count stay unreduced.
+of `cli.cmd_groebner`, for `groebner.elimination_ideal`, and for
+`algebraic.invariant_field_generators`, whose reduced basis over K(x)
+gives the printed generators, while bases used for normal forms,
+membership or a dimension count stay unreduced.  Invariant fields run
+Buchberger over the base field only; K(x) sees just that final
+inter-reduction, which one runtime check below watches.
 Dade's construction tests each candidate list once: the test that
 accepts the last slot is the hsop test of the result.
 
@@ -48,6 +53,10 @@ import ast
 from pathlib import Path
 
 import invar
+from invar import groebner
+from invar.cli import main
+from invar.ratfunc import RationalFunctionField
+from invar.specfile import fixture_path
 
 SOURCES = sorted(Path(invar.__file__).parent.glob("*.py"))
 
@@ -124,7 +133,23 @@ def _calls(name):
 
 
 def test_only_printed_bases_are_reduced():
-    assert _calls("reduce_basis") == {("cli", "cmd_groebner"), ("groebner", "elimination_ideal")}
+    assert _calls("reduce_basis") == {("cli", "cmd_groebner"), ("groebner", "elimination_ideal"),
+                                      ("algebraic", "invariant_field_generators")}
+
+
+def test_field_command_runs_buchberger_over_the_base_field(monkeypatch, capsys):
+    fields = []
+    init = groebner.BuchbergerEngine.__init__
+
+    def recording_init(self, ring, order):
+        fields.append(ring.field)
+        init(self, ring, order)
+
+    monkeypatch.setattr(groebner.BuchbergerEngine, "__init__", recording_init)
+    for name in ("gm_weights", "c2_swap_variety", "sl2_binary_quadratics"):
+        assert main(["field", fixture_path(name), "--json"]) == 0
+    capsys.readouterr()
+    assert fields and not [f for f in fields if isinstance(f, RationalFunctionField)]
 
 
 def test_dade_runs_no_second_hsop_test():

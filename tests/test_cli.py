@@ -230,6 +230,11 @@ _GM = json.loads(Path(fixture_path("gm_weights")).read_text())
     ("field", {**_GM, "dimension": 2.0}),
     ("field", {**_GM, "linear_reductive": "false"}),
     ("field", {**_GM, "linear_reductive": 1}),
+    # group variables may not repeat or take a coordinate's name
+    ("field", {**_GM, "group_vars": ["t", "t"], "ideal_gens": ["t*t - 1"],
+               "action_matrix": [["t", "0"], ["0", "t"]]}),
+    ("field", {**_GM, "group_vars": ["x1", "y1"], "ideal_gens": ["x1*y1 - 1"],
+               "action_matrix": [["x1", "0"], ["0", "y1"]]}),
 ], ids=["top-level-list", "prime-not-int", "no-dimension", "no-polynomials",
         "groebner-list", "field-not-object", "entry-a-number", "polynomial-a-number",
         "eliminate-truncate", "eliminate-gradedlex", "minimal-poly-a-list",
@@ -238,7 +243,7 @@ _GM = json.loads(Path(fixture_path("gm_weights")).read_text())
         "eliminate-a-string", "group-vars-a-string", "ideal-gens-a-string",
         "dimension-a-float", "dimension-a-bool", "dimension-a-string",
         "algebraic-dimension-a-float", "linear-reductive-a-string",
-        "linear-reductive-a-number"])
+        "linear-reductive-a-number", "group-vars-repeated", "group-vars-name-coordinates"])
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(document))

@@ -106,6 +106,7 @@ ORDERS = {
     "grevlex": GREVLEX,
     "block1": BlockElimination(1),
     "block2": BlockElimination(2),
+    "block1,1": BlockElimination(1, 1),
 }
 NAMES = ("x", "y", "z")
 

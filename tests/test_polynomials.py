@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +157,7 @@ ORDERS = {
     "gradedlex": GRADEDLEX,
     "grevlex": GREVLEX,
     "block": BlockElimination(2),
+    "block3": BlockElimination(1, 2),
 }
 
 
@@ -181,10 +183,11 @@ def test_order_axioms(name):
 
 
 def _nested_key(order, exps):
-    """The sort keys as first defined, with nested tuples."""
+    """The sort keys as first defined, with nested tuples: one inner key
+    per block of a block order."""
     if isinstance(order, BlockElimination):
-        k = order.front_size
-        return (_nested_key(order.inner, exps[:k]), _nested_key(order.inner, exps[k:]))
+        cuts = [0, *accumulate(order.sizes), len(exps)]
+        return tuple(_nested_key(order.inner, exps[a:b]) for a, b in zip(cuts, cuts[1:]))
     return {
         "lex": lambda: exps,
         "gradedlex": lambda: (sum(exps), exps),
@@ -193,8 +196,11 @@ def _nested_key(order, exps):
 
 
 FLAT_KEY_ORDERS = [LEX, GRADEDLEX, GREVLEX, BlockElimination(1), BlockElimination(2),
-                   BlockElimination(3), BlockElimination(2, LEX), BlockElimination(1, GRADEDLEX),
-                   BlockElimination(1, BlockElimination(1))]
+                   BlockElimination(3), BlockElimination(2, inner=LEX),
+                   BlockElimination(1, inner=GRADEDLEX),
+                   BlockElimination(1, inner=BlockElimination(1)),
+                   BlockElimination(1, 2), BlockElimination(1, 1, 1), BlockElimination(0, 2),
+                   BlockElimination(2, 1, inner=LEX)]
 
 
 @pytest.mark.parametrize("order", FLAT_KEY_ORDERS, ids=repr)
@@ -205,6 +211,30 @@ def test_flat_keys_keep_the_nested_order(order):
     assert all(type(k) is tuple and all(type(e) is int for e in k) for k in keys)
     assert len({len(k) for k in keys}) == 1
     assert sorted(monos, key=order.key) == sorted(monos, key=lambda m: _nested_key(order, m))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_single_block_key_and_name_are_unchanged(k):
+    order = BlockElimination(k)
+    assert (order.name, repr(order), order.front_size) == (f"block({k},grevlex)",) * 2 + (k,)
+    rng = XorShift(29)
+    for _ in range(200):
+        m = tuple(rng.randint(0, 5) for _ in range(4))
+        assert order.key(m) == GREVLEX.key(m[:k]) + GREVLEX.key(m[k:])
+
+
+def test_three_blocks_eliminate_each_leading_run():
+    order = BlockElimination(1, 2)
+    assert order.name == "block(1,2,grevlex)"
+    rng = XorShift(31)
+    for _ in range(300):
+        a = tuple(rng.randint(0, 5) for _ in range(4))
+        b = (0, rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5))
+        c = (0, 0, 0, rng.randint(0, 5))
+        if a[0]:
+            assert order.key(a) > order.key(b)
+        if any(a[:3]):
+            assert order.key(a) > order.key(c)
 
 
 def test_block_order_eliminates_front_block():
