@@ -62,6 +62,8 @@ def _human_lines(payload, indent=""):
 
 def _load(args, kind):
     """(group, input digest) of the spec file, which must be of `kind`."""
+    if args.cap < 1:
+        raise ParseError(f"--cap must be at least 1, got {args.cap}")
     loaded = load_spec_file(args.spec, cap=args.cap)
     if loaded.kind != kind:
         article = "an" if kind == "algebraic" else "a"

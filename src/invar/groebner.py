@@ -4,11 +4,11 @@ ideal/radical/subalgebra membership.
 
 `_reduce_terms` is the package's one sparse division loop.  Normal
 forms, s-pair reduction, basis inter-reduction, and the exact division
-and univariate Euclid of `ratfunc` all run through it, on reducers
-built by `_reducer`.  Inside it a monomial is one int (Bachmann &
-Schoenemann, ISSAC 1998), laid out by `_Packer`: a product is an int
-sum, a quotient a difference, the order int comparison and divisibility
-one guard-bit mask test.  The loop is heap-driven (Monagan & Pearce,
+of `ratfunc` all run through it, on reducers built by `_reducer`.
+Inside it a monomial is one int (Bachmann & Schoenemann, ISSAC 1998),
+laid out by `_Packer`: a product is an int sum, a quotient a
+difference, the order int comparison and divisibility one guard-bit
+mask test.  The loop is heap-driven (Monagan & Pearce,
 J. Symb. Comput. 2011): the greatest term comes off a heap of negated
 packed monomials; a cancelled monomial stays queued and is skipped
 when it surfaces.  The arithmetic runs on raw field payloads; tuples
@@ -428,6 +428,18 @@ def ideal_dimension(basis: GroebnerBasis):
     return 0
 
 
+def _adjoin_variable(name: str, *polys: Polynomial):
+    """(the polynomials, the new variable) in their ring with one more
+    variable, last, named `name` followed by as many underscores as make
+    it new."""
+    ring = polys[0].ring
+    while name in ring.names:
+        name += "_"
+    big = PolynomialRing(ring.field, ring.names + (name,))
+    lift = list(range(ring.nvars))
+    return [transport(p, big, lift) for p in polys], big.variable(ring.nvars)
+
+
 def radical_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
     """Does f vanish on the variety of gens?  Uses the Rabinowitsch
     trick: 1 is in (gens, 1 - u*f) in one more variable."""
@@ -436,16 +448,8 @@ def radical_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return False
-    ring = f.ring
-    uname = "u"
-    while uname in ring.names:
-        uname += "_"
-    big = PolynomialRing(ring.field, ring.names + (uname,))
-    lift = list(range(ring.nvars))
-    moved = [transport(g, big, lift) for g in gens]
-    fu = transport(f, big, lift) * big.variable(big.nvars - 1)
-    basis = buchberger(moved + [big.one - fu], GREVLEX)
-    return normal_form(big.one, basis).is_zero()
+    (fu, *moved), u = _adjoin_variable("u", f, *gens)
+    return buchberger(moved + [1 - u * fu], GREVLEX).contains_one()
 
 
 class SubalgebraOracle:

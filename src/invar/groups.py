@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
+from math import comb
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -64,7 +65,11 @@ def close_group(
     """Enumerate the group generated by invertible matrices by breadth
     first search from the identity, multiplying by generators on the
     right in the order given.  Raises CapExceeded when more than `cap`
-    elements appear (infinite or oversized group)."""
+    elements appear (infinite or oversized group), and at once for a
+    generator over Q of infinite order shown by det(1 - t*g) = sum c_i t^i:
+    roots of unity for eigenvalues make each c_i an integer with
+    |c_i| <= binomial(n, i), so c_n = +-1.  GF(p) matrices have finite
+    order; number fields rely on the cap."""
     gens = []
     for g in generators:
         if not isinstance(g, Matrix):
@@ -81,6 +86,11 @@ def close_group(
             raise ValueError("generators must be square over one field")
         if g.rank() != n:
             raise SingularGenerator("generator matrix is singular")
+        if field.kind == "rationals":
+            c = [x.value for x in det_one_minus_t(g)]
+            if any(den != 1 or abs(num) > comb(n, i) for i, (num, den) in enumerate(c)):
+                raise CapExceeded("a generator has infinite order: det(1 - t*g) is not "
+                                  "integral with |c_i| <= binomial(n, i)")
     identity = Matrix.identity(field, n)
     elements = [identity]
     seen = {identity}
@@ -283,6 +293,20 @@ def cohen_macaulay_necessary_condition(group: FiniteMatrixGroup) -> bool:
     return generated_by_predicate(group, pred)
 
 
+def det_one_minus_t(sigma: Matrix) -> list:
+    """Coefficients c_0 .. c_n of det(1 - t*sigma), in characteristic 0,
+    from the traces p_i = tr(sigma^i) by Newton's identities."""
+    n, zero = sigma.nrows, sigma.field.zero
+    powers = [sigma]
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ sigma)
+    p = [None] + [sum((m.rows[j][j] for j in range(n)), zero) for m in powers]
+    c = [sigma.field.one]
+    for i in range(1, n + 1):
+        c.append(-sum((c[i - j] * p[j] for j in range(1, i + 1)), zero) / i)
+    return c
+
+
 def molien_series(group: FiniteMatrixGroup, truncation: int) -> tuple:
     """Hilbert series of the invariant ring: the coefficients of t^0 ..
     t^truncation of the group average of 1/det(1 - t*sigma).
@@ -296,16 +320,7 @@ def molien_series(group: FiniteMatrixGroup, truncation: int) -> tuple:
         raise PositiveCharacteristic("Molien series needs characteristic 0")
     n, zero, one = group.dimension, field.zero, field.one
     # elements with one characteristic polynomial share their series
-    dets = Counter()
-    for sigma in group.elements:
-        powers = [sigma]
-        for _ in range(n - 1):
-            powers.append(powers[-1] @ sigma)
-        p = [None] + [sum((m.rows[j][j] for j in range(n)), zero) for m in powers]
-        c = [one]
-        for i in range(1, n + 1):
-            c.append(-sum((c[i - j] * p[j] for j in range(1, i + 1)), zero) / i)
-        dets[tuple(c)] += 1
+    dets = Counter(tuple(det_one_minus_t(sigma)) for sigma in group.elements)
     total = [zero] * (truncation + 1)
     for c, count in dets.items():
         h = [one]

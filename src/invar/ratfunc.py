@@ -1,15 +1,16 @@
 """Rational function fields K(a_1, ..., a_m) over an exact base field.
 
 Elements are reduced fractions of multivariate polynomials: numerator
-and denominator coprime (by exact multivariate gcd, computed with a
-primitive pseudo-remainder sequence) and the denominator monic under
-grevlex.  The class satisfies the Field protocol, so polynomial rings
-and Groebner bases over a rational function field come for free.
+and denominator coprime and the denominator monic under grevlex.  The
+class satisfies the Field protocol, so polynomial rings and Groebner
+bases over a rational function field come for free.
 
-Exact division and the univariate Euclidean gcd have no division loop
-of their own: both run on the one sparse division kernel,
-`groebner._reduce_terms`.  Pseudo-division (`_prem`) stays separate,
-because it never inverts a coefficient.
+The gcd needs no algebra of its own: gcd(f, g) = f*g / lcm(f, g), and
+lcm(f, g) generates (f) ∩ (g), which is the t-free part of the ideal
+(t*f, (1 - t)*g) (Cox, Little & O'Shea, Ideals, Varieties, and
+Algorithms, ch. 4 §3).  `groebner.elimination_ideal` computes it, and
+the exact division runs on the one sparse division kernel,
+`groebner._reduce_terms`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from .errors import DivisionByZero
 from .fields import Field, Scalar
-from .groebner import _reduce_terms, _reducer
+from .groebner import _adjoin_variable, _reduce_terms, _reducer, elimination_ideal
 from .polynomials import GREVLEX, Polynomial, PolynomialRing
 
 
@@ -31,115 +32,23 @@ def _exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(f.ring, q)
 
 
-def _deg_in(f: Polynomial, k: int) -> int:
-    return max((m[k] for m in f.terms), default=-1)
-
-
-def _coeff_in(f: Polynomial, k: int, d: int) -> Polynomial:
-    """Coefficient of var_k^d, as a polynomial with var k removed."""
-    terms = {}
-    for m, c in f.terms.items():
-        if m[k] == d:
-            mm = list(m)
-            mm[k] = 0
-            terms[tuple(mm)] = c
-    return Polynomial(f.ring, terms)
-
-
 def _monic(f: Polynomial) -> Polynomial:
     if f.is_zero():
         return f
     return f.monic(GREVLEX)
 
 
-def _prem(a: Polynomial, b: Polynomial, k: int) -> Polynomial:
-    """Pseudo-remainder of a by b, both univariate in var k."""
-    db = _deg_in(b, k)
-    lb = _coeff_in(b, k, db)
-    r = a
-    ring = a.ring
-    while not r.is_zero():
-        dr = _deg_in(r, k)
-        if dr < db:
-            break
-        lr = _coeff_in(r, k, dr)
-        shift = [0] * ring.nvars
-        shift[k] = dr - db
-        xk = ring.monomial(tuple(shift))
-        r = lb * r - lr * xk * b
-    return r
-
-
 def multivariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic (grevlex) gcd over the coefficient field."""
+    """Monic (grevlex) gcd over the coefficient field, as f*g / lcm(f, g)."""
     if f.is_zero():
         return _monic(g)
     if g.is_zero():
         return _monic(f)
-    k = f.ring.nvars - 1
-    while k >= 0 and _deg_in(f, k) <= 0 and _deg_in(g, k) <= 0:
-        k -= 1
-    return _monic(_gcd_rec(f, g, k))
-
-
-def _gcd_rec(f: Polynomial, g: Polynomial, k: int) -> Polynomial:
-    """gcd of polynomials using only variables 0..k."""
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    if k < 0:
+    if f.is_constant() or g.is_constant():
         return f.ring.one
-    while k >= 0 and _deg_in(f, k) <= 0 and _deg_in(g, k) <= 0:
-        k -= 1
-    if k < 0:
-        return f.ring.one
-    if k == 0 and f.ring.nvars == 1 or _only_var(f, k) and _only_var(g, k):
-        return _univariate_gcd(f, g)
-    cf, pf = _content_pp(f, k)
-    cg, pg = _content_pp(g, k)
-    a, b = pf, pg
-    if _deg_in(a, k) < _deg_in(b, k):
-        a, b = b, a
-    while not b.is_zero():
-        r = _prem(a, b, k)
-        if r.is_zero():
-            a, b = b, r
-        else:
-            _, rp = _content_pp(r, k)
-            a, b = b, rp
-    cont = _gcd_rec(cf, cg, k - 1)
-    return cont * a
-
-
-def _only_var(f: Polynomial, k: int) -> bool:
-    return all(all(e == 0 for i, e in enumerate(m) if i != k) for m in f.terms)
-
-
-def _univariate_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Euclid on polynomials in one variable, up to a scalar: there the
-    full normal form of f by g is the Euclidean remainder."""
-    while not g.is_zero():
-        r = _reduce_terms(f.terms, [_reducer(g, GREVLEX)], GREVLEX)
-        f, g = g, Polynomial(f.ring, r)
-    return f
-
-
-def _content_pp(f: Polynomial, k: int):
-    """(content, primitive part) of f viewed as univariate in var k."""
-    by_degree = {}  # one pass over the terms builds each coefficient once
-    for m, c in f.terms.items():
-        by_degree.setdefault(m[k], {})[m[:k] + (0,) + m[k + 1:]] = c
-    coeffs = [Polynomial(f.ring, by_degree[d]) for d in sorted(by_degree)]
-    content = coeffs[0]
-    for c in coeffs[1:]:
-        if content.is_constant():
-            break
-        content = _gcd_rec(content, c, k - 1)
-    content = _monic(content)
-    if content.is_constant():
-        return f.ring.one, f
-    return content, _exact_div(f, content)
+    (ft, gt), t = _adjoin_variable("t", f, g)
+    (lcm,) = elimination_ideal([t * ft, (1 - t) * gt], [t.ring.names[-1]])
+    return _monic(_exact_div(f * g, lcm))
 
 
 class RationalFunctionField(Field):

@@ -7,6 +7,11 @@ through `groups.apply_element`, the only caller of
 `algebraic.action_graph_generators`, the only reader of an entry of the
 action matrix.  Every other action is derived from these two.
 
+Rational-function gcds have no algebra of their own:
+`ratfunc.multivariate_gcd` takes the lcm from
+`groebner.elimination_ideal`, and `ratfunc` keeps no pseudo-remainder
+sequence.
+
 Sparse division has one kernel, `groebner._reduce_terms`, working on
 raw field payloads and packed-int monomials: only `groebner` and
 `ratfunc` touch it or its `_reducer`s, inside `groebner` only the kernel
@@ -150,6 +155,13 @@ def test_field_command_runs_buchberger_over_the_base_field(monkeypatch, capsys):
         assert main(["field", fixture_path(name), "--json"]) == 0
     capsys.readouterr()
     assert fields and not [f for f in fields if isinstance(f, RationalFunctionField)]
+
+
+def test_gcd_runs_through_the_elimination_engine():
+    assert ("ratfunc", "multivariate_gcd") in _calls("elimination_ideal")
+    names = {node.name for node in _source("ratfunc").body if isinstance(node, ast.FunctionDef)}
+    assert not names & {"_prem", "_content_pp", "_gcd_rec", "_only_var", "_univariate_gcd",
+                        "_deg_in", "_coeff_in"}
 
 
 def test_dade_runs_no_second_hsop_test():

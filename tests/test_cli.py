@@ -192,6 +192,25 @@ def test_exit_codes(capsys, tmp_path):
     assert json.loads(err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("generator", [[["2"]], [["1/2"]], [["2", "1"], ["1", "1"]]],
+                         ids=["two", "half", "integral-unit-determinant"])
+def test_infinite_order_rational_generator_exits_4_promptly(tmp_path, generator):
+    # the closure would multiply ever-larger rationals up to the default cap;
+    # a subprocess with a timeout turns a hang into a failure
+    import subprocess
+    import sys
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "finite_matrix", "field": {"kind": "rationals"},
+                                "dimension": len(generator), "generators": [generator]}))
+    proc = subprocess.run([sys.executable, "-m", "invar.cli", "analyze", "classify", str(spec),
+                           "--json"], capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    error = json.loads(proc.stderr)
+    assert error["error"] == "CapExceeded"
+    assert "infinite order" in error["message"]
+
+
 _C2 = {"kind": "finite_matrix", "field": {"kind": "rationals"}, "dimension": 2,
        "generators": [[["0", "1"], ["1", "0"]]]}
 _PROBLEM = {"field": {"kind": "rationals"}, "variables": ["x"], "polynomials": ["x"]}
@@ -258,8 +277,10 @@ def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     ("separating", fixture_path("c2_swap"), "--verify-samples", "3", "--bound", "-1"),
     ("separating", fixture_path("c2_swap"), "--verify-samples", "-3"),
     ("analyze", "molien", fixture_path("d8"), "--degree", "-2"),
+    ("generators", fixture_path("d8"), "--cap", "-5"),
+    ("generators", fixture_path("d8"), "--cap", "0"),
 ], ids=["degrees-not-int", "degrees-empty", "negative-bound", "negative-samples",
-        "negative-degree"])
+        "negative-degree", "negative-cap", "zero-cap"])
 def test_malformed_argument_is_a_parse_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--json")
     assert (code, out) == (2, "")

@@ -10,8 +10,8 @@ return a wrong answer.
 The differential tests against sympy check every caller of the kernel
 on seeded random inputs: reduced Groebner bases (normal forms, s-pair
 reduction and inter-reduction) and elimination ideals over Q and GF(p),
-and gcds over Q, whose univariate Euclid and exact divisions run on the
-same kernel.  They are skipped when sympy is missing.
+and gcds over Q and GF(p), whose lcm eliminations and exact divisions
+run on the same kernel.  They are skipped when sympy is missing.
 """
 
 import json
@@ -248,18 +248,21 @@ def _sympy_options(field):
     return {"modulus": P} if field.characteristic() else {"domain": "QQ"}
 
 
-@pytest.mark.parametrize("names", [("x",), ("x", "y", "z")], ids=["univariate", "multivariate"])
+@pytest.mark.parametrize("field, names", [
+    (Rationals(), ("x",)), (Rationals(), ("x", "y", "z")),
+    (PrimeField(P), ("x",)), (PrimeField(P), ("x", "y", "z")),
+], ids=["univariate", "multivariate", "GF32003-univariate", "GF32003-multivariate"])
 @pytest.mark.parametrize("seed", range(6))
-def test_gcd_matches_sympy(sympy, names, seed):
+def test_gcd_matches_sympy(sympy, field, names, seed):
     rng = XorShift(seed)
-    ring = PolynomialRing(Rationals(), names)
+    ring = PolynomialRing(field, names)
     gens = sympy.symbols(" ".join(names), seq=True)
+    opts = _sympy_options(field)
     common = _random_poly(ring, rng, 3, 2)
     f = common * _random_poly(ring, rng, 3, 2)
     g = common * _random_poly(ring, rng, 3, 2)
-    ours = _to_sympy(sympy, multivariate_gcd(f, g), gens, domain="QQ")
-    theirs = sympy.gcd(_to_sympy(sympy, f, gens, domain="QQ"),
-                       _to_sympy(sympy, g, gens, domain="QQ"))
+    ours = _to_sympy(sympy, multivariate_gcd(f, g), gens, **opts)
+    theirs = sympy.gcd(_to_sympy(sympy, f, gens, **opts), _to_sympy(sympy, g, gens, **opts))
     assert ours == theirs.quo_ground(theirs.LC(order="grevlex"))
 
 

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -56,6 +57,15 @@ def test_closure_cap_and_singular():
         close_group([shear], cap=50)
     with pytest.raises(SingularGenerator):
         close_group([qmat([[1, 0], [0, 0]])])
+
+
+def test_finite_order_rational_generator_with_fractions_closes():
+    # the companion matrix of x^2 - x + 1 conjugated by [[1, 1/2], [0, 1]]:
+    # its characteristic polynomial is integral although its entries are not
+    sigma = qmat([[Fraction(-1, 2), Fraction(-7, 4)], [1, Fraction(3, 2)]])
+    group = close_group([sigma])
+    assert group.order == 6
+    assert element_order(sigma, 10) == 6
 
 
 def test_closure_is_group(d8):

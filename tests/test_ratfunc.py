@@ -1,7 +1,7 @@
 import pytest
 
 from invar.errors import DivisionByZero
-from invar.fields import Rationals
+from invar.fields import NumberField, Rationals
 from invar.polynomials import GREVLEX, PolynomialRing
 from invar.ratfunc import RationalFunctionField, _exact_div, multivariate_gcd
 
@@ -42,6 +42,14 @@ def test_gcd_with_content():
     f = (y + 1) * (x**2 - y)
     g = (y + 1) ** 2 * x
     assert multivariate_gcd(f, g) == y + 1
+
+
+def test_gcd_over_a_number_field():
+    sqrt2 = NumberField([-2, 0, 1], "w")
+    ring = PolynomialRing(sqrt2, ("x", "y"))
+    x, y = ring.variables()
+    w = ring.from_scalar(sqrt2.generator)
+    assert multivariate_gcd((x - w) * (x + y), (x - w) * y) == x - w
 
 
 def test_gcd_of_scaled_products():
