@@ -52,8 +52,8 @@ from .polynomials import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
     mono_support,
+    shift_scale,
     transport,
 )
 
@@ -64,11 +64,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder, reducers=No
     leading term is searched for nor inverted again."""
     (*_, lmf, finv), (*_, lmg, ginv) = reducers or (_reducer(f, order), _reducer(g, order))
     lcm = mono_lcm(lmf, lmg)
-    return _shift_scale(f, mono_div(lcm, lmf), finv) - _shift_scale(g, mono_div(lcm, lmg), ginv)
-
-
-def _shift_scale(p: Polynomial, shift, factor) -> Polynomial:
-    return Polynomial(p.ring, {mono_mul(m, shift): c * factor for m, c in p.terms.items()})
+    return shift_scale(f, mono_div(lcm, lmf), finv) - shift_scale(g, mono_div(lcm, lmg), ginv)
 
 
 _W = 16  # bits per packed field, the top one a guard bit; unpacked as "H"
@@ -362,8 +358,11 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
     for (lm, lc), g in leads:
         if any(mono_divides(r[3], lm) for r in reducers):
             continue
-        # the leading term survives, as no smaller leading monomial divides it
-        h = Polynomial(basis.ring, _reduce_terms((g * lc.inverse()).terms, reducers, order))
+        # the leading term survives, as no smaller leading monomial divides it;
+        # normal forms are linear, so only the surviving terms are scaled
+        inverse = lc.inverse()
+        h = Polynomial(basis.ring, {m: c * inverse for m, c in
+                                    _reduce_terms(g.terms, reducers, order).items()})
         monic.append(h)
         reducers.append(_reducer(h, order))
     return GroebnerBasis(basis.ring, order, tuple(monic), None, True, {"reducers": reducers})

@@ -21,9 +21,9 @@ from .errors import (
     PositiveCharacteristic,
     SingularGenerator,
 )
-from .fields import Field
+from .fields import Field, Scalar
 from .linalg import Matrix
-from .polynomials import Polynomial, PolynomialRing
+from .polynomials import Polynomial, PolynomialRing, mono_div, mono_mul
 
 DEFAULT_CLOSURE_CAP = 100000
 
@@ -35,7 +35,7 @@ class FiniteMatrixGroup:
     generators: tuple
     elements: tuple
     label: str = ""
-    # per ring, one table of powers of the variables' images per element
+    # per ring, `reynolds`' monomial images per element and orbit sums
     _cache: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -91,7 +91,14 @@ def close_group(
             if any(den != 1 or abs(num) > comb(n, i) for i, (num, den) in enumerate(c)):
                 raise CapExceeded("a generator has infinite order: det(1 - t*g) is not "
                                   "integral with |c_i| <= binomial(n, i)")
-    identity = Matrix.identity(field, n)
+    return FiniteMatrixGroup(field=field, dimension=n, generators=tuple(gens),
+                             elements=_closure(gens, cap), label=label)
+
+
+def _closure(gens: Sequence[Matrix], cap: int) -> tuple:
+    """The elements generated by square matrices of finite order, in
+    breadth-first order from the identity; CapExceeded past `cap`."""
+    identity = Matrix.identity(gens[0].field, gens[0].nrows)
     elements = [identity]
     seen = {identity}
     frontier = [identity]
@@ -109,20 +116,13 @@ def close_group(
                     elements.append(prod)
                     nxt.append(prod)
         frontier = nxt
-    return FiniteMatrixGroup(
-        field=field,
-        dimension=n,
-        generators=tuple(gens),
-        elements=tuple(elements),
-        label=label,
-    )
+    return tuple(elements)
 
 
-def apply_element(p: Polynomial, m: Matrix, powers: Optional[list] = None) -> Polynomial:
+def apply_element(p: Polynomial, m: Matrix) -> Polynomial:
     """The finite-group action on polynomials: x_i -> sum_j m[i][j] x_j
-    on the first m.nrows variables of p's ring, the rest left fixed.
-    Calls with one element on one ring may share a `powers` table."""
-    return p.apply_linear_map(m, powers)
+    on the first m.nrows variables of p's ring, the rest left fixed."""
+    return p.apply_linear_map(m)
 
 
 def point_image(m: Matrix, point) -> tuple:
@@ -145,17 +145,53 @@ def orbit(group: FiniteMatrixGroup, point) -> list:
 
 
 def reynolds(f: Polynomial, group: FiniteMatrixGroup) -> Polynomial:
-    """Group average; the projection of f onto the invariant ring."""
-    p = group.field.characteristic()
+    """Group average; the projection of f onto the invariant ring.
+
+    Kept per ring: for each element sigma, a table from a monomial a to
+    sigma(x^a) as raw terms (monomial -> payload), and the orbit sums
+    S(a) = sum_sigma sigma(x^a).  The average is sum_a c_a S(a) / |G|."""
+    field, ring = group.field, f.ring
+    p = field.characteristic()
     if p != 0 and group.order % p == 0:
-        raise ModularCase(
-            f"characteristic {p} divides the group order {group.order}"
-        )
-    tables = group._cache.setdefault(f.ring, [[] for _ in group.elements])
-    total = f.ring.zero
-    for sigma, powers in zip(group.elements, tables):
-        total = total + apply_element(f, sigma, powers)
-    return total / group.field.scalar(group.order)
+        raise ModularCase(f"characteristic {p} divides the group order {group.order}")
+    if ring not in group._cache:  # sigma(1) = 1, and sigma(x_j) keyed by x_j's monomial
+        zero = (0,) * ring.nvars
+        group._cache[ring] = [{zero: {zero: field.one.value}, **{
+            mono: {m: c.value for m, c in apply_element(x, sigma).terms.items()}
+            for x in ring.variables() for mono in x.terms}} for sigma in group.elements], {}
+    images, sums = group._cache[ring]
+    for a in f.terms.keys() - sums.keys():
+        sums[a] = _sum_terms(field, (mc for t in images for mc in _image(field, t, a).items()))
+    mul, inverse = field._mul, field.scalar(group.order).inverse().value
+    total = _sum_terms(field, ((m, mul(c.value, v)) for a, c in f.terms.items()
+                               for m, v in sums[a].items()))
+    return Polynomial(ring, {m: Scalar(field, mul(v, inverse)) for m, v in total.items()})
+
+
+def _image(field: Field, table: dict, a: tuple) -> dict:
+    """sigma(x^a) from one element's table, which it fills in: a missing
+    sigma(x^a) is sigma(x^(a - e_j)) * sigma(x_j) for the last j with
+    a_j > 0, one product with a linear form."""
+    steps = []
+    while a not in table:
+        j = max(i for i, e in enumerate(a) if e)
+        unit = (0,) * j + (1,) + (0,) * (len(a) - j - 1)
+        steps.append((a, table[unit]))
+        a = mono_div(a, unit)
+    image, mul = table[a], field._mul
+    for a, linear in reversed(steps):
+        image = table[a] = _sum_terms(field, ((mono_mul(m, u), mul(c, cu))
+                                              for m, c in image.items() for u, cu in linear.items()))
+    return image
+
+
+def _sum_terms(field: Field, terms) -> dict:
+    """Raw term dict of the sum of (monomial, payload) pairs, without zeros."""
+    add, is_zero = field._add, field._is_zero
+    total = {}
+    for m, c in terms:
+        total[m] = add(total[m], c) if m in total else c
+    return {m: c for m, c in total.items() if not is_zero(c)}
 
 
 def _is_subgroup(group: FiniteMatrixGroup, subgroup: Sequence) -> bool:
@@ -265,8 +301,7 @@ def generated_by_predicate(
     subset = [g for g in group.elements if predicate(g)]
     if not subset:
         return group.order == 1
-    closure = close_group(subset, cap=group.order + 1)
-    return closure.order == group.order
+    return len(_closure(subset, group.order)) == group.order
 
 
 def is_reflection_group(group: FiniteMatrixGroup) -> bool:

@@ -28,7 +28,7 @@ from .groebner import (
     ideal_dimension,
     ideal_membership,
 )
-from .groups import FiniteMatrixGroup, apply_element, orbit, point_image, reynolds
+from .groups import FiniteMatrixGroup, apply_element, point_image, reynolds
 from .linalg import nullspace
 from .polynomials import (
     GREVLEX,
@@ -398,7 +398,7 @@ def verify_separation_samples(
         for _ in range(20):
             v = random_point()
             w = random_point()
-            if w not in set(orbit(group, v)):
+            if not any(sigma.apply(v) == w for sigma in group.elements):
                 break
         else:
             continue

@@ -8,6 +8,7 @@ plug in their own symbol tables.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import DivisionByZero, InvarError, ParseError
@@ -46,11 +47,12 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens, symbols, make_int):
+    def __init__(self, tokens, symbols, make_int, mul):
         self.tokens = tokens
         self.pos = 0
         self.symbols = symbols
         self.make_int = make_int
+        self.mul = mul
 
     def peek(self):
         return self.tokens[self.pos]
@@ -98,7 +100,7 @@ class _Parser:
                 self.take()
                 rhs = self.power()
                 if val == "*":
-                    value = value * rhs
+                    value = self.mul(value, rhs)
                 else:
                     try:
                         value = value / rhs
@@ -136,11 +138,12 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}")
 
 
-def parse_expression(text: str, symbols, make_int):
+def parse_expression(text: str, symbols, make_int, mul=operator.mul):
+    """Value of the text; `mul` forms the products of the ``*`` operator."""
     if not isinstance(text, str):
         raise ParseError(f"expected an expression string, got {type(text).__name__} {text!r}")
     try:
-        return _Parser(_tokenize(text), symbols, make_int).parse()
+        return _Parser(_tokenize(text), symbols, make_int, mul).parse()
     except InvarError:
         raise
     except (ZeroDivisionError, OverflowError) as exc:

@@ -225,7 +225,7 @@ class PolynomialRing:
             gen = self.field.generator_name
             if gen not in symbols:
                 symbols[gen] = self.from_scalar(self.field.generator)
-        value = parse_expression(text, symbols, self.from_int)
+        value = parse_expression(text, symbols, self.from_int, _product)
         if isinstance(value, Polynomial):
             return value
         return self.from_scalar(value)
@@ -397,9 +397,9 @@ class Polynomial:
                                 lambda c: c.value, field._mul, field._add, powers=powers)
         return Scalar(field, value)
 
-    def substitute(self, images: Sequence["Polynomial"], powers: Optional[list] = None):
+    def substitute(self, images: Sequence["Polynomial"]):
         """Map variable i to images[i], lifting scalar images into the one
-        ring of the others; calls with one list of images may share `powers`."""
+        ring of the others."""
         if len(images) != self.ring.nvars:
             raise LengthMismatch("one image per variable required")
         target = next((im.ring for im in images if isinstance(im, Polynomial)), self.ring)
@@ -410,8 +410,7 @@ class Polynomial:
             if im.ring != target:
                 raise ContextMismatch("substitution images in different rings")
             imgs.append(im)
-        return self._power_sum(imgs, target.zero, target.one, target.from_scalar, mul, add,
-                               powers=powers)
+        return self._power_sum(imgs, target.zero, target.one, target.from_scalar, mul, add)
 
     def _power_sum(self, values, zero, one, lift, mul, add, *, powers=None):
         """Sum over the terms c*x^m of lift(c) * prod_i values[i]^m_i,
@@ -432,12 +431,11 @@ class Polynomial:
             total = add(total, acc)
         return total
 
-    def apply_linear_map(self, rows, powers: Optional[list] = None) -> "Polynomial":
+    def apply_linear_map(self, rows) -> "Polynomial":
         """Substitute x_i -> sum_j rows[i][j] x_j for the first len(rows)
         variables, leaving any remaining variables fixed.  `rows` is a
         Matrix over the ring's field, whose rank is computed once, or
-        plain rows of scalars.  The matrix must be invertible; `powers`
-        goes to `substitute`."""
+        plain rows of scalars.  The matrix must be invertible."""
         from .linalg import Matrix
 
         field = self.ring.field
@@ -463,7 +461,7 @@ class Polynomial:
                 images.append(Polynomial(self.ring, terms))
             else:
                 images.append(self.ring.variable(i))
-        return self.substitute(images, powers)
+        return self.substitute(images)
 
     # -- formatting ---------------------------------------------------------
 
@@ -507,6 +505,21 @@ class Polynomial:
 
     def __repr__(self):
         return f"Poly({self.format()})"
+
+
+def shift_scale(p: Polynomial, shift, factor) -> Polynomial:
+    """x^shift * factor * p, without a polynomial product."""
+    return Polynomial(p.ring, {mono_mul(m, shift): c * factor for m, c in p.terms.items()})
+
+
+def _product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b for the parser, as a `shift_scale` when a factor is one term."""
+    if len(b.terms) == 1:
+        a, b = b, a
+    if len(a.terms) != 1:
+        return a * b
+    (shift, factor), = a.terms.items()
+    return shift_scale(b, shift, factor)
 
 
 def monomials_of_degree(ring: PolynomialRing, d: int, order: MonomialOrder = GREVLEX):

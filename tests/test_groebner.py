@@ -22,7 +22,15 @@ from invar.groebner import (
     s_polynomial,
     subalgebra_membership,
 )
-from invar.polynomials import GREVLEX, LEX, BlockElimination, PolynomialRing, mono_divides, transport
+from invar.polynomials import (
+    GREVLEX,
+    LEX,
+    BlockElimination,
+    Polynomial,
+    PolynomialRing,
+    mono_divides,
+    transport,
+)
 from invar.prng import XorShift
 
 Q = Rationals()
@@ -489,3 +497,28 @@ def test_duplicate_variable_names_rejected():
 
     with pytest.raises(ContextMismatch):
         PolynomialRing(Q, ("x", "x"))
+
+
+def test_parsing_and_reducing_cyclic5_form_no_polynomial_products(monkeypatch):
+    ring = PolynomialRing(PrimeField(32003), tuple(f"x{i + 1}" for i in range(5)))
+    xs = ring.names
+    texts = [" + ".join("*".join(xs[(i + j) % 5] for j in range(k)) for i in range(5))
+             for k in range(1, 5)] + ["*".join(xs) + " - 1"]
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        method = getattr(Polynomial, name)
+
+        def counted(self, other, method=method, name=name):
+            products.append(name)
+            return method(self, other)
+
+        monkeypatch.setattr(Polynomial, name, counted)
+    polys = [ring.parse(text) for text in texts]
+    reduced = reduce_basis(buchberger(polys, GREVLEX))
+    assert products == []
+    monkeypatch.undo()
+    x = ring.variables()
+    assert polys[1] == sum((x[i] * x[(i + 1) % 5] for i in range(5)), ring.zero)
+    assert polys[4] == x[0] * x[1] * x[2] * x[3] * x[4] - 1
+    assert len(reduced.generators) == 20
+    assert all(g.leading(GREVLEX)[1] == ring.field.one for g in reduced.generators)

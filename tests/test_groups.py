@@ -12,7 +12,7 @@ from invar.errors import (
     PositiveCharacteristic,
     SingularGenerator,
 )
-from invar.fields import Rationals, Scalar
+from invar.fields import PrimeField, Rationals, Scalar
 from invar.groups import (
     apply_element,
     classify_element,
@@ -101,8 +101,8 @@ def test_reynolds_idempotent_and_invariant(d8, c2_swap):
                 assert image.apply_linear_map(g.rows) == image
 
 
-def test_reynolds_shared_power_tables_match_the_plain_average(d8):
-    # each element's power table outlives the call and is kept per ring
+def test_reynolds_shared_power_tables_match_the_plain_average(d8, s3, cn5):
+    # each element's monomial images outlive the call and are kept per ring
     small = d8.ring()
     big = PolynomialRing(d8.field, small.names + ("t",))
     rng = XorShift(5)
@@ -112,6 +112,24 @@ def test_reynolds_shared_power_tables_match_the_plain_average(d8):
             f = ring.monomial(exps, rng.randint(1, 5))
             plain = sum((apply_element(f, s) for s in d8.elements), ring.zero) / d8.order
             assert reynolds(f, d8) == plain
+    # multi-term input over Q(sqrt 2), Q(zeta_5), Q and GF(5), where 5 does not divide |S3|
+    gf5 = close_group([[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]],
+                      field=PrimeField(5))
+    for group in (d8, cn5, s3, gf5):
+        small = group.ring()
+        big = PolynomialRing(group.field, small.names + ("t",))
+        for ring in (small, big, small):
+            for _ in range(5):
+                f = ring.zero
+                for _ in range(rng.randint(1, 4)):
+                    exps = tuple(rng.randint(0, 3) for _ in range(ring.nvars))
+                    f = f + ring.monomial(exps, rng.randint(-5, 5))
+                plain = sum((apply_element(f, s) for s in group.elements), ring.zero)
+                plain = plain / group.order
+                image = reynolds(f, group)
+                assert image == plain
+                image.terms.clear()
+                assert reynolds(f, group) == plain
 
 
 def test_reynolds_modular_case(c2_swap_gf2):
