@@ -27,8 +27,13 @@ this is the normal strategy there.  The reducer is always the first
 basis element whose leading monomial divides, and queued pairs survive
 truncation: a run truncated at sugar d is a prefix of the full run, so
 it can be continued to higher degree without recomputation.  Pair
-pruning uses the classic Gebauer-Moeller criteria, which depend only
-on leading monomials and therefore commute with truncation.
+pruning uses the Gebauer-Moeller criteria (J. Symb. Comput. 6, 1988),
+which depend only on leading monomials and therefore commute with
+truncation.  They run on the packed leading exponents, the low fields of
+every packing: an lcm takes a few int operations and its degree is the
+int mod 2^16 - 1.  Of the new pairs, one pass in increasing lcm degree
+keeps the minimal lcms, and queues the last pair of each one that no
+coprime pair shares.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from .polynomials import (
     MonomialOrder,
     Polynomial,
     PolynomialRing,
-    mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -69,6 +73,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder, reducers=No
 
 _W = 16  # bits per packed field, the top one a guard bit; unpacked as "H"
 _BOUND = 1 << (_W - 1)
+_FOLD = (1 << _W) - 1  # 2^_W = 1 mod _FOLD: an int is its fields' sum mod _FOLD
 
 
 class _Packer:
@@ -208,7 +213,11 @@ class BuchbergerEngine:
         self.order = order
         self.basis = []
         self._reducers = []
-        self._sugars = []
+        # per element: its packed leading exponents (the low nvars fields
+        # of every packing), their degree, and its sugar's excess over it
+        self._leads = []
+        n = ring.nvars
+        self._mask, self._guard = (1 << _W * n) - 1, sum(_BOUND << _W * k for k in range(n))
         self._pairs = {}
         self._heap = []
         self.max_processed_degree = 0
@@ -238,46 +247,48 @@ class BuchbergerEngine:
         total degree if that is larger."""
         t = len(self.basis)
         reducer = _reducer(h, self.order)
-        lm_t = reducer[3]
-        support_t = mono_support(lm_t)
-        sugar = max(sugar, h.total_degree())
+        guard = self._guard
+        lead_t = reducer[0] & self._mask
+        deg_t = lead_t % _FOLD
         # a pair lifts the larger excess of sugar over leading degree
-        excess_t = sugar - mono_degree(lm_t)
-        lms = [r[3] for r in self._reducers]
-        supports = [mono_support(lm) for lm in lms]
-        # chain criterion on queued pairs
-        for (i, j), lcm_ij in list(self._pairs.items()):
-            if (
-                not support_t & ~(supports[i] | supports[j])
-                and mono_divides(lm_t, lcm_ij)
-                and mono_lcm(lms[i], lm_t) != lcm_ij
-                and mono_lcm(lms[j], lm_t) != lcm_ij
-            ):
+        excess_t = max(sugar, h.total_degree()) - deg_t
+        # lcm(lm_i, lm_t) fieldwise: d holds e_i - e_t + _BOUND, with the
+        # guard bit (in m) set where e_i >= e_t, and m - (m >> 15) masks
+        # those fields' e_i - e_t; coprime iff the degrees add up
+        degrees, last, coprime = [], {}, set()
+        for i, (lead, deg_i, _) in enumerate(self._leads):
+            d = (lead | guard) - lead_t
+            m = d & guard
+            lcm = lead_t + (d & (m - (m >> (_W - 1))))
+            deg = lcm % _FOLD
+            degrees.append(deg)
+            last[lcm] = i
+            if deg == deg_i + deg_t:
+                coprime.add(lcm)
+        # chain criterion: lm_t | lcm_ij, and then lcm(lm_i, lm_t), which
+        # divides lcm_ij, equals it iff their degrees are equal
+        for (i, j), (lcm, deg) in list(self._pairs.items()):
+            if ((lcm | guard) - lead_t) & guard == guard and degrees[i] != deg != degrees[j]:
                 del self._pairs[(i, j)]
-        lcms = [mono_lcm(lm, lm_t) for lm in lms]
-        lcm_supports = [s | support_t for s in supports]
-        kept = []
-        for i in range(t):
-            # unless its leading monomials are coprime, the pair (i, t)
-            # goes when a later lcm, or one already kept, divides its lcm
-            li, outside = lcms[i], ~lcm_supports[i]
-            if supports[i] & support_t and any(
-                not lcm_supports[j] & outside and mono_divides(lcms[j], li)
-                for j in chain(range(i + 1, t), kept)
-            ):
+        # (i, t) goes when another lcm properly divides its lcm, or a
+        # coprime or later pair has the same lcm: only the last pair of a
+        # minimal lcm shared by no coprime pair is queued
+        minimal = []
+        for lcm in sorted(last, key=lambda lcm: lcm % _FOLD):
+            if all(((lcm | guard) - m) & guard != guard for m in minimal):
+                minimal.append(lcm)
+        unpack = _packer(self.order, self.ring.nvars).unpack
+        for lcm in minimal:
+            if lcm in coprime:
                 continue
-            kept.append(i)
-        for i in kept:
-            if not supports[i] & support_t:
-                continue  # coprime leading monomials
-            li = lcms[i]
-            deg = mono_degree(li)
-            pair_sugar = max(self._sugars[i] - mono_degree(lms[i]), excess_t) + deg
-            self._pairs[(i, t)] = li
-            heapq.heappush(self._heap, (pair_sugar, deg, self.order.key(li), i, t))
+            i = last[lcm]
+            deg = degrees[i]
+            pair_sugar = max(self._leads[i][2], excess_t) + deg
+            self._pairs[(i, t)] = lcm, deg
+            heapq.heappush(self._heap, (pair_sugar, deg, self.order.key(unpack(lcm)), i, t))
         self.basis.append(h)
         self._reducers.append(reducer)
-        self._sugars.append(sugar)
+        self._leads.append((lead_t, deg_t, excess_t))
 
     def extend(self, degree_limit: Optional[int] = None):
         """Process queued s-pairs in sugar order; pairs whose sugar

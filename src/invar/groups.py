@@ -297,11 +297,17 @@ def element_order(m: Matrix, cap: int) -> int:
 def generated_by_predicate(
     group: FiniteMatrixGroup, predicate: Callable[[Matrix], bool]
 ) -> bool:
-    """Does the subset satisfying the predicate generate the whole group?"""
-    subset = [g for g in group.elements if predicate(g)]
-    if not subset:
-        return group.order == 1
-    return len(_closure(subset, group.order)) == group.order
+    """Does the subset satisfying the predicate generate the whole group?
+    An element joins the generators only if their closure misses it, so
+    each one at least doubles the closure: at most log2 |G| closures."""
+    gens, reached = [], {group.identity()}
+    for g in group.elements:
+        if len(reached) == group.order:
+            break
+        if g not in reached and predicate(g):
+            gens.append(g)
+            reached = set(_closure(gens, group.order))
+    return len(reached) == group.order
 
 
 def is_reflection_group(group: FiniteMatrixGroup) -> bool:

@@ -17,6 +17,9 @@ raw field payloads and packed-int monomials: only `groebner` and
 `ratfunc` touch it or its `_reducer`s, inside `groebner` only the kernel
 wraps payloads into `Scalar`s, the kernel calls no tuple monomial
 operation or sort key, and one function builds the packers.
+The Buchberger pair update runs on the same packings: the lcms, degrees
+and divisibility tests of `BuchbergerEngine.add_generator` are int
+operations on leading exponents, never tuple monomial operations.
 
 Rational arithmetic runs on integer pairs and number-field arithmetic
 on integer vectors, never on `Fraction`s, and `fields` keeps no
@@ -126,6 +129,14 @@ def test_kernel_computes_on_packed_monomials():
     assert not {f for f in called if f.rpartition(".")[2] in (
         "mono_mul", "mono_div", "mono_divides", "mono_support", "key")}
     assert _calls("_Packer") == {("groebner", "_packer")}
+
+
+def test_pair_update_computes_on_packed_exponents():
+    update = next(node for node in _class(_source("groebner"), "BuchbergerEngine").body
+                  if isinstance(node, ast.FunctionDef) and node.name == "add_generator")
+    called = {ast.unparse(node.func) for node in ast.walk(update) if isinstance(node, ast.Call)}
+    assert not {f for f in called if f.rpartition(".")[2] in (
+        "mono_lcm", "mono_divides", "mono_support", "mono_degree")}
 
 
 def _calls(name):

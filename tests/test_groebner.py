@@ -1,12 +1,15 @@
+import heapq
+import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from invar import groebner
-from invar.errors import TruncatedBasis, TruncationInsufficient
+from invar.cli import main
+from invar.errors import CapExceeded, TruncatedBasis, TruncationInsufficient
 from invar.fields import PrimeField, Rationals
 from invar.groebner import (
     BuchbergerEngine,
@@ -28,7 +31,10 @@ from invar.polynomials import (
     BlockElimination,
     Polynomial,
     PolynomialRing,
+    mono_degree,
     mono_divides,
+    mono_lcm,
+    mono_support,
     transport,
 )
 from invar.prng import XorShift
@@ -478,6 +484,100 @@ def test_homogeneous_input_keeps_the_normal_strategy_sequence(monkeypatch, gens,
     # sequences were recorded under the normal strategy (lowest lcm
     # degree first), before sugar selection
     assert _processed_pairs(monkeypatch, gens, order) == expected
+
+
+def _scanned_pair_update(state, lm_t, sugar, order):
+    """The pair update on tuple leading monomials by an O(t^2) scan, as
+    the engine made it before packed exponents: the oracle for the
+    engine's queue."""
+    lms, sugars, pairs, heap = state
+    t = len(lms)
+    support_t = mono_support(lm_t)
+    excess_t = sugar - mono_degree(lm_t)
+    supports = [mono_support(lm) for lm in lms]
+    for (i, j), lcm_ij in list(pairs.items()):
+        if (
+            not support_t & ~(supports[i] | supports[j])
+            and mono_divides(lm_t, lcm_ij)
+            and mono_lcm(lms[i], lm_t) != lcm_ij
+            and mono_lcm(lms[j], lm_t) != lcm_ij
+        ):
+            del pairs[(i, j)]
+    lcms = [mono_lcm(lm, lm_t) for lm in lms]
+    lcm_supports = [s | support_t for s in supports]
+    kept = []
+    for i in range(t):
+        li, outside = lcms[i], ~lcm_supports[i]
+        if supports[i] & support_t and any(
+            not lcm_supports[j] & outside and mono_divides(lcms[j], li)
+            for j in chain(range(i + 1, t), kept)
+        ):
+            continue
+        kept.append(i)
+    for i in kept:
+        if not supports[i] & support_t:
+            continue  # coprime leading monomials
+        li = lcms[i]
+        deg = mono_degree(li)
+        pair_sugar = max(sugars[i] - mono_degree(lms[i]), excess_t) + deg
+        pairs[(i, t)] = li
+        heapq.heappush(heap, (pair_sugar, deg, order.key(li), i, t))
+    lms.append(lm_t)
+    sugars.append(sugar)
+
+
+_TOP = 2**15 - 1  # the largest degree the packing takes
+
+
+def _below_the_bound(m):
+    total = sum(m)
+    return m if total <= _TOP else tuple(e * _TOP // total for e in m)
+
+
+# small exponents make coprime pairs and repeated lcms, large ones reach the bound
+_lead_sequences = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 3) | st.integers(0, _TOP)] * n).map(_below_the_bound),
+              st.integers(0, 2)),
+    min_size=1, max_size=24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(leads=_lead_sequences, order=st.sampled_from(_ORDERS))
+def test_pair_update_queues_what_the_quadratic_scan_queues(leads, order):
+    ring = PolynomialRing(Q, tuple(f"x{k}" for k in range(len(leads[0][0]))))
+    engine = BuchbergerEngine(ring, order)
+    state = [], [], {}, []
+    for lm, lift in leads:
+        sugar = sum(lm) + lift
+        engine.add_generator(ring.monomial(lm, 1), sugar)
+        _scanned_pair_update(state, lm, sugar, order)
+        assert set(engine._pairs) == set(state[2])
+        assert sorted(engine._heap) == sorted(state[3])
+
+
+def test_pairs_at_the_degree_bound(capsys, tmp_path):
+    # lcm degrees reach 2 * (2^15 - 1) = 65534, one below the fold modulus
+    engine = BuchbergerEngine(R, GREVLEX)
+    for lm in [(_TOP, 0), (0, _TOP)]:
+        engine.add_generator(R.monomial(lm, 1), _TOP)
+    assert engine._pairs == {}  # coprime at lcm degree 65534
+    engine.add_generator(R.monomial((1, _TOP - 1), 1), _TOP)
+    assert set(engine._pairs) == {(0, 2), (1, 2)}
+    assert sorted(entry[1] for entry in engine._heap) == [_TOP + 1, 2 * _TOP - 1]
+    with pytest.raises(CapExceeded):
+        engine.add_generator(R.monomial((_TOP + 1, 0), 1), _TOP + 1)
+    assert len(engine.basis) == 3
+    # an s-pair formed at degree 65534 would pass the bound and exit 4
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"field": {"kind": "rationals"}, "variables": ["x", "y"],
+                                   "polynomials": [f"x^{_TOP} - y", f"y^{_TOP} - x"]}))
+    assert main(["groebner", str(problem), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["basis"] == [f"y^{_TOP} - x",
+                                                                      f"x^{_TOP} - y"]
+    problem.write_text(json.dumps({"field": {"kind": "rationals"}, "variables": ["x", "y"],
+                                   "polynomials": [f"x^{_TOP + 1} - y"]}))
+    assert main(["groebner", str(problem), "--json"]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "CapExceeded"
 
 
 def test_full_basis_property_spot_check():

@@ -211,6 +211,18 @@ def test_generated_by_predicate(d8, minus_identity):
     assert generated_by_predicate(d8, lambda m: True)
 
 
+@pytest.mark.parametrize("name", ["d8", "s3_natural", "c2_swap", "c2_swap_gf2", "minus_identity",
+                                  "cn_scalar_5", "trivial_2"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 1000))
+def test_generated_by_predicate_closes_what_the_whole_subset_closes(name, seed):
+    group = load_spec_file(fixture_path(name)).group
+    rng = XorShift(seed)
+    subset = [g for g in group.elements if rng.randint(0, 2) == 0]
+    order = close_group(subset).order if subset else 1
+    assert generated_by_predicate(group, set(subset).__contains__) == (order == group.order)
+
+
 def test_cm_condition_char0(d8, c2_swap, s3, minus_identity):
     for group in (d8, c2_swap, s3, minus_identity):
         assert cohen_macaulay_necessary_condition(group)
