@@ -27,7 +27,6 @@ from .errors import (
 from .fields import Field, Scalar
 from .groebner import (
     GroebnerBasis,
-    SubalgebraOracle,
     buchberger,
     elimination_ideal,
     front_free_basis,
@@ -288,23 +287,6 @@ def invariant_field_generators(spec: AlgebraicGroupSpec) -> list:
                 out.append(normalized)
     out.sort(key=str)
     return out
-
-
-def scalar_in_polynomial_subfield(c, generators, L: RationalFunctionField) -> bool:
-    """Witness check that a rational function is a polynomial expression
-    in the given generators (all with trivial denominators).  Sufficient
-    for field membership; a False only means no polynomial witness."""
-    num, den = c.value
-    if not den.is_constant():
-        return False
-    gen_polys = []
-    for g in generators:
-        gn, gd = g.value
-        if not gd.is_constant():
-            return False
-        gen_polys.append(gn * gd.constant_coefficient().inverse())
-    oracle = SubalgebraOracle(gen_polys)
-    return oracle.contains(num * den.constant_coefficient().inverse())
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,17 @@ every packing: an lcm takes a few int operations and its degree is the
 int mod 2^16 - 1.  Of the new pairs, one pass in increasing lcm degree
 keeps the minimal lcms, and queues the last pair of each one that no
 coprime pair shares.
+
+An s-pair is formed from the two elements' `_reducer`s: both packed
+tails are shifted to the packed lcm and scaled by the inverted leading
+coefficients in one dict pass on raw payloads.  The leading terms cancel
+by construction and are never formed, and only sums are tested for
+zero.  `extend` still forms each pair through the module-level
+`s_polynomial`, which returns a `Polynomial` (one unpacking per
+surviving term), so that the pair count can be observed by replacing
+that one name; it hands the result's terms straight to `_reduce_terms`.
+Results built from kernel output skip `Polynomial.__init__`'s zero
+re-test, as the kernel never emits a zero coefficient.
 """
 
 from __future__ import annotations
@@ -53,11 +64,8 @@ from .polynomials import (
     MonomialOrder,
     Polynomial,
     PolynomialRing,
-    mono_div,
     mono_divides,
-    mono_lcm,
     mono_support,
-    shift_scale,
     transport,
 )
 
@@ -65,10 +73,37 @@ from .polynomials import (
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder, reducers=None) -> Polynomial:
     """Classic s-polynomial, with both lead terms scaled to 1.  A caller
     holding the `_reducer`s of f and g passes them, so that neither
-    leading term is searched for nor inverted again."""
-    (*_, lmf, finv), (*_, lmg, ginv) = reducers or (_reducer(f, order), _reducer(g, order))
-    lcm = mono_lcm(lmf, lmg)
-    return shift_scale(f, mono_div(lcm, lmf), finv) - shift_scale(g, mono_div(lcm, lmg), ginv)
+    leading term is searched for nor inverted again.  Both tails are
+    shifted to the packed lcm in one dict pass on raw payloads; the
+    leading terms cancel by construction and are never formed."""
+    if reducers is None:
+        if f.ring != g.ring:
+            raise ContextMismatch("s-polynomial of polynomials from different rings")
+        reducers = _reducer(f, order), _reducer(g, order)
+    (plmf, finv, ftail, lmf), (plmg, ginv, gtail, lmg) = reducers
+    field = f.ring.field
+    times, plus, is_zero = field._mul, field._add, field._is_zero
+    packer = _packer(order, f.ring.nvars)
+    # packed unchecked: a field of the lcm may pass _BOUND, but the shifts
+    # lcm/lm stay below it, so every shifted field stays below 2^_W
+    lcm = sum(map(mul, map(max, lmf, lmg), packer.unit))
+    shift = lcm - plmf
+    # a unit times a nonzero payload is nonzero: only sums are tested
+    work = {m + shift: times(c, finv) for m, c in ftail}
+    shift, ginv = lcm - plmg, field._neg(ginv)
+    for m, c in gtail:
+        m += shift
+        c = times(c, ginv)
+        cur = work.get(m)
+        if cur is None:
+            work[m] = c
+            continue
+        cur = plus(cur, c)
+        if is_zero(cur):
+            del work[m]
+        else:
+            work[m] = cur
+    return Polynomial._from_nonzero(f.ring, _unpacked(packer, field, work.items()))
 
 
 _W = 16  # bits per packed field, the top one a guard bit; unpacked as "H"
@@ -117,17 +152,23 @@ def _packer(order: MonomialOrder, n: int) -> _Packer:
 
 
 def _reducer(g: Polynomial, order: MonomialOrder):
-    """The (plm, inv, tail, lm, lc_inverse) reducer of a nonzero
-    polynomial: for `_reduce_terms`, the packed leading monomial, the
-    raw inverse of the leading coefficient and the other terms as
-    (packed monomial, raw payload) pairs; for the pair criteria and
-    `s_polynomial`, the leading monomial and the inverse as a `Scalar`."""
+    """The (plm, inv, tail, lm) reducer of a nonzero polynomial: the
+    packed leading monomial, the raw inverse of the leading coefficient,
+    the other terms as (packed monomial, raw payload) pairs, and the
+    leading monomial as a tuple."""
     packer = _packer(order, g.ring.nvars)
     packed = [(packer.pack(m), c) for m, c in g.terms.items()]
     plm, lc = max(packed)  # packed monomials are distinct ints
-    inverse = lc.inverse()
     tail = [(m, c.value) for m, c in packed if m != plm]
-    return plm, inverse.value, tail, packer.unpack(plm), inverse
+    return plm, lc.inverse().value, tail, packer.unpack(plm)
+
+
+def _unpacked(packer: _Packer, field, items) -> dict:
+    """(packed monomial, raw payload) pairs as a term dict: the one place
+    `groebner` wraps payloads into `Scalar`s.  Unpacking is exact while
+    no field carries, that is below 2^_W per field."""
+    unpack = packer.unpack
+    return {unpack(m): Scalar(field, c) for m, c in items}
 
 
 def _reduce_terms(
@@ -136,32 +177,32 @@ def _reduce_terms(
     """Full normal form of a term dict against `_reducer`s; the first
     divisible reducer wins.  With a single reducer, a `quotient` dict
     collects the quotient's terms.  Both come back with tuple monomials,
-    in descending order."""
+    in descending order, and nonzero coefficients."""
     if not terms:
         return {}
     field = next(iter(terms.values())).field
     mul, add, negate, is_zero = field._mul, field._add, field._neg, field._is_zero
     packer = _packer(order, len(next(iter(terms))))
-    guard, unpack = packer.guard, packer.unpack
+    guard = packer.guard
     # work maps each queued packed monomial to its raw coefficient, or
     # to None once it cancelled; the heap holds each queued one once
     work = {packer.pack(m): c.value for m, c in terms.items()}
     heap = [-m for m in work]
     heapq.heapify(heap)
-    result = []
+    result, steps = [], []
     while heap:
         t = -heapq.heappop(heap)
         c = work.pop(t)
         if c is None:
             continue
         tg = t | guard
-        for plm, inv, tail, _, _ in reducers:
+        for plm, inv, tail, _ in reducers:
             if (tg - plm) & guard != guard:
                 continue
             ratio = mul(c, inv)
             shift = t - plm
             if quotient is not None:
-                quotient[unpack(shift)] = Scalar(field, ratio)
+                steps.append((shift, ratio))
             ratio = negate(ratio)
             for m, mc in tail:
                 m2 = m + shift
@@ -182,7 +223,9 @@ def _reduce_terms(
             break
         else:
             result.append((t, c))
-    return {unpack(t): Scalar(field, c) for t, c in result}
+    if quotient is not None:
+        quotient.update(_unpacked(packer, field, steps))
+    return _unpacked(packer, field, result)
 
 
 @dataclass(frozen=True)
@@ -228,7 +271,7 @@ class BuchbergerEngine:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise ContextMismatch("polynomial from a different ring")
-        return Polynomial(f.ring, _reduce_terms(f.terms, self._reducers, self.order))
+        return Polynomial._from_nonzero(f.ring, _reduce_terms(f.terms, self._reducers, self.order))
 
     def seed(self, gens: Sequence[Polynomial]):
         """Insert initial generators in order, each in normal form with
@@ -304,11 +347,12 @@ class BuchbergerEngine:
             s = s_polynomial(
                 self.basis[i], self.basis[j], self.order, (self._reducers[i], self._reducers[j])
             )
-            h = self.normal_form(s)
+            # s lives in this ring: no `normal_form` ring check
+            h = _reduce_terms(s.terms, self._reducers, self.order)
             if sugar > self.max_processed_degree:
                 self.max_processed_degree = sugar
-            if not h.is_zero():
-                self.add_generator(h, sugar)
+            if h:
+                self.add_generator(Polynomial._from_nonzero(self.ring, h), sugar)
 
     def snapshot(self, truncation_degree: Optional[int] = None) -> GroebnerBasis:
         return GroebnerBasis(
@@ -345,7 +389,7 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
         raise TruncationInsufficient(f"basis truncated at {d} is not homogeneous")
     if d is not None and f.total_degree() > d:
         raise TruncationInsufficient(f"degree {f.total_degree()} exceeds truncation {d}")
-    return Polynomial(f.ring, _reduce_terms(f.terms, basis.reducers(), basis.order))
+    return Polynomial._from_nonzero(f.ring, _reduce_terms(f.terms, basis.reducers(), basis.order))
 
 
 def ideal_membership(f: Polynomial, basis: GroebnerBasis) -> bool:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from math import comb
+from functools import lru_cache
+from math import comb, gcd, lcm
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -66,10 +68,13 @@ def close_group(
     first search from the identity, multiplying by generators on the
     right in the order given.  Raises CapExceeded when more than `cap`
     elements appear (infinite or oversized group), and at once for a
-    generator over Q of infinite order shown by det(1 - t*g) = sum c_i t^i:
-    roots of unity for eigenvalues make each c_i an integer with
-    |c_i| <= binomial(n, i), so c_n = +-1.  GF(p) matrices have finite
-    order; number fields rely on the cap."""
+    generator over Q of infinite order, shown by one of two tests.  Roots
+    of unity for eigenvalues make each c_i of det(1 - t*g) = sum c_i t^i
+    an integer with |c_i| <= binomial(n, i).  And a finite-order g has
+    order dividing M = lcm{k : phi(k) <= n}, as each eigenvalue is a
+    primitive k-th root of unity of degree phi(k) <= n: g^M != 1 modulo
+    a prime proves infinite order.  GF(p) matrices have finite order;
+    number fields rely on the cap."""
     gens = []
     for g in generators:
         if not isinstance(g, Matrix):
@@ -91,8 +96,44 @@ def close_group(
             if any(den != 1 or abs(num) > comb(n, i) for i, (num, den) in enumerate(c)):
                 raise CapExceeded("a generator has infinite order: det(1 - t*g) is not "
                                   "integral with |c_i| <= binomial(n, i)")
+            if not _power_is_identity_mod(g, _order_bound(n)):
+                raise CapExceeded(f"a generator has infinite order: g^{_order_bound(n)} != 1 "
+                                  f"modulo {_PRIME}")
     return FiniteMatrixGroup(field=field, dimension=n, generators=tuple(gens),
                              elements=_closure(gens, cap), label=label)
+
+
+_PRIME = 2**31 - 1
+
+
+@lru_cache(maxsize=None)
+def _order_bound(n: int) -> int:
+    """lcm{k : phi(k) <= n}, a multiple of the order of every finite-order
+    rational n x n matrix; phi(k) >= sqrt(k / 2) bounds the search by 2n^2."""
+    return lcm(*(k for k in range(1, 2 * n * n + 1)
+                 if sum(gcd(i, k) == 1 for i in range(1, k + 1)) <= n))
+
+
+def _power_is_identity_mod(g: Matrix, e: int) -> bool:
+    """Is g^e = 1 modulo _PRIME, by repeated squaring on ints?  Necessary
+    for g^e = 1 over Q; a denominator divisible by _PRIME answers True."""
+    n = g.nrows
+    rows = [[x.value for x in row] for row in g.rows]
+    if any(den % _PRIME == 0 for row in rows for _, den in row):
+        return True
+    base = [[num * pow(den, -1, _PRIME) % _PRIME for num, den in row] for row in rows]
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    power = identity
+
+    def times(a, b):
+        return [[sum(map(mul, row, col)) % _PRIME for col in zip(*b)] for row in a]
+
+    while e:
+        if e & 1:
+            power = times(power, base)
+        base = times(base, base)
+        e >>= 1
+    return power == identity
 
 
 def _closure(gens: Sequence[Matrix], cap: int) -> tuple:

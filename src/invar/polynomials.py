@@ -238,6 +238,14 @@ class Polynomial:
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
 
+    @classmethod
+    def _from_nonzero(cls, ring: PolynomialRing, terms: dict) -> "Polynomial":
+        """A polynomial on terms known to be nonzero, as the division
+        kernel emits them: `__init__` without the zero re-test."""
+        p = object.__new__(cls)
+        p.ring, p.terms = ring, terms
+        return p
+
     # -- basic predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -370,20 +378,12 @@ class Polynomial:
         _, c = self.leading(order)
         return self * c.inverse()
 
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        return Polynomial(
-            self.ring, {m: c for m, c in self.terms.items() if mono_degree(m) == d}
-        )
-
     def homogeneous_components(self):
         """Nonzero components, ascending degree."""
         out = {}
         for m, c in self.terms.items():
             out.setdefault(mono_degree(m), {})[m] = c
         return [Polynomial(self.ring, out[d]) for d in sorted(out)]
-
-    def coefficient_of(self, exps) -> Scalar:
-        return self.terms.get(tuple(exps), self.ring.field.zero)
 
     def evaluate(self, point: Sequence, powers: Optional[list] = None) -> Scalar:
         """Value at the point; calls at one point may share a `powers` list."""
@@ -560,11 +560,3 @@ def transport(p: Polynomial, target: PolynomialRing, index_map) -> Polynomial:
             exps[j] = e
         terms[tuple(exps)] = c
     return Polynomial(target, terms)
-
-
-def transport_by_name(p: Polynomial, target: PolynomialRing) -> Polynomial:
-    """Transport matching variables by name."""
-    index_map = []
-    for n in p.ring.names:
-        index_map.append(target.names.index(n) if n in target.names else None)
-    return transport(p, target, index_map)

@@ -98,9 +98,6 @@ class RationalFunctionField(Field):
     def from_polynomial(self, p: Polynomial) -> Scalar:
         return self.from_fraction(p, self.ring.one)
 
-    def from_base(self, c) -> Scalar:
-        return self.from_polynomial(self.ring.from_scalar(c))
-
     def generator(self, i: int) -> Scalar:
         return self.from_polynomial(self.ring.variable(i))
 

@@ -12,7 +12,6 @@ from invar.algebraic import (
     derksen_ideal,
     hilbert_ideal_generators,
     invariant_field_generators,
-    scalar_in_polynomial_subfield,
     separating_subalgebra,
     separating_variety,
 )
@@ -27,10 +26,33 @@ from invar.groebner import (
     reduce_basis,
 )
 from invar.invariants import king_generators
-from invar.polynomials import GREVLEX, Polynomial, PolynomialRing, transport, transport_by_name
+from invar.polynomials import GREVLEX, Polynomial, PolynomialRing, transport
 from invar.ratfunc import RationalFunctionField
 
 Q = Rationals()
+
+
+def scalar_in_polynomial_subfield(c, generators, L: RationalFunctionField) -> bool:
+    """Witness check that a rational function is a polynomial expression
+    in the given generators (all with trivial denominators).  Sufficient
+    for field membership; a False only means no polynomial witness."""
+    num, den = c.value
+    if not den.is_constant():
+        return False
+    gen_polys = []
+    for g in generators:
+        gn, gd = g.value
+        if not gd.is_constant():
+            return False
+        gen_polys.append(gn * gd.constant_coefficient().inverse())
+    oracle = SubalgebraOracle(gen_polys)
+    return oracle.contains(num * den.constant_coefficient().inverse())
+
+
+def transport_by_name(p: Polynomial, target: PolynomialRing) -> Polynomial:
+    """Transport matching variables by name."""
+    index_map = [target.names.index(n) if n in target.names else None for n in p.ring.names]
+    return transport(p, target, index_map)
 
 
 def _ideal_intersection(gens1, gens2):
@@ -264,7 +286,8 @@ def _field_generators_over_L(spec):
         for c in g.terms.values():
             num, den = c.value
             if not (num.is_constant() and den.is_constant()):
-                out.add(c * L.from_base(num.leading(GREVLEX)[1]).inverse())
+                lc = L.from_polynomial(L.ring.from_scalar(num.leading(GREVLEX)[1]))
+                out.add(c * lc.inverse())
     return sorted(out, key=str)
 
 

@@ -14,9 +14,11 @@ sequence.
 
 Sparse division has one kernel, `groebner._reduce_terms`, working on
 raw field payloads and packed-int monomials: only `groebner` and
-`ratfunc` touch it or its `_reducer`s, inside `groebner` only the kernel
-wraps payloads into `Scalar`s, the kernel calls no tuple monomial
-operation or sort key, and one function builds the packers.
+`ratfunc` touch it or its `_reducer`s, inside `groebner` only the
+kernel's unpacking helper wraps payloads into `Scalar`s, the kernel
+calls no tuple monomial operation or sort key, and one function builds
+the packers.  `groebner.s_polynomial` shifts the reducers' packed tails
+itself: no tuple shift, no scaled copy, no polynomial subtraction.
 The Buchberger pair update runs on the same packings: the lcms, degrees
 and divisibility tests of `BuchbergerEngine.add_generator` are int
 operations on leading exponents, never tuple monomial operations.
@@ -119,7 +121,7 @@ def test_groebner_wraps_scalars_only_in_the_kernel():
                 and node.func.id == "Scalar")
 
     assert {function for module, function in _sites(is_scalar)
-            if module == "groebner"} == {"_reduce_terms"}
+            if module == "groebner"} == {"_unpacked"}
 
 
 def test_kernel_computes_on_packed_monomials():
@@ -137,6 +139,22 @@ def test_pair_update_computes_on_packed_exponents():
     called = {ast.unparse(node.func) for node in ast.walk(update) if isinstance(node, ast.Call)}
     assert not {f for f in called if f.rpartition(".")[2] in (
         "mono_lcm", "mono_divides", "mono_support", "mono_degree")}
+
+
+def test_s_polynomial_shifts_packed_tails():
+    spoly = next(node for node in _source("groebner").body
+                 if isinstance(node, ast.FunctionDef) and node.name == "s_polynomial")
+    called = {ast.unparse(node.func) for node in ast.walk(spoly) if isinstance(node, ast.Call)}
+    assert not {f for f in called if f.rpartition(".")[2] in (
+        "shift_scale", "mono_mul", "mono_div")}
+    # the tails meet in one dict of raw payloads: the only differences
+    # are the two packed shifts, and no polynomial is negated
+    nodes = list(ast.walk(spoly))
+    assert sorted(ast.unparse(node) for node in nodes
+                  if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Sub)
+                  ) == ["lcm - plmf", "lcm - plmg"]
+    assert not [node for node in nodes if isinstance(node, ast.UnaryOp)
+                and isinstance(node.op, ast.USub)]
 
 
 def _calls(name):

@@ -192,8 +192,10 @@ def test_exit_codes(capsys, tmp_path):
     assert json.loads(err)["error"] == "ParseError"
 
 
-@pytest.mark.parametrize("generator", [[["2"]], [["1/2"]], [["2", "1"], ["1", "1"]]],
-                         ids=["two", "half", "integral-unit-determinant"])
+@pytest.mark.parametrize("generator", [[["2"]], [["1/2"]], [["2", "1"], ["1", "1"]],
+                                       [["1", "1"], ["0", "1"]], [["1", "1"], ["1", "0"]]],
+                         ids=["two", "half", "integral-unit-determinant", "unipotent",
+                              "golden-ratio"])
 def test_infinite_order_rational_generator_exits_4_promptly(tmp_path, generator):
     # the closure would multiply ever-larger rationals up to the default cap;
     # a subprocess with a timeout turns a hang into a failure

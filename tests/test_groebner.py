@@ -5,12 +5,12 @@ from functools import lru_cache
 from itertools import chain, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from invar import groebner
 from invar.cli import main
 from invar.errors import CapExceeded, TruncatedBasis, TruncationInsufficient
-from invar.fields import PrimeField, Rationals
+from invar.fields import NumberField, PrimeField, Rationals
 from invar.groebner import (
     BuchbergerEngine,
     GroebnerBasis,
@@ -32,9 +32,11 @@ from invar.polynomials import (
     Polynomial,
     PolynomialRing,
     mono_degree,
+    mono_div,
     mono_divides,
     mono_lcm,
     mono_support,
+    shift_scale,
     transport,
 )
 from invar.prng import XorShift
@@ -578,6 +580,80 @@ def test_pairs_at_the_degree_bound(capsys, tmp_path):
                                    "polynomials": [f"x^{_TOP + 1} - y"]}))
     assert main(["groebner", str(problem), "--json"]) == 4
     assert json.loads(capsys.readouterr().err)["error"] == "CapExceeded"
+
+
+@pytest.mark.parametrize("names,polynomials,top", [
+    (["x", "y"], ["x*y - 1", f"x - y^{_TOP}"], "y^32768"),
+    (["x", "y", "z"], ["x*y - 1", "x - y^16384*z^16383"], "y^16385*z^16383"),
+], ids=["field-overflow", "degree-overflow"])
+def test_lex_s_pair_past_the_degree_bound(capsys, tmp_path, names, polynomials, top):
+    # the pair (x*y - 1, x - t) has the shifted tail y*t of degree 2^15:
+    # s_polynomial forms it exactly, and reducing it refuses the degree
+    ring = PolynomialRing(Q, names)
+    f, g = map(ring.parse, polynomials)
+    s = s_polynomial(f, g, LEX)
+    assert s == _classic_s_polynomial(f, g, LEX) == ring.parse(f"{top} - 1")
+    with pytest.raises(CapExceeded):
+        buchberger([f, g], LEX)
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"field": {"kind": "rationals"}, "variables": names,
+                                   "order": "lex", "polynomials": polynomials}))
+    assert main(["groebner", str(problem), "--json"]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "CapExceeded"
+
+
+def _classic_s_polynomial(f, g, order):
+    """The oracle: both polynomials shifted and scaled as tuples, then subtracted."""
+    (lmf, lcf), (lmg, lcg) = f.leading(order), g.leading(order)
+    lcm = mono_lcm(lmf, lmg)
+    return (shift_scale(f, mono_div(lcm, lmf), lcf.inverse())
+            - shift_scale(g, mono_div(lcm, lmg), lcg.inverse()))
+
+
+_SQRT2 = NumberField([-2, 0, 1], "w")
+_S_FIELDS = [Q, PrimeField(32003), _SQRT2]
+_S_ORDERS = [GREVLEX, LEX, BlockElimination(1), BlockElimination(1, 1)]
+
+
+@st.composite
+def _s_pairs(draw):
+    """(f, g, order) over three variables; inhomogeneous terms, and often
+    a g that is a scaled shift of f, whose tail cancels f's completely."""
+    field, order = draw(st.sampled_from(_S_FIELDS)), draw(st.sampled_from(_S_ORDERS))
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    ints = st.integers(-5, 5)
+    scalars = (st.tuples(ints, ints).map(lambda ab: ab[0] + ab[1] * field.generator)
+               if field is _SQRT2 else ints.map(field.scalar))
+    monomials = st.tuples(*[st.integers(0, 4)] * 3)
+
+    def polynomial(min_size):
+        terms = draw(st.dictionaries(monomials, scalars, min_size=min_size, max_size=6))
+        return Polynomial(ring, terms)
+
+    f = polynomial(1)
+    while f.is_zero():
+        f = f + ring.one
+    if draw(st.booleans()):
+        g = shift_scale(f, draw(monomials), draw(scalars.filter(lambda c: not c.is_zero())))
+        g = g + polynomial(0) if draw(st.booleans()) else g
+    else:
+        g = polynomial(1)
+    return f, g if not g.is_zero() else f, order
+
+
+_F = X**2 * Y - 3 * Y + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_s_pairs())
+@example(pair=(_F, shift_scale(_F, (1, 2), Q.scalar(-4)), LEX))  # the tails cancel
+def test_s_polynomial_matches_the_classic_formula(pair):
+    f, g, order = pair
+    expected = _classic_s_polynomial(f, g, order)
+    reducers = (groebner._reducer(f, order), groebner._reducer(g, order))
+    for s in (s_polynomial(f, g, order), s_polynomial(f, g, order, reducers)):
+        assert s == expected
+        assert s.ring == f.ring and not [c for c in s.terms.values() if c.is_zero()]
 
 
 def test_full_basis_property_spot_check():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,11 +43,12 @@ def qmat(rows):
     return Matrix.from_rows(Q, rows)
 
 
-def test_closure_orders(d8, trivial2, minus_identity, s3):
+def test_closure_orders(d8, trivial2, minus_identity, s3, c2_swap):
     assert d8.order == 16
     assert trivial2.order == 1
     assert minus_identity.order == 2
     assert s3.order == 6
+    assert c2_swap.order == 2
     for g in d8.generators:
         assert d8.contains(g)
 
@@ -57,6 +59,41 @@ def test_closure_cap_and_singular():
         close_group([shear], cap=50)
     with pytest.raises(SingularGenerator):
         close_group([qmat([[1, 0], [0, 0]])])
+
+
+@pytest.mark.parametrize("rows", [[[1, 1], [0, 1]], [[1, 1], [1, 0]]],
+                         ids=["unipotent", "golden-ratio"])
+def test_infinite_order_generators_passing_the_det_test_fail_fast(rows):
+    # det(1 - t*g) is (1 - t)^2 and 1 - t - t^2: integral and within the
+    # binomial bound, so only g^12 != 1 rules out finite order
+    start = perf_counter()
+    with pytest.raises(CapExceeded, match="infinite order"):
+        close_group([qmat(rows)])
+    assert perf_counter() - start < 1
+
+
+def _permutation(images):
+    return [[int(images[i] == j) for j in range(len(images))] for i in range(len(images))]
+
+
+_ROTATION_6 = [[1, -1], [1, 0]]  # x^2 - x + 1: order 6
+_ROTATION_3 = [[0, -1], [1, -1]]  # x^2 + x + 1: order 3
+_ZERO_2 = [[0, 0], [0, 0]]
+
+
+def _blocks(a, b):
+    return [ra + rz for ra, rz in zip(a, _ZERO_2)] + [rz + rb for rz, rb in zip(_ZERO_2, b)]
+
+
+@pytest.mark.parametrize("generators,order", [
+    ([_permutation([1, 2, 3, 0]), _permutation([1, 0, 2, 3])], 24),  # S4
+    ([_ROTATION_6, [[0, 1], [1, 0]]], 12),  # D12
+    ([_blocks(_ROTATION_3, [[1, 0], [0, 1]]), _blocks([[1, 0], [0, 1]], _ROTATION_3)], 9),
+    ([[[0, 1, 0], [1, 0, 0], [0, 0, -1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+      [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]], 48),  # signed permutations of three
+], ids=["s4", "d12", "c3xc3", "signed-permutations-3"])
+def test_rational_groups_pass_the_order_tests_and_close(generators, order):
+    assert close_group([qmat(g) for g in generators]).order == order
 
 
 def test_finite_order_rational_generator_with_fractions_closes():
@@ -277,7 +314,7 @@ def _reference_molien(group, truncation):
     for sigma in group.elements:
         d = det([[tring.from_int(int(i == j)) - t * sigma.rows[i][j] for j in range(n)]
                  for i in range(n)])
-        a = [d.coefficient_of((k,)) for k in range(d.total_degree() + 1)]
+        a = [d.terms.get((k,), field.zero) for k in range(d.total_degree() + 1)]
         out = [a[0].inverse()]
         for k in range(1, truncation + 1):
             acc = sum((a[i] * out[k - i] for i in range(1, min(k, len(a) - 1) + 1)), field.zero)

@@ -20,6 +20,7 @@ from invar.polynomials import (
     GREVLEX,
     LEX,
     BlockElimination,
+    Polynomial,
     PolynomialRing,
     monomials_of_degree,
 )
@@ -104,16 +105,21 @@ def test_apply_linear_map_is_ring_hom():
         assert (p * q).apply_linear_map(a) == p.apply_linear_map(a) * q.apply_linear_map(a)
 
 
+def _homogeneous_component(p, d):
+    return Polynomial(p.ring, {m: c for m, c in p.terms.items() if sum(m) == d})
+
+
 def test_homogeneous_component():
     p = X**2 + X + 1
-    assert p.homogeneous_component(1) == X
-    assert p.homogeneous_component(3) == R.zero
+    assert _homogeneous_component(p, 1) == X
+    assert _homogeneous_component(p, 3) == R.zero
     h = X**2 + X * Y
-    assert h.homogeneous_component(2) == h
+    assert _homogeneous_component(h, 2) == h
     total = R.zero
     for d in range(p.total_degree() + 1):
-        total = total + p.homogeneous_component(d)
+        total = total + _homogeneous_component(p, d)
     assert total == p
+    assert p.homogeneous_components() == [_homogeneous_component(p, d) for d in range(3)]
 
 
 def test_evaluate():

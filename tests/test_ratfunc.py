@@ -110,8 +110,9 @@ def test_polynomial_ring_over_rational_functions():
     y = ring.variable(0)
     p = y * A - B
     q = y * A + B
-    assert (p * q).coefficient_of((0,)) == -(B * B)
-    assert (p * q).coefficient_of((2,)) == A * A
+    assert (p * q).terms[(0,)] == -(B * B)
+    assert (p * q).terms[(2,)] == A * A
+    assert (1,) not in (p * q).terms
 
 
 def test_groebner_over_rational_functions():
