@@ -8,10 +8,14 @@ denominator) in lowest terms, residues in [0, p), and extension
 elements reduced modulo m and stored as integer coefficient vectors
 over one positive denominator that shares no factor with all of them.
 
-Scalar text grammar (used by all input files): signed decimal integers,
-fractions ``a/b``, and extension-generator expressions built from
-``+ - * ^`` and parentheses, e.g. ``(3*w^2 - 1)/2``.  Whitespace is
-insignificant.
+Scalar text (used by all input files) is polynomial text without
+variables: signed decimal integers, fractions ``a/b``, and
+extension-generator expressions built from ``+ - * / ^`` and
+parentheses, e.g. ``(3*w^2 - 1)/2``, with whitespace insignificant.
+`Field.parse` takes it through `PolynomialRing.parse`, and an extension
+element prints as `Polynomial.format` prints it as a polynomial in the
+generator over Q, so scalars and polynomials share one parser and one
+printer.
 """
 
 from __future__ import annotations
@@ -182,9 +186,9 @@ class Field:
         raise NotImplementedError
 
     def parse(self, text: str) -> "Scalar":
-        from .parsing import parse_scalar
+        from .polynomials import PolynomialRing
 
-        return parse_scalar(text, self)
+        return PolynomialRing(self, ()).parse(text).constant_coefficient()
 
     # payload protocol, implemented per field kind
     def _from_rational(self, q):
@@ -484,36 +488,12 @@ class NumberField(Field):
         return not any(a[0])
 
     def _format(self, a):
+        from .polynomials import Polynomial, PolynomialRing
+
         nums, den = a
-        parts = []
-        for i in range(self.degree - 1, -1, -1):
-            c = Fraction(nums[i], den)
-            if c == 0:
-                continue
-            if i == 0:
-                mono = None
-            elif i == 1:
-                mono = self.generator_name
-            else:
-                mono = f"{self.generator_name}^{i}"
-            if mono is None:
-                piece = str(c)
-            elif c == 1:
-                piece = mono
-            elif c == -1:
-                piece = f"-{mono}"
-            else:
-                piece = f"{c}*{mono}"
-            parts.append(piece)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for piece in parts[1:]:
-            if piece.startswith("-"):
-                out += f" - {piece[1:]}"
-            else:
-                out += f" + {piece}"
-        return out
+        ring = PolynomialRing(Rationals(), (self.generator_name,))
+        terms = {(i,): Scalar(ring.field, _lowest(n, den)) for i, n in enumerate(nums)}
+        return Polynomial(ring, terms).format()
 
     def __eq__(self, other):
         return other is self or (

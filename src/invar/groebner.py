@@ -234,7 +234,6 @@ class GroebnerBasis:
     order: MonomialOrder
     generators: tuple
     truncation_degree: Optional[int] = None
-    reduced: bool = False
     _cache: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     def reducers(self):
@@ -263,7 +262,6 @@ class BuchbergerEngine:
         self._mask, self._guard = (1 << _W * n) - 1, sum(_BOUND << _W * k for k in range(n))
         self._pairs = {}
         self._heap = []
-        self.max_processed_degree = 0
 
     def leading_monomials(self):
         return [r[3] for r in self._reducers]
@@ -349,8 +347,6 @@ class BuchbergerEngine:
             )
             # s lives in this ring: no `normal_form` ring check
             h = _reduce_terms(s.terms, self._reducers, self.order)
-            if sugar > self.max_processed_degree:
-                self.max_processed_degree = sugar
             if h:
                 self.add_generator(Polynomial._from_nonzero(self.ring, h), sugar)
 
@@ -420,7 +416,7 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
                                     _reduce_terms(g.terms, reducers, order).items()})
         monic.append(h)
         reducers.append(_reducer(h, order))
-    return GroebnerBasis(basis.ring, order, tuple(monic), None, True, {"reducers": reducers})
+    return GroebnerBasis(basis.ring, order, tuple(monic), _cache={"reducers": reducers})
 
 
 def front_free_basis(gens: Sequence[Polynomial], order: BlockElimination) -> tuple:

@@ -478,12 +478,11 @@ def is_hsop(polys: Sequence[Polynomial], n: int) -> bool:
     return is_phsop(polys)
 
 
-def dade_primary_invariants(
-    group: FiniteMatrixGroup,
-    seed: int = 0,
-    retries_per_slot: int = 50,
-    coefficient_bound: int = 10,
-) -> list:
+DADE_RETRIES_PER_SLOT = 50  # random linear forms tried per slot
+DADE_COEFFICIENT_BOUND = 10  # their coefficients lie in [-bound, bound]
+
+
+def dade_primary_invariants(group: FiniteMatrixGroup, seed: int = 0) -> list:
     """Primary invariants as orbit products of seeded random linear
     forms; each addition is retried with fresh forms until the partial
     system of parameters test passes.  Slot n's test runs on all n
@@ -496,8 +495,9 @@ def dade_primary_invariants(
     n = group.dimension
     chosen = []
     for slot in range(n):
-        for _ in range(retries_per_slot):
-            coeffs = [rng.randint(-coefficient_bound, coefficient_bound) for _ in range(n)]
+        for _ in range(DADE_RETRIES_PER_SLOT):
+            coeffs = [rng.randint(-DADE_COEFFICIENT_BOUND, DADE_COEFFICIENT_BOUND)
+                      for _ in range(n)]
             if all(c == 0 for c in coeffs):
                 continue
             form = ring.zero

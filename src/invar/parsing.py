@@ -1,9 +1,15 @@
 """Shared expression parser for scalar and polynomial text.
 
-One grammar serves both: identifiers, integer literals, ``+ - * / ^``
-and parentheses, no implicit multiplication, whitespace insignificant.
-The parser is generic over the value domain; scalars and polynomials
-plug in their own symbol tables.
+One grammar serves all text input: identifiers, integer literals,
+``+ - * / ^`` and parentheses, no implicit multiplication, whitespace
+insignificant.  The parser is generic over the value domain and has two
+callers: `PolynomialRing.parse`, which also parses matrix entries and
+scalars (`Field.parse` takes the constant coefficient over a ring with
+no variables), and `parse_univariate_rational` for minimal polynomials.
+
+Exponents of 2^15 or more raise `CapExceeded` before any power is
+formed: no packed monomial of `groebner` can hold them.  Text nested too
+deeply for the recursive descent raises `ParseError`.
 """
 
 from __future__ import annotations
@@ -11,7 +17,8 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .errors import DivisionByZero, InvarError, ParseError
+from .errors import CapExceeded, DivisionByZero, InvarError, ParseError
+from .groebner import _BOUND
 
 
 def _tokenize(text: str):
@@ -117,6 +124,8 @@ class _Parser:
             kind, val = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
+            if val >= _BOUND:
+                raise CapExceeded(f"exponent {val} reaches the bound {_BOUND}")
             return base ** val
         return base
 
@@ -148,17 +157,8 @@ def parse_expression(text: str, symbols, make_int, mul=operator.mul):
         raise
     except (ZeroDivisionError, OverflowError) as exc:
         raise ParseError(str(exc)) from exc
-
-
-def parse_scalar(text: str, field):
-    """Parse scalar text over the given field; round-trips with str()."""
-    from .fields import NumberField
-
-    symbols = {}
-    if isinstance(field, NumberField):
-        symbols[field.generator_name] = field.generator
-    value = parse_expression(text, symbols, field.scalar)
-    return value
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
 
 
 class _UniPoly:

@@ -39,9 +39,6 @@ from .fields import Field, NumberField, Scalar
 def mono_mul(a, b):
     return tuple(map(add, a, b))
 
-def mono_lcm(a, b):
-    return tuple(map(max, a, b))
-
 def mono_divides(a, b):
     """Does x^a divide x^b?"""
     return all(map(le, a, b))

@@ -104,9 +104,6 @@ class RationalFunctionField(Field):
     def generators(self):
         return [self.generator(i) for i in range(self.ring.nvars)]
 
-    def numerator(self, s: Scalar) -> Polynomial:
-        return s.value[0]
-
     def denominator(self, s: Scalar) -> Polynomial:
         return s.value[1]
 

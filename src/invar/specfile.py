@@ -28,7 +28,6 @@ class LoadedSpec:
     label: str
     group: Union[FiniteMatrixGroup, AlgebraicGroupSpec]
     digest: str
-    path: str
 
 
 def parse_group_config(cfg: dict, cap: int = DEFAULT_CLOSURE_CAP):
@@ -118,7 +117,7 @@ def _read_spec(path: str, build):
 def load_spec_file(path: str, cap: int = DEFAULT_CLOSURE_CAP) -> LoadedSpec:
     group, digest = _read_spec(path, lambda cfg: parse_group_config(cfg, cap=cap))
     kind = "finite_matrix" if isinstance(group, FiniteMatrixGroup) else "algebraic"
-    return LoadedSpec(kind=kind, label=group.label, group=group, digest=digest, path=path)
+    return LoadedSpec(kind=kind, label=group.label, group=group, digest=digest)
 
 
 def fixture_path(name: str) -> str:

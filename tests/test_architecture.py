@@ -26,7 +26,14 @@ operations on leading exponents, never tuple monomial operations.
 Rational arithmetic runs on integer pairs and number-field arithmetic
 on integer vectors, never on `Fraction`s, and `fields` keeps no
 univariate polynomial helpers: minimal polynomials are parsed by
-`parsing._UniPoly` alone.  The one power loop behind
+`parsing._UniPoly` alone.
+
+Text has one parser entry and one printer.  `parsing.parse_expression`
+is called only by `PolynomialRing.parse`, which also parses scalars
+and matrix entries (`Field.parse` reads a constant polynomial), and by
+`parsing.parse_univariate_rational` for minimal polynomials; a
+number-field element prints through `Polynomial.format`, with no term
+loop of its own.  The one power loop behind
 `Polynomial.evaluate` and `substitute` does arithmetic only through the
 callables it is given.
 
@@ -267,6 +274,17 @@ def test_rational_arithmetic_avoids_fractions():
 def test_fields_defines_no_univariate_helpers():
     names = {node.name for node in _source("fields").body if isinstance(node, ast.FunctionDef)}
     assert not names & {"_trim", "_uadd", "_umul"}
+
+
+def test_text_has_one_parser_entry_and_one_printer():
+    assert _calls("parse_expression") == {("polynomials", "parse"),
+                                          ("parsing", "parse_univariate_rational")}
+    printer = next(node for node in _class(_source("fields"), "NumberField").body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_format")
+    nodes = list(ast.walk(printer))
+    assert "format" in {node.func.attr for node in nodes
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert not [node for node in nodes if isinstance(node, (ast.For, ast.While))]
 
 
 def test_molien_series_builds_no_polynomial_ring():

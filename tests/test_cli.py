@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,9 @@ _GM = json.loads(Path(fixture_path("gm_weights")).read_text())
                "action_matrix": [["t", "0"], ["0", "t"]]}),
     ("field", {**_GM, "group_vars": ["x1", "y1"], "ideal_gens": ["x1*y1 - 1"],
                "action_matrix": [["x1", "0"], ["0", "y1"]]}),
+    # text nested past the parser's recursion depth
+    ("groebner", {**_PROBLEM, "polynomials": ["(" * 400 + "x" + ")" * 400]}),
+    ("generators", {**_C2, "generators": [[["-" * 2000 + "1", "0"], ["0", "1"]]]}),
 ], ids=["top-level-list", "prime-not-int", "no-dimension", "no-polynomials",
         "groebner-list", "field-not-object", "entry-a-number", "polynomial-a-number",
         "eliminate-truncate", "eliminate-gradedlex", "minimal-poly-a-list",
@@ -264,13 +268,25 @@ _GM = json.loads(Path(fixture_path("gm_weights")).read_text())
         "eliminate-a-string", "group-vars-a-string", "ideal-gens-a-string",
         "dimension-a-float", "dimension-a-bool", "dimension-a-string",
         "algebraic-dimension-a-float", "linear-reductive-a-string",
-        "linear-reductive-a-number", "group-vars-repeated", "group-vars-name-coordinates"])
+        "linear-reductive-a-number", "group-vars-repeated", "group-vars-name-coordinates",
+        "nested-parentheses", "leading-minus-signs"])
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(document))
     code, out, err = run_cli(capsys, command, str(spec), "--json")
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ParseError"
+
+
+def test_exponent_past_the_packing_bound_exits_4_before_expanding(capsys, tmp_path):
+    # expanding (x + 1)^40000 would take hours before Groebner refused its degree
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({**_PROBLEM, "polynomials": ["(x + 1)^40000"]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "groebner", str(problem), "--json")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "CapExceeded"
 
 
 @pytest.mark.parametrize("argv", [

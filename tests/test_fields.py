@@ -227,10 +227,9 @@ def _ref_divmod(a, b):
 class _FractionTupleField:
     """Q[w]/(m) with elements as tuples of Fractions, low degree first."""
 
-    def __init__(self, minimal_poly, name):
+    def __init__(self, minimal_poly):
         self.m = tuple(Fraction(c) for c in minimal_poly)
         self.d = len(self.m) - 1
-        self.name = name
 
     def pad(self, c):
         return tuple(c) + (Fraction(0),) * (self.d - len(c))
@@ -256,23 +255,40 @@ class _FractionTupleField:
             return None
         return self.pad(_ref_divmod(tuple(x / r0[0] for x in u0), self.m)[1])
 
-    def format(self, a):
-        parts = []
-        for i in range(self.d - 1, -1, -1):
-            c = a[i]
-            if c == 0:
-                continue
-            mono = None if i == 0 else self.name if i == 1 else f"{self.name}^{i}"
-            if mono is None:
-                parts.append(str(c))
-            elif c in (1, -1):
-                parts.append(mono if c == 1 else f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        out = parts[0] if parts else "0"
-        for piece in parts[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+
+def _old_format(field, payload):
+    """`NumberField._format` before it printed through `Polynomial.format`,
+    kept here as the reference for the printed text."""
+    nums, den = payload
+    parts = []
+    for i in range(field.degree - 1, -1, -1):
+        c = Fraction(nums[i], den)
+        if c == 0:
+            continue
+        if i == 0:
+            mono = None
+        elif i == 1:
+            mono = field.generator_name
+        else:
+            mono = f"{field.generator_name}^{i}"
+        if mono is None:
+            piece = str(c)
+        elif c == 1:
+            piece = mono
+        elif c == -1:
+            piece = f"-{mono}"
+        else:
+            piece = f"{c}*{mono}"
+        parts.append(piece)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for piece in parts[1:]:
+        if piece.startswith("-"):
+            out += f" - {piece[1:]}"
+        else:
+            out += f" + {piece}"
+    return out
 
 
 DIFFERENTIAL_FIELDS = {
@@ -307,7 +323,7 @@ def test_integer_vectors_match_fraction_tuples(minimal_poly, data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         field = NumberField(minimal_poly, "w")
-    ref = _FractionTupleField(minimal_poly, "w")
+    ref = _FractionTupleField(minimal_poly)
     coeffs = st.lists(st.fractions(-30, 30, max_denominator=12),
                       min_size=field.degree, max_size=field.degree)
     fa, fb, fc = (tuple(data.draw(coeffs)) for _ in range(3))
@@ -330,7 +346,7 @@ def test_integer_vectors_match_fraction_tuples(minimal_poly, data):
             _assert_canonical(inverse.value)
             assert _as_fractions(inverse.value) == expected_inverse
             assert x * inverse == field.one
-    assert str(a) == ref.format(fa)
+    assert str(a) == _old_format(field, a.value)
     assert field.parse(str(a)) == a
     assert a.is_zero() == (not any(fa))
     assert a == sum((field.generator ** i * x for i, x in enumerate(fa)), field.zero)
@@ -339,6 +355,22 @@ def test_integer_vectors_match_fraction_tuples(minimal_poly, data):
     assert a * b == b * a and hash(a * b) == hash(b * a)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+# zeros and units decide which terms print and how their signs join
+_PRINTED_COEFFICIENTS = st.sampled_from([0, 1, -1]).map(Fraction) | st.fractions(
+    -30, 30, max_denominator=12)
+
+
+@pytest.mark.parametrize("name", ["Q(sqrt2)", "Q(zeta5)", "w^2-1/2"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_number_field_printing_matches_the_old_printer(name, data):
+    field = NumberField(DIFFERENTIAL_FIELDS[name], "w")
+    a = _element(field, data.draw(st.lists(_PRINTED_COEFFICIENTS, min_size=field.degree,
+                                           max_size=field.degree)))
+    assert str(a) == _old_format(field, a.value)
+    assert field.parse(str(a)) == a
 
 
 RATIONALS = st.one_of(
