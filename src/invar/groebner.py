@@ -59,6 +59,7 @@ from typing import Optional, Sequence
 from .errors import CapExceeded, ContextMismatch, TruncatedBasis, TruncationInsufficient
 from .fields import Scalar
 from .polynomials import (
+    DEGREE_BOUND,
     GREVLEX,
     BlockElimination,
     MonomialOrder,
@@ -84,7 +85,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder, reducers=No
     field = f.ring.field
     times, plus, is_zero = field._mul, field._add, field._is_zero
     packer = _packer(order, f.ring.nvars)
-    # packed unchecked: a field of the lcm may pass _BOUND, but the shifts
+    # packed unchecked: a field of the lcm may pass DEGREE_BOUND, but the shifts
     # lcm/lm stay below it, so every shifted field stays below 2^_W
     lcm = sum(map(mul, map(max, lmf, lmg), packer.unit))
     shift = lcm - plmf
@@ -106,8 +107,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder, reducers=No
     return Polynomial._from_nonzero(f.ring, _unpacked(packer, field, work.items()))
 
 
-_W = 16  # bits per packed field, the top one a guard bit; unpacked as "H"
-_BOUND = 1 << (_W - 1)
+_W = DEGREE_BOUND.bit_length()  # 16 bits per packed field, the top one a guard bit; unpacked as "H"
 _FOLD = (1 << _W) - 1  # 2^_W = 1 mod _FOLD: an int is its fields' sum mod _FOLD
 
 
@@ -115,7 +115,7 @@ class _Packer:
     """Monomials as ints of `_W`-bit fields, most significant first: the
     rows of the order's key (linear in the exponents), each made 0/1 by
     adding the row above (grevlex's -x_k becomes x_1 + ... + x_(k-1)), then
-    the exponents unless the rows end with them.  Below degree `_BOUND` no
+    the exponents unless the rows end with them.  Below degree `DEGREE_BOUND` no
     field reaches its guard bit G, and a | b iff ((b | G) - a) & G == G."""
 
     def __init__(self, order: MonomialOrder, n: int):
@@ -132,12 +132,12 @@ class _Packer:
             raise ValueError(f"the keys of {order!r} have no 0/1 packing")
         shifts = [_W * j for j in reversed(range(len(rows)))]
         self.unit = [sum(row[i] << s for row, s in zip(rows, shifts)) for i in range(n)]
-        self.guard = sum(_BOUND << s for s in shifts)
+        self.guard = sum(DEGREE_BOUND << s for s in shifts)
         self.size, self.exponents = len(rows) * _W // 8, struct.Struct(f">{n}H")
 
     def pack(self, m) -> int:
-        if sum(m) >= _BOUND:
-            raise CapExceeded(f"monomial degree {sum(m)} reaches the bound {_BOUND}")
+        if sum(m) >= DEGREE_BOUND:
+            raise CapExceeded(f"monomial degree {sum(m)} reaches the bound {DEGREE_BOUND}")
         return sum(map(mul, m, self.unit))
 
     def unpack(self, p: int) -> tuple:
@@ -217,7 +217,7 @@ def _reduce_terms(
                 if m2 not in work:
                     # in-range fields sum below 2^_W: overflow only sets a guard bit
                     if m2 & guard:
-                        raise CapExceeded(f"an exponent reached {_BOUND} in division")
+                        raise CapExceeded(f"an exponent reached {DEGREE_BOUND} in division")
                     heapq.heappush(heap, -m2)
                 work[m2] = cur
             break
@@ -259,7 +259,7 @@ class BuchbergerEngine:
         # of every packing), their degree, and its sugar's excess over it
         self._leads = []
         n = ring.nvars
-        self._mask, self._guard = (1 << _W * n) - 1, sum(_BOUND << _W * k for k in range(n))
+        self._mask, self._guard = (1 << _W * n) - 1, sum(DEGREE_BOUND << _W * k for k in range(n))
         self._pairs = {}
         self._heap = []
 
@@ -293,7 +293,7 @@ class BuchbergerEngine:
         deg_t = lead_t % _FOLD
         # a pair lifts the larger excess of sugar over leading degree
         excess_t = max(sugar, h.total_degree()) - deg_t
-        # lcm(lm_i, lm_t) fieldwise: d holds e_i - e_t + _BOUND, with the
+        # lcm(lm_i, lm_t) fieldwise: d holds e_i - e_t + DEGREE_BOUND, with the
         # guard bit (in m) set where e_i >= e_t, and m - (m >> 15) masks
         # those fields' e_i - e_t; coprime iff the degrees add up
         degrees, last, coprime = [], {}, set()

@@ -7,9 +7,10 @@ callers: `PolynomialRing.parse`, which also parses matrix entries and
 scalars (`Field.parse` takes the constant coefficient over a ring with
 no variables), and `parse_univariate_rational` for minimal polynomials.
 
-Exponents of 2^15 or more raise `CapExceeded` before any power is
-formed: no packed monomial of `groebner` can hold them.  Text nested too
-deeply for the recursive descent raises `ParseError`.
+A power whose degree reaches `polynomials.DEGREE_BOUND` (2^15) raises
+`CapExceeded` before it is expanded: `Polynomial.__pow__` checks it, and
+`_UniPoly.__pow__` the same way.  Text nested too deeply for the
+recursive descent raises `ParseError`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import operator
 from fractions import Fraction
 
 from .errors import CapExceeded, DivisionByZero, InvarError, ParseError
-from .groebner import _BOUND
+from .polynomials import DEGREE_BOUND
 
 
 def _tokenize(text: str):
@@ -124,8 +125,6 @@ class _Parser:
             kind, val = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer")
-            if val >= _BOUND:
-                raise CapExceeded(f"exponent {val} reaches the bound {_BOUND}")
             return base ** val
         return base
 
@@ -201,6 +200,9 @@ class _UniPoly:
         return _UniPoly(tuple(c * inv for c in self.coeffs))
 
     def __pow__(self, n):
+        if (len(self.coeffs) - 1) * n >= DEGREE_BOUND:
+            raise CapExceeded(f"power of degree {(len(self.coeffs) - 1) * n} "
+                              f"reaches the bound {DEGREE_BOUND}")
         out = _UniPoly((Fraction(1),))
         for _ in range(n):
             out = out * self

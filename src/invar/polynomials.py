@@ -13,6 +13,10 @@ caller of ``Polynomial.apply_linear_map`` (a matrix A sends the i-th
 acted variable to sum_j A[i][j] x_j: the row gives the image of the
 variable), and ``algebraic.action_graph_generators`` for algebraic
 groups, which builds the same images with polynomial entries.
+
+`DEGREE_BOUND` (2^15) is the total degree that packed monomials cannot
+hold: a power reaching it raises `CapExceeded` before it is expanded,
+and the Groebner engine refuses any monomial of that degree.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from operator import add, le, mul, neg, sub
 from typing import Optional, Sequence
 
 from .errors import (
+    CapExceeded,
     ContextMismatch,
     FieldMismatch,
     LengthMismatch,
@@ -30,6 +35,8 @@ from .errors import (
     ZeroPolynomial,
 )
 from .fields import Field, NumberField, Scalar
+
+DEGREE_BOUND = 1 << 15  # total degrees packed monomials cannot hold
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +347,9 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
+        if self.total_degree() * n >= DEGREE_BOUND:
+            raise CapExceeded(f"power of degree {self.total_degree() * n} "
+                              f"reaches the bound {DEGREE_BOUND}")
         out = self.ring.one
         base = self
         while n:

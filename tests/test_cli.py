@@ -278,10 +278,16 @@ def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     assert json.loads(err)["error"] == "ParseError"
 
 
-def test_exponent_past_the_packing_bound_exits_4_before_expanding(capsys, tmp_path):
+@pytest.mark.parametrize("document", [
+    {**_PROBLEM, "polynomials": ["(x + 1)^40000"]},
+    {**_PROBLEM, "polynomials": ["(x^2)^16384"]},
+    {**_PROBLEM, "field": {"kind": "simple_extension", "minimal_poly": "w^40000 - 2",
+                           "generator": "w"}},
+], ids=["linear-base", "quadratic-base", "minimal-poly"])
+def test_power_past_the_packing_bound_exits_4_before_expanding(capsys, tmp_path, document):
     # expanding (x + 1)^40000 would take hours before Groebner refused its degree
     problem = tmp_path / "problem.json"
-    problem.write_text(json.dumps({**_PROBLEM, "polynomials": ["(x + 1)^40000"]}))
+    problem.write_text(json.dumps(document))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "groebner", str(problem), "--json")
     assert time.perf_counter() - start < 1

@@ -224,6 +224,17 @@ def test_degree_bound_exits_4_through_the_cli(capsys, tmp_path):
     assert json.loads(err)["error"] == "CapExceeded"
 
 
+def test_input_degree_bound_exits_4_through_the_cli(capsys, tmp_path):
+    # every power is below the bound, so the product reaches the packing
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"field": {"kind": "rationals"}, "variables": ["x", "y"],
+                                   "polynomials": [f"x^{BOUND // 2}*y^{BOUND // 2} - y"]}))
+    code = main(["groebner", str(problem), "--json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "CapExceeded"
+
+
 # ---------------------------------------------------------------------------
 # differential tests against sympy
 # ---------------------------------------------------------------------------

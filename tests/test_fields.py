@@ -65,6 +65,10 @@ def test_parse_examples():
     half = SQRT2.parse("(1+w)/2")
     assert half + half == SQRT2.one + SQRT2.generator
     assert G7.parse("9") == G7.scalar(2)
+    # a scalar is never packed: its powers pass the monomial degree bound
+    assert Q.parse("2^40000") == Q.scalar(2**40000)
+    assert G7.parse("3^40000") == G7.scalar(pow(3, 40000, 7))
+    assert SQRT2.parse("w^40000") == SQRT2.scalar(2**20000)
 
 
 def test_parse_errors():

@@ -236,16 +236,37 @@ def test_normal_forms_are_idempotent_and_kill_the_basis(seed, order_name, terms)
     assert all(normal_form(g, basis).is_zero() for g in basis.generators)
 
 
-def test_truncated_equals_full_beyond_needed_degree():
+def _processed_sugars(monkeypatch, engine, degree_limit=None):
+    """The sugar of every s-pair that `engine.extend(degree_limit)`
+    forms: each `s_polynomial` call follows the pop of its pair."""
+    popped, formed = [], []
+    heappop, original = heapq.heappop, groebner.s_polynomial
+
+    def pop(heap):
+        entry = heappop(heap)
+        if heap is engine._heap:
+            popped.append(entry[0])
+        return entry
+
+    def spy(*args):
+        formed.append(popped[-1])
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner.heapq, "heappop", pop)
+        patch.setattr(groebner, "s_polynomial", spy)
+        engine.extend(degree_limit)
+    return formed
+
+
+def test_truncated_equals_full_beyond_needed_degree(monkeypatch):
     r3 = PolynomialRing(Q, ("x", "y", "z"))
     x, y, z = r3.variables()
     gens = [x * y - z**2, y**2 - x * z, x**2 - y * z]
     engine = BuchbergerEngine(r3, GREVLEX)
     engine.seed(gens)
-    engine.extend(None)
+    needed = max(_processed_sugars(monkeypatch, engine), default=0)
     full = engine.snapshot()
-    # homogeneous input: no pair of larger sugar adds a generator
-    needed = max(g.total_degree() for g in full.generators)
     truncated = buchberger(gens, GREVLEX, truncate=needed)
     assert truncated.generators == full.generators
 
@@ -428,7 +449,7 @@ def test_normal_forms_do_not_depend_on_reducing_the_basis(seed, order_name, term
 
 @pytest.mark.parametrize("order", _ORDERS, ids=["grevlex", "lex", "block1"])
 @pytest.mark.parametrize("field", _FIELDS, ids=["Q", "GF32003"])
-def test_sugar_truncated_run_continues_to_the_full_basis(field, order):
+def test_sugar_truncated_run_continues_to_the_full_basis(monkeypatch, field, order):
     # a run truncated at sugar d processes no pair of larger sugar, and
     # continuing it gives exactly the basis of one untruncated run
     rng = XorShift(13)
@@ -441,8 +462,7 @@ def test_sugar_truncated_run_continues_to_the_full_basis(field, order):
         for limit in (2, 3, 4):
             engine = BuchbergerEngine(r3, order)
             engine.seed(gens)
-            engine.extend(limit)
-            # the heap's least sugar is above the limit: no larger one was processed
+            assert all(sugar <= limit for sugar in _processed_sugars(monkeypatch, engine, limit))
             assert not engine._heap or engine._heap[0][0] > limit
             assert full[: len(engine.basis)] == tuple(engine.basis)
             engine.extend()

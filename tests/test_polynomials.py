@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from invar import linalg
 from invar.errors import (
+    CapExceeded,
     ContextMismatch,
     FieldMismatch,
     LengthMismatch,
@@ -19,6 +20,7 @@ from invar.polynomials import (
     GRADEDLEX,
     GREVLEX,
     LEX,
+    DEGREE_BOUND,
     BlockElimination,
     Polynomial,
     PolynomialRing,
@@ -37,6 +39,17 @@ def test_ring_arithmetic_examples():
     p = X**2 + 3 * Y
     assert p + R.zero == p
     assert (X + Y) ** 2 == X**2 + 2 * X * Y + Y**2
+
+
+def test_powers_refuse_the_degree_bound_before_expanding():
+    half = DEGREE_BOUND // 2
+    assert (X * Y) ** (half - 1) == R.monomial((half - 1, half - 1))
+    with pytest.raises(CapExceeded):
+        (X * Y) ** half
+    with pytest.raises(CapExceeded):
+        R.parse(f"(x + y + 1)^{DEGREE_BOUND}")
+    assert R.from_int(2) ** DEGREE_BOUND == R.from_int(2**DEGREE_BOUND)
+    assert R.zero ** DEGREE_BOUND == R.zero
 
 
 def test_context_mismatch():
