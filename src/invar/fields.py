@@ -23,6 +23,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import add, mul
 
 from .errors import DivisionByZero, FieldMismatch, InvalidFieldSpec, ParseError
 
@@ -159,6 +160,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _settled(a):
+    return a
+
+
+def _power(x, n: int):
+    """x^n for n >= 1, left to right from x itself: x^2 costs one
+    product and x^3 two."""
+    out = x
+    for bit in bin(n)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return out
+
+
 class Field:
     """Base class; concrete fields implement arithmetic on raw payloads."""
 
@@ -212,6 +228,13 @@ class Field:
 
     def _format(self, a) -> str:
         raise NotImplementedError
+
+    def _accumulator(self):
+        """(mul, add, settle) for sums of products read only when
+        complete: `settle(add(a, mul(b, c)))` is `_add(a, _mul(b, c))`,
+        and so for any chain of such steps.  Here the steps are the
+        field's own and `settle` changes nothing."""
+        return self._mul, self._add, _settled
 
 
 def _lowest(n, d):
@@ -305,6 +328,10 @@ class PrimeField(Field):
 
     def _format(self, a):
         return str(a)
+
+    def _accumulator(self):
+        # plain int products and sums of residues, reduced once when read
+        return mul, add, self.p.__rmod__
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -575,14 +602,7 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n) if n else self.field.one
 
     def inverse(self):
         return Scalar(self.field, self.field._inv(self.value))

@@ -10,11 +10,20 @@ laid out by `_Packer`: a product is an int sum, a quotient a
 difference, the order int comparison and divisibility one guard-bit
 mask test.  The loop is heap-driven (Monagan & Pearce,
 J. Symb. Comput. 2011): the greatest term comes off a heap of negated
-packed monomials; a cancelled monomial stays queued and is skipped
-when it surfaces.  The arithmetic runs on raw field payloads; tuples
-and `Scalar`s come back only in the result and the quotient.  Packing
-refuses degree 2^15, and a division that raises a field to it stops:
-`CapExceeded`, never a wrong answer.
+packed monomials.  Reduction is delayed, as there: a tail update adds
+a product into the monomial's pending coefficient through the field's
+`_accumulator`, with no normalising and no zero test, and the
+coefficient is settled and tested for zero once, when its term is
+popped; a cancelled term is dropped there.  Over GF(p) pending
+coefficients are plain int products and sums, reduced mod p when
+settled; every other field accumulates with its own canonical
+arithmetic.  The ratio of a reduction step is taken from the settled
+coefficient, so the quotient and the remainder are canonical.  The
+arithmetic runs on raw field payloads; tuples and `Scalar`s come back
+only in the result and the quotient.  Packing refuses degree 2^15; a
+term that a division raises to it stops the division with
+`CapExceeded`, never a wrong answer, when it is popped nonzero (a
+product of zero divisors there vanishes and is dropped).
 
 Determinism is a hard requirement: pair selection follows the sugar
 strategy (Giovini, Mora, Niesi, Robbiano & Traverso, ISSAC 1991).
@@ -181,25 +190,29 @@ def _reduce_terms(
     if not terms:
         return {}
     field = next(iter(terms.values())).field
-    mul, add, negate, is_zero = field._mul, field._add, field._neg, field._is_zero
+    times, negate, is_zero = field._mul, field._neg, field._is_zero
+    mul, add, settle = field._accumulator()
     packer = _packer(order, len(next(iter(terms))))
     guard = packer.guard
-    # work maps each queued packed monomial to its raw coefficient, or
-    # to None once it cancelled; the heap holds each queued one once
+    # work maps each queued packed monomial to its unsettled raw
+    # coefficient; the heap holds each queued one once
     work = {packer.pack(m): c.value for m, c in terms.items()}
     heap = [-m for m in work]
     heapq.heapify(heap)
     result, steps = [], []
     while heap:
         t = -heapq.heappop(heap)
-        c = work.pop(t)
-        if c is None:
-            continue
+        c = settle(work.pop(t))
+        if is_zero(c):
+            continue  # cancelled, or a product of zero divisors
+        if t & guard:
+            # in-range fields sum below 2^_W: overflow only sets a guard bit
+            raise CapExceeded(f"an exponent reached {DEGREE_BOUND} in division")
         tg = t | guard
         for plm, inv, tail, _ in reducers:
             if (tg - plm) & guard != guard:
                 continue
-            ratio = mul(c, inv)
+            ratio = times(c, inv)
             shift = t - plm
             if quotient is not None:
                 steps.append((shift, ratio))
@@ -207,19 +220,11 @@ def _reduce_terms(
             for m, mc in tail:
                 m2 = m + shift
                 cur = work.get(m2)
-                if cur is not None:
-                    cur = add(cur, mul(ratio, mc))
-                    work[m2] = None if is_zero(cur) else cur
-                    continue
-                cur = mul(ratio, mc)
-                if is_zero(cur):
-                    continue  # zero divisors: a reducible minimal polynomial
-                if m2 not in work:
-                    # in-range fields sum below 2^_W: overflow only sets a guard bit
-                    if m2 & guard:
-                        raise CapExceeded(f"an exponent reached {DEGREE_BOUND} in division")
+                if cur is None:
                     heapq.heappush(heap, -m2)
-                work[m2] = cur
+                    work[m2] = mul(ratio, mc)
+                else:
+                    work[m2] = add(cur, mul(ratio, mc))
             break
         else:
             result.append((t, c))

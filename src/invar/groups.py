@@ -169,8 +169,7 @@ def apply_element(p: Polynomial, m: Matrix) -> Polynomial:
 def point_image(m: Matrix, point) -> tuple:
     """Image of a point under the element, consistent with the variable
     action: evaluating sigma(f) at v equals evaluating f at sigma(v)."""
-    vec = [m.field.scalar(x) for x in point]
-    return m.apply(vec)
+    return m.apply(point)
 
 
 def orbit(group: FiniteMatrixGroup, point) -> list:

@@ -77,16 +77,14 @@ class Matrix:
         )
 
     def apply(self, vector: Sequence[Scalar]):
-        """Matrix-vector product."""
-        zero = self.field.zero
+        """Matrix-vector product, on raw payloads like `__matmul__`."""
+        field = self.field
+        zero, mul, add = field.zero, field._mul, field._add
+        values = [field.scalar(x).value for x in vector]  # refuses another field's scalars
         out = []
-        for i in range(self.nrows):
-            acc = zero
-            for k in range(self.ncols):
-                a = self.rows[i][k]
-                if not a.is_zero():
-                    acc = acc + a * vector[k]
-            out.append(acc)
+        for r in self.rows:
+            products = [mul(a.value, v) for a, v in zip(r, values) if not a.is_zero()]
+            out.append(Scalar(field, reduce(add, products)) if products else zero)
         return tuple(out)
 
     def _sparse_rows(self):

@@ -34,7 +34,7 @@ from .errors import (
     SingularMatrix,
     ZeroPolynomial,
 )
-from .fields import Field, NumberField, Scalar
+from .fields import Field, NumberField, Scalar, _power
 
 DEGREE_BOUND = 1 << 15  # total degrees packed monomials cannot hold
 
@@ -350,14 +350,7 @@ class Polynomial:
         if self.total_degree() * n >= DEGREE_BOUND:
             raise CapExceeded(f"power of degree {self.total_degree() * n} "
                               f"reaches the bound {DEGREE_BOUND}")
-        out = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n) if n else self.ring.one
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):

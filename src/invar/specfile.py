@@ -91,7 +91,8 @@ def _read_spec(path: str, build):
     """Read a JSON file whose top level is an object and return
     (build(object), sha256 hex digest of the file's bytes).
 
-    A directory, invalid JSON, a top level that is not an object, and a
+    A directory, invalid JSON or JSON nested past the decoder's
+    recursion limit, a top level that is not an object, and a
     missing or malformed entry (KeyError, TypeError or ValueError from
     `build`) raise ParseError."""
     try:
@@ -104,6 +105,8 @@ def _read_spec(path: str, build):
         cfg = json.loads(raw)
     except ValueError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(cfg, dict):
         raise ParseError(f"{path}: top level must be a JSON object, not {type(cfg).__name__}")
     try:

@@ -17,8 +17,12 @@ raw field payloads and packed-int monomials: only `groebner` and
 `ratfunc` touch it or its `_reducer`s, inside `groebner` only the
 kernel's unpacking helper wraps payloads into `Scalar`s, the kernel
 calls no tuple monomial operation or sort key, and one function builds
-the packers.  `groebner.s_polynomial` shifts the reducers' packed tails
-itself: no tuple shift, no scaled copy, no polynomial subtraction.
+the packers.  Its tail updates only multiply and add through the
+field's accumulator; each coefficient is settled and tested for zero
+once, when its term is popped, and only `PrimeField` (unreduced ints,
+reduced mod p when settled) overrides the base accumulator.
+`groebner.s_polynomial` shifts the reducers' packed tails itself: no
+tuple shift, no scaled copy, no polynomial subtraction.
 The Buchberger pair update runs on the same packings: the lcms, degrees
 and divisibility tests of `BuchbergerEngine.add_generator` are int
 operations on leading exponents, never tuple monomial operations.
@@ -138,6 +142,28 @@ def test_kernel_computes_on_packed_monomials():
     assert not {f for f in called if f.rpartition(".")[2] in (
         "mono_mul", "mono_div", "mono_divides", "mono_support", "key")}
     assert _calls("_Packer") == {("groebner", "_packer")}
+
+
+def test_kernel_zero_tests_only_popped_terms():
+    kernel = next(node for node in _source("groebner").body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_reduce_terms")
+    calls = [node for node in ast.walk(kernel) if isinstance(node, ast.Call)]
+    assert "field._accumulator" in {ast.unparse(node.func) for node in calls}
+    # a popped coefficient is settled once and zero-tested once
+    assert [ast.unparse(node) for node in calls
+            if ast.unparse(node.func) in ("settle", "is_zero")] == ["settle(work.pop(t))",
+                                                                     "is_zero(c)"]
+    # a tail update only multiplies and adds through the accumulator
+    (tail_loop,) = [node for node in ast.walk(kernel)
+                    if isinstance(node, ast.For) and ast.unparse(node.iter) == "tail"]
+    assert {ast.unparse(node.func) for node in ast.walk(tail_loop)
+            if isinstance(node, ast.Call)} == {"work.get", "heapq.heappush", "mul", "add"}
+    # only prime fields delay their reduction
+    hooks = {node.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(f, ast.FunctionDef) and f.name == "_accumulator"
+                     for f in node.body)}
+    assert hooks == {"Field", "PrimeField"}
 
 
 def test_pair_update_computes_on_packed_exponents():

@@ -260,6 +260,8 @@ _GM = json.loads(Path(fixture_path("gm_weights")).read_text())
     # text nested past the parser's recursion depth
     ("groebner", {**_PROBLEM, "polynomials": ["(" * 400 + "x" + ")" * 400]}),
     ("generators", {**_C2, "generators": [[["-" * 2000 + "1", "0"], ["0", "1"]]]}),
+    # JSON nested past the decoder's recursion depth, written as text
+    ("generators", '{"kind": ' + "[" * 100000 + "]" * 100000 + "}"),
 ], ids=["top-level-list", "prime-not-int", "no-dimension", "no-polynomials",
         "groebner-list", "field-not-object", "entry-a-number", "polynomial-a-number",
         "eliminate-truncate", "eliminate-gradedlex", "minimal-poly-a-list",
@@ -269,10 +271,10 @@ _GM = json.loads(Path(fixture_path("gm_weights")).read_text())
         "dimension-a-float", "dimension-a-bool", "dimension-a-string",
         "algebraic-dimension-a-float", "linear-reductive-a-string",
         "linear-reductive-a-number", "group-vars-repeated", "group-vars-name-coordinates",
-        "nested-parentheses", "leading-minus-signs"])
+        "nested-parentheses", "leading-minus-signs", "nested-brackets"])
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(document))
+    spec.write_text(document if isinstance(document, str) else json.dumps(document))
     code, out, err = run_cli(capsys, command, str(spec), "--json")
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ParseError"

@@ -2,11 +2,12 @@
 
 `groebner._reduce_terms` is compared with the plain division loop it
 replaced, kept below as the reference, on hypothesis-drawn inputs over
-fields with and without zero divisors and under every monomial order.
-The packing of monomials into ints, which the kernel computes on, is
+fields with and without zero divisors, GF(p) for small and large p
+among them (its tail updates are unreduced ints), and under every
+monomial order.  The packing of monomials into ints, which the kernel computes on, is
 checked against the tuple operations it stands for, and at its degree
 bound, where a computation must stop with `CapExceeded` rather than
-return a wrong answer.
+return a wrong answer, unless the term past it vanishes.
 The differential tests against sympy check every caller of the kernel
 on seeded random inputs: reduced Groebner bases (normal forms, s-pair
 reduction and inter-reduction) and elimination ideals over Q and GF(p),
@@ -92,7 +93,12 @@ def _fields():
         # w^2 - 1 = (w - 1)(w + 1): products of nonzero payloads can vanish
         reducible = NumberField([-1, 0, 1], "w")
     return {
+        # GF(p) tail updates are unreduced ints: characteristic 2 cancels
+        # often, and 1/2 in GF(2^31 - 1) makes products near 2^62
+        "GF2": PrimeField(2),
         "GF7": PrimeField(7),
+        "GF32003": PrimeField(P),
+        "GF2^31-1": PrimeField(2**31 - 1),
         "QQ": Rationals(),
         "QQ(sqrt2)": NumberField([-2, 0, 1], "w"),
         "QQ[w]/(w^2-1)": reducible,
@@ -116,10 +122,13 @@ _term_dicts = st.dictionaries(_monomials, _coefficients, max_size=7)
 
 
 def _polynomial(ring, terms):
-    """sum (a + b*w) x^m, with w the generator of a number field and
-    1/2 otherwise."""
+    """sum (a + b*w) x^m, with w the generator of a number field, 1 in
+    characteristic 2 and 1/2 otherwise."""
     field = ring.field
-    w = field.generator if isinstance(field, NumberField) else field.scalar(1) / 2
+    if isinstance(field, NumberField):
+        w = field.generator
+    else:
+        w = field.one if field.characteristic() == 2 else field.one / 2
     p = ring.zero
     for m, (a, b) in terms.items():
         p = p + ring.monomial(m, field.scalar(a) + w * b)
@@ -127,8 +136,11 @@ def _polynomial(ring, terms):
 
 
 def _divisor(ring, order, terms, lead):
-    """A nonzero polynomial whose leading coefficient is the nonzero
-    integer `lead`, a unit of every field drawn here."""
+    """A nonzero polynomial whose leading coefficient is the integer
+    `lead`, or 1 where `lead` vanishes: a unit of every field drawn
+    here."""
+    if ring.field.scalar(lead).is_zero():
+        lead = 1
     p = _polynomial(ring, terms)
     if p.is_zero():
         return ring.from_int(lead)
@@ -212,6 +224,27 @@ def test_lex_growth_is_exact_or_refused(e):
     except CapExceeded:
         return
     assert remainder == y**(3 * e)
+
+
+@pytest.mark.parametrize("field_name", ["QQ[w]/(w^2-1)", "QQ(sqrt2)", "GF7"])
+def test_only_a_nonzero_term_past_the_bound_stops_division(field_name):
+    # (w + 1)*x*y^e by x - (w - 1)*y^e: the tail product lands on
+    # y^(2e), past the bound, with coefficient (w + 1)(w - 1), which
+    # vanishes only where w^2 = 1; there the division succeeds,
+    # elsewhere it stops
+    field = FIELDS[field_name]
+    ring = PolynomialRing(field, ("x", "y"))
+    x, y = ring.variables()
+    w = field.generator if isinstance(field, NumberField) else field.scalar(3)
+    e = BOUND * 5 // 8
+    f, g = (w + 1) * x * y**e, x - (w - 1) * y**e
+    quotient = {}
+    if ((w + 1) * (w - 1)).is_zero():
+        assert _reduce_terms(f.terms, [_reducer(g, LEX)], LEX, quotient) == {}
+        assert quotient == {(0, e): w + 1}
+    else:
+        with pytest.raises(CapExceeded):
+            _reduce_terms(f.terms, [_reducer(g, LEX)], LEX, quotient)
 
 
 def test_degree_bound_exits_4_through_the_cli(capsys, tmp_path):

@@ -71,6 +71,23 @@ def test_parse_examples():
     assert SQRT2.parse("w^40000") == SQRT2.scalar(2**20000)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 13, 16, -3])
+def test_powers_multiply_from_the_base(monkeypatch, n):
+    # w^2 costs one product and w^3 two; a negative power inverts first
+    w = SQRT2.generator
+    expected = SQRT2.one
+    for _ in range(abs(n)):
+        expected = expected * w
+    if n < 0:
+        expected = expected.inverse()
+    calls = []
+    mul = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    assert w**n == expected
+    n = abs(n)
+    assert len(calls) == max(n.bit_length() + bin(n).count("1") - 2, 0)
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         Q.parse("3 +")
@@ -417,3 +434,47 @@ def test_integer_pairs_match_fractions(fa, fb):
     assert (a + b) - b == a and hash((a + b) - b) == hash(a)
     assert a * b == b * a and hash(a * b) == hash(b * a)
     assert hash(Q.scalar(fa + fb)) == hash(a + b)
+
+
+def _accumulator_fields():
+    """name -> (field, strategy of its canonical payloads), one entry per
+    field kind and prime size."""
+    from invar.ratfunc import RationalFunctionField
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        reducible = NumberField([-1, 0, 1], "w")
+    coefficients = st.lists(st.fractions(-30, 30, max_denominator=12), min_size=2, max_size=2)
+    fields = {
+        "Q": (Q, RATIONALS.map(_pair)),
+        "Q(sqrt2)": (SQRT2, coefficients.map(lambda f: _element(SQRT2, f).value)),
+        "Q[w]/(w^2-1)": (reducible, coefficients.map(lambda f: _element(reducible, f).value)),
+    }
+    for p in (2, 7, 32003, 2**31 - 1):
+        fields[f"GF{p}"] = (PrimeField(p), st.integers(0, p - 1))
+    ratfunc = RationalFunctionField(Q, ("a",))
+    (a,) = ratfunc.ring.variables()
+    polynomials = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
+        lambda cs: sum((c * a**i for i, c in enumerate(cs)), ratfunc.ring.zero))
+    fields["Q(a)"] = (ratfunc, st.tuples(polynomials, polynomials).filter(
+        lambda nd: not nd[1].is_zero()).map(lambda nd: ratfunc.from_fraction(*nd).value))
+    return fields
+
+
+ACCUMULATOR_FIELDS = _accumulator_fields()
+
+
+@pytest.mark.parametrize("name", sorted(ACCUMULATOR_FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_accumulator_settles_to_field_arithmetic(name, data):
+    # the division kernel's tail updates: a = add(a, mul(b, c)), read
+    # only through settle, and starting from a canonical payload
+    field, payloads = ACCUMULATOR_FIELDS[name]
+    mul, add, settle = field._accumulator()
+    a, b, c = (data.draw(payloads) for _ in range(3))
+    assert settle(add(a, mul(b, c))) == field._add(a, field._mul(b, c))
+    acc, expected = mul(b, c), field._mul(b, c)
+    for x, y in data.draw(st.lists(st.tuples(payloads, payloads), max_size=6)):
+        acc, expected = add(acc, mul(x, y)), field._add(expected, field._mul(x, y))
+    assert settle(acc) == expected

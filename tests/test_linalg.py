@@ -142,6 +142,24 @@ def test_matmul_matches_scalar_sums(name, data):
         Matrix(field, b) @ Matrix.identity(other, k)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.data())
+def test_apply_matches_scalar_sums(name, data):
+    field = FIELDS[name]
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    a = [[_scalar(field, *data.draw(_entries)) for _ in range(n)] for _ in range(m)]
+    v = [_scalar(field, *data.draw(_entries)) for _ in range(n)]
+    image = Matrix(field, a).apply(v)
+    assert image == tuple(sum((a[i][k] * v[k] for k in range(n)), field.zero)
+                          for i in range(m))
+    assert all(x.field == field for x in image)
+    # int coordinates are coerced, as `groups.point_image` passes them
+    assert Matrix(field, a).apply([3] * n) == Matrix(field, a).apply([field.scalar(3)] * n)
+    other = FIELDS[min(set(FIELDS) - {name})]
+    with pytest.raises(FieldMismatch):
+        Matrix(field, a).apply([other.one] * n)
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_singular_square_matrices_do_not_invert(name):
     field = FIELDS[name]

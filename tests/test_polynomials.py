@@ -52,6 +52,20 @@ def test_powers_refuse_the_degree_bound_before_expanding():
     assert R.zero ** DEGREE_BOUND == R.zero
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7, 8, 13, 16])
+def test_powers_multiply_from_the_base(monkeypatch, n):
+    # one squaring per bit after the first, one product per further set bit
+    f = X + 2 * Y + 1
+    expected = R.one
+    for _ in range(n):
+        expected = expected * f
+    calls = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    assert f**n == expected
+    assert len(calls) == max(n.bit_length() + bin(n).count("1") - 2, 0)
+
+
 def test_context_mismatch():
     other = PolynomialRing(Q, ("x", "z"))
     with pytest.raises(ContextMismatch):
