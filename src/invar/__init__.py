@@ -31,17 +31,14 @@ from .groebner import (
     subalgebra_membership,
 )
 from .groups import (
-    CosetDecomposition,
     FiniteMatrixGroup,
     classify_element,
     close_group,
     cohen_macaulay_necessary_condition,
-    coset_decomposition,
     generated_by_predicate,
     is_bireflection_group,
     is_reflection_group,
     molien_series,
-    relative_trace,
     reynolds,
 )
 from .invariants import (

@@ -193,10 +193,14 @@ def algebraic_invariant_basis(spec: AlgebraicGroupSpec, d: int) -> list:
     # equations[(x-monomial, z-monomial)][j]: its coefficient in m_j(A(z) x) - m_j
     # after reduction modulo the group ideal
     equations = {}
+    table = {}  # the images of the monomials below degree d, shared
     for cidx, m in enumerate(monos):
-        mono = ring.monomial((0,) * n + m + (0,) * len(spec.group_vars))
+        exps = (0,) * n + m + (0,) * len(spec.group_vars)
+        mono = ring.monomial(exps)
+        image = mono.substitute(images, table)
+        del table[exps]  # a degree-d image is a factor of no other
         buckets = {}
-        for mm, c in (mono.substitute(images) - mono).terms.items():
+        for mm, c in (image - mono).terms.items():
             buckets.setdefault(mm[n:2 * n], {})[mm[2 * n:]] = c
         for xm, zterms in buckets.items():
             zpoly = Polynomial(zring, zterms)

@@ -63,14 +63,6 @@ class SingularGenerator(InvarError):
     pass
 
 
-class NotHInvariant(InvarError):
-    pass
-
-
-class NotASubgroup(InvarError):
-    pass
-
-
 class PositiveCharacteristic(InvarError):
     pass
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, mul
 
-from .errors import DivisionByZero, FieldMismatch, InvalidFieldSpec, ParseError
+from .errors import CapExceeded, DivisionByZero, FieldMismatch, InvalidFieldSpec, ParseError
 
 
 class ReducibleMinimalPolynomialWarning(UserWarning):
@@ -44,6 +44,9 @@ class UnverifiedIrreducibilityWarning(UserWarning):
 
 # Trial division for rational-root candidates stops beyond this many steps.
 _DIVISOR_STEPS = 10**6
+
+# The largest minimal-polynomial degree: building a field costs O(d^3).
+MAX_EXTENSION_DEGREE = 64
 
 
 def _is_square_fraction(q: Fraction):
@@ -176,9 +179,17 @@ def _power(x, n: int):
 
 
 class Field:
-    """Base class; concrete fields implement arithmetic on raw payloads."""
+    """Base class; concrete fields implement arithmetic on raw payloads
+    and end their __init__ with this one's, which builds zero and one."""
 
     kind = "abstract"
+
+    def __init__(self):
+        # set during construction: an attribute added later, as a
+        # cached_property adds it, slows every attribute lookup on the
+        # instance, such as self.p in the arithmetic
+        self.zero = self.scalar(0)
+        self.one = self.scalar(1)
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, or Scalar of this field."""
@@ -189,14 +200,6 @@ class Field:
         if isinstance(value, (int, Fraction)):
             return Scalar(self, self._from_rational(value))
         raise TypeError(f"cannot coerce {value!r} into {self}")
-
-    @property
-    def zero(self):
-        return self.scalar(0)
-
-    @property
-    def one(self):
-        return self.scalar(1)
 
     def characteristic(self) -> int:
         raise NotImplementedError
@@ -299,6 +302,7 @@ class PrimeField(Field):
         if not _is_prime(p):
             raise InvalidFieldSpec(f"{p} is not prime")
         self.p = p
+        super().__init__()
 
     def characteristic(self):
         return self.p
@@ -365,6 +369,7 @@ class NumberField(Field):
     An element is the payload (nums, den): the coefficients of
     t^0 .. t^(d-1) are nums[i] / den, with den > 0 and no common factor
     of den and every nums[i], so equal elements have equal payloads.
+    A degree above MAX_EXTENSION_DEGREE raises CapExceeded at once.
     """
 
     kind = "simple_extension"
@@ -380,6 +385,9 @@ class NumberField(Field):
             raise InvalidFieldSpec("minimal polynomial must be monic")
         self.minimal_poly = coeffs
         self.degree = d = len(coeffs) - 1
+        if d > MAX_EXTENSION_DEGREE:
+            raise CapExceeded(f"minimal polynomial of degree {d} exceeds the bound "
+                              f"{MAX_EXTENSION_DEGREE}")
         # t^(d+k) mod m for k = 0 .. d-2, scaled to integers by one
         # common denominator
         row = [-c for c in coeffs[:-1]]
@@ -402,6 +410,7 @@ class NumberField(Field):
             raise InvalidFieldSpec(f"bad generator name {generator_name!r}")
         self.generator_name = generator_name
         self._hash = hash(("ext", coeffs, generator_name))
+        super().__init__()
         self._warn_if_reducible()
 
     def _warn_if_reducible(self):

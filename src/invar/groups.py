@@ -1,5 +1,5 @@
 """Finite matrix groups: closure enumeration, Reynolds averaging,
-relative traces, element classification, and the Molien series.
+element classification, and the Molien series.
 
 Group elements are exact matrices over the ground field; equality and
 hashing go through the canonical scalar forms, so closure enumeration
@@ -10,22 +10,22 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, gcd, lcm
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .errors import (
-    CapExceeded,
-    ModularCase,
-    NotASubgroup,
-    NotHInvariant,
-    PositiveCharacteristic,
-    SingularGenerator,
-)
-from .fields import Field, Scalar
+from .errors import CapExceeded, ModularCase, PositiveCharacteristic, SingularGenerator
+from .fields import Field
 from .linalg import Matrix
-from .polynomials import Polynomial, PolynomialRing, mono_div, mono_mul
+from .polynomials import (
+    Polynomial,
+    PolynomialRing,
+    _raw_product,
+    _sum_terms,
+    image_table,
+    monomial_image,
+)
 
 DEFAULT_CLOSURE_CAP = 100000
 
@@ -187,116 +187,27 @@ def orbit(group: FiniteMatrixGroup, point) -> list:
 def reynolds(f: Polynomial, group: FiniteMatrixGroup) -> Polynomial:
     """Group average; the projection of f onto the invariant ring.
 
-    Kept per ring: for each element sigma, a table from a monomial a to
-    sigma(x^a) as raw terms (monomial -> payload), and the orbit sums
-    S(a) = sum_sigma sigma(x^a).  The average is sum_a c_a S(a) / |G|."""
+    Kept per ring: for each element sigma, a monomial-image table of
+    sigma(x^a) as raw terms, and the orbit sums S(a) = sum_sigma
+    sigma(x^a).  The average is sum_a c_a S(a) / |G|."""
     field, ring = group.field, f.ring
     p = field.characteristic()
     if p != 0 and group.order % p == 0:
         raise ModularCase(f"characteristic {p} divides the group order {group.order}")
-    if ring not in group._cache:  # sigma(1) = 1, and sigma(x_j) keyed by x_j's monomial
-        zero = (0,) * ring.nvars
-        group._cache[ring] = [{zero: {zero: field.one.value}, **{
-            mono: {m: c.value for m, c in apply_element(x, sigma).terms.items()}
-            for x in ring.variables() for mono in x.terms}} for sigma in group.elements], {}
-    images, sums = group._cache[ring]
+    if ring not in group._cache:
+        one = {(0,) * ring.nvars: field.one.value}
+        group._cache[ring] = [image_table(one, [apply_element(x, sigma)._payloads()
+                                                for x in ring.variables()])
+                              for sigma in group.elements], {}
+    tables, sums = group._cache[ring]
+    times = partial(_raw_product, field)
     for a in f.terms.keys() - sums.keys():
-        sums[a] = _sum_terms(field, (mc for t in images for mc in _image(field, t, a).items()))
-    mul, inverse = field._mul, field.scalar(group.order).inverse().value
+        sums[a] = _sum_terms(field, (mc for t in tables
+                                     for mc in monomial_image(t, a, times).items()))
+    mul, inverse = field._accumulator()[0], field.scalar(group.order).inverse().value
     total = _sum_terms(field, ((m, mul(c.value, v)) for a, c in f.terms.items()
                                for m, v in sums[a].items()))
-    return Polynomial(ring, {m: Scalar(field, mul(v, inverse)) for m, v in total.items()})
-
-
-def _image(field: Field, table: dict, a: tuple) -> dict:
-    """sigma(x^a) from one element's table, which it fills in: a missing
-    sigma(x^a) is sigma(x^(a - e_j)) * sigma(x_j) for the last j with
-    a_j > 0, one product with a linear form."""
-    steps = []
-    while a not in table:
-        j = max(i for i, e in enumerate(a) if e)
-        unit = (0,) * j + (1,) + (0,) * (len(a) - j - 1)
-        steps.append((a, table[unit]))
-        a = mono_div(a, unit)
-    image, mul = table[a], field._mul
-    for a, linear in reversed(steps):
-        image = table[a] = _sum_terms(field, ((mono_mul(m, u), mul(c, cu))
-                                              for m, c in image.items() for u, cu in linear.items()))
-    return image
-
-
-def _sum_terms(field: Field, terms) -> dict:
-    """Raw term dict of the sum of (monomial, payload) pairs, without zeros."""
-    add, is_zero = field._add, field._is_zero
-    total = {}
-    for m, c in terms:
-        total[m] = add(total[m], c) if m in total else c
-    return {m: c for m, c in total.items() if not is_zero(c)}
-
-
-def _is_subgroup(group: FiniteMatrixGroup, subgroup: Sequence) -> bool:
-    sub = set(subgroup)
-    if not sub or group.identity() not in sub:
-        return False
-    full = set(group.elements)
-    if not sub <= full:
-        return False
-    return all(a @ b in sub for a in sub for b in sub)
-
-
-@dataclass(frozen=True)
-class CosetDecomposition:
-    subgroup: tuple
-    representatives: tuple
-
-    @property
-    def index(self) -> int:
-        return len(self.representatives)
-
-
-def coset_decomposition(
-    group: FiniteMatrixGroup, subgroup: Sequence
-) -> CosetDecomposition:
-    """Left coset representatives, greedily in group element order."""
-    sub = list(subgroup)
-    if not _is_subgroup(group, sub):
-        raise NotASubgroup("element list is not a subgroup")
-    covered = set()
-    reps = []
-    for sigma in group.elements:
-        if sigma in covered:
-            continue
-        reps.append(sigma)
-        for h in sub:
-            covered.add(sigma @ h)
-    return CosetDecomposition(subgroup=tuple(sub), representatives=tuple(reps))
-
-
-def relative_trace(
-    f: Polynomial,
-    group: FiniteMatrixGroup,
-    subgroup: Sequence,
-    representatives: Optional[Sequence] = None,
-) -> Polynomial:
-    """Coset sum from the subgroup invariants up to the full invariants;
-    the result does not depend on the representative choice."""
-    decomposition = coset_decomposition(group, subgroup)
-    for h in decomposition.subgroup:
-        if apply_element(f, h) != f:
-            raise NotHInvariant("polynomial is not fixed by the subgroup")
-    reps = decomposition.representatives
-    if representatives is not None:
-        reps = tuple(representatives)
-        covered = set()
-        for r in reps:
-            for h in decomposition.subgroup:
-                covered.add(r @ h)
-        if covered != set(group.elements) or len(reps) != decomposition.index:
-            raise NotASubgroup("invalid coset representatives")
-    total = f.ring.zero
-    for sigma in reps:
-        total = total + apply_element(f, sigma)
-    return total
+    return Polynomial._from_payloads(ring, {m: field._mul(v, inverse) for m, v in total.items()})
 
 
 @dataclass(frozen=True)

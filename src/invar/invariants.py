@@ -10,6 +10,7 @@ product construction of primary invariants, and degree bound reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import reduce
 from typing import Sequence
 
 from .errors import (
@@ -367,13 +368,24 @@ def verify_separation_samples(
     """Seeded sampling check of the separating property: same-orbit point
     pairs must agree on every candidate invariant, and pairs from
     distinct orbits must differ somewhere (finite groups always separate
-    distinct orbits by invariants)."""
+    distinct orbits by invariants).  Each sampled point keeps one
+    monomial-value table, shared by all the invariants."""
     rng = XorShift(seed)
     n = group.dimension
     field = group.field
     counterexamples = []
     same_checked = 0
     distinct_checked = 0
+    # sigma(v) = w is tested a coordinate at a time on raw payload rows
+    mul, add, settle = field._accumulator()
+    zero = field.zero.value
+    elements = [[[(j, c.value) for j, c in enumerate(row) if not c.is_zero()] for row in sigma.rows]
+                for sigma in group.elements]
+
+    def same_orbit(v, w):
+        v = [x.value for x in v]
+        return any(all(settle(reduce(add, (mul(c, v[j]) for j, c in row), zero)) == x.value
+                       for row, x in zip(rows, w)) for rows in elements)
 
     def random_point():
         return tuple(
@@ -387,9 +399,9 @@ def verify_separation_samples(
         sigma = group.elements[rng.next_u64() % group.order]
         w = point_image(sigma, v)
         same_checked += 1
-        powers_v, powers_w = [], []  # each point's coordinate powers, shared
+        table_v, table_w = {}, {}
         for g in invariants:
-            if g.evaluate(v, powers_v) != g.evaluate(w, powers_w):
+            if g.evaluate(v, table_v) != g.evaluate(w, table_w):
                 counterexamples.append(
                     {"kind": "same-orbit", "invariant": g, "v": v, "w": w}
                 )
@@ -398,13 +410,13 @@ def verify_separation_samples(
         for _ in range(20):
             v = random_point()
             w = random_point()
-            if not any(sigma.apply(v) == w for sigma in group.elements):
+            if not same_orbit(v, w):
                 break
         else:
             continue
         distinct_checked += 1
-        powers_v, powers_w = [], []
-        if all(g.evaluate(v, powers_v) == g.evaluate(w, powers_w) for g in invariants):
+        table_v, table_w = {}, {}
+        if all(g.evaluate(v, table_v) == g.evaluate(w, table_w) for g in invariants):
             counterexamples.append({"kind": "distinct-orbit", "invariant": None, "v": v, "w": w})
     return SeparationReport(
         passed=not counterexamples,

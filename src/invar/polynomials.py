@@ -14,6 +14,14 @@ acted variable to sum_j A[i][j] x_j: the row gives the image of the
 variable), and ``algebraic.action_graph_generators`` for algebraic
 groups, which builds the same images with polynomial entries.
 
+Substitution has one memoised path.  `monomial_image` fills a table
+from monomials x^a to their images, one product per new monomial, and
+`Polynomial.evaluate` (the images are a point's coordinates),
+`Polynomial.substitute` (and so `apply_linear_map`) and
+`groups.reynolds` all read their monomials' images from such a table.
+Calls may share one, as the sampled separation check does per point
+and `algebraic.algebraic_invariant_basis` does per degree.
+
 `DEGREE_BOUND` (2^15) is the total degree that packed monomials cannot
 hold: a power reaching it raises `CapExceeded` before it is expanded,
 and the Groebner engine refuses any monomial of that degree.
@@ -22,7 +30,9 @@ and the Groebner engine refuses any monomial of that degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, le, mul, neg, sub
+from functools import partial
+from itertools import compress, count
+from operator import add, le, neg, sub
 from typing import Optional, Sequence
 
 from .errors import (
@@ -62,6 +72,10 @@ def mono_div(a, b):
 
 def mono_degree(a):
     return sum(a)
+
+def _unit(n, j, e=1):
+    """Exponents of x_j^e among n variables."""
+    return (0,) * j + (e,) + (0,) * (n - j - 1)
 
 
 class MonomialOrder:
@@ -193,7 +207,7 @@ class PolynomialRing:
 
     @property
     def one(self):
-        return self.from_int(1)
+        return self.from_scalar(self.field.one)
 
     def from_scalar(self, s) -> "Polynomial":
         s = self.field.scalar(s)
@@ -205,9 +219,7 @@ class PolynomialRing:
         return self.from_scalar(n)
 
     def variable(self, i: int) -> "Polynomial":
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return Polynomial(self, {tuple(exps): self.field.one})
+        return Polynomial(self, {_unit(self.nvars, i): self.field.one})
 
     def variables(self):
         return [self.variable(i) for i in range(self.nvars)]
@@ -249,6 +261,15 @@ class Polynomial:
         p = object.__new__(cls)
         p.ring, p.terms = ring, terms
         return p
+
+    @classmethod
+    def _from_payloads(cls, ring: PolynomialRing, raw: dict) -> "Polynomial":
+        """A polynomial on nonzero raw payloads, each wrapped once."""
+        field = ring.field
+        return cls._from_nonzero(ring, {m: Scalar(field, c) for m, c in raw.items()})
+
+    def _payloads(self) -> dict:
+        return {m: c.value for m, c in self.terms.items()}
 
     # -- basic predicates ---------------------------------------------------
 
@@ -324,14 +345,8 @@ class Polynomial:
         o = self._check(other)
         if o is None:
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                acc = out.get(m)
-                out[m] = c if acc is None else acc + c
-        return Polynomial(self.ring, out)
+        raw = _raw_product(self.ring.field, self._payloads(), o._payloads())
+        return Polynomial._from_payloads(self.ring, raw)
 
     __rmul__ = __mul__
 
@@ -385,21 +400,35 @@ class Polynomial:
             out.setdefault(mono_degree(m), {})[m] = c
         return [Polynomial(self.ring, out[d]) for d in sorted(out)]
 
-    def evaluate(self, point: Sequence, powers: Optional[list] = None) -> Scalar:
-        """Value at the point; calls at one point may share a `powers` list."""
+    def evaluate(self, point: Sequence, table: Optional[dict] = None) -> Scalar:
+        """Value at the point.  Calls at one point may share a `table`, a
+        dict that is empty at the first call: it memoises the point's
+        value of every monomial met so far, as a raw payload."""
         if len(point) != self.ring.nvars:
             raise LengthMismatch(
                 f"point has {len(point)} coordinates, ring has {self.ring.nvars}"
             )
         field = self.ring.field
-        pt = [field.scalar(x).value for x in point]
-        value = self._power_sum(pt, field.zero.value, field.one.value,
-                                lambda c: c.value, field._mul, field._add, powers=powers)
-        return Scalar(field, value)
+        one = field.one.value
+        table = {} if table is None else table
+        if not table:
+            table.update(image_table(one, [field.scalar(x).value for x in point]))
+        if not self.terms:
+            return field.zero
+        mul, add, settle = field._accumulator()
+        times, total = field._mul, None
+        for m, c in self.terms.items():
+            value = table[m] if m in table else monomial_image(table, m, times)
+            if c.value != one:
+                value = mul(c.value, value)
+            total = value if total is None else add(total, value)
+        return Scalar(field, settle(total))
 
-    def substitute(self, images: Sequence["Polynomial"]):
+    def substitute(self, images: Sequence["Polynomial"], table: Optional[dict] = None):
         """Map variable i to images[i], lifting scalar images into the one
-        ring of the others."""
+        ring of the others.  Calls with the same images may share a
+        `table`, a dict that is empty at the first call: it memoises the
+        image of every monomial met so far, as raw terms."""
         if len(images) != self.ring.nvars:
             raise LengthMismatch("one image per variable required")
         target = next((im.ring for im in images if isinstance(im, Polynomial)), self.ring)
@@ -410,26 +439,15 @@ class Polynomial:
             if im.ring != target:
                 raise ContextMismatch("substitution images in different rings")
             imgs.append(im)
-        return self._power_sum(imgs, target.zero, target.one, target.from_scalar, mul, add)
-
-    def _power_sum(self, values, zero, one, lift, mul, add, *, powers=None):
-        """Sum over the terms c*x^m of lift(c) * prod_i values[i]^m_i,
-        building each power of values[i] once, into `powers` if given;
-        all arithmetic goes through `mul` and `add`, so evaluation runs
-        on raw payloads."""
-        powers = [] if powers is None else powers
-        powers.extend([one] for _ in values[len(powers):])
-        total = zero
-        for m, c in self.terms.items():
-            acc = lift(c)
-            for i, e in enumerate(m):
-                if e:
-                    cache = powers[i]
-                    while len(cache) <= e:
-                        cache.append(mul(cache[-1], values[i]))
-                    acc = mul(acc, cache[e])
-            total = add(total, acc)
-        return total
+        field = target.field
+        table = {} if table is None else table
+        if not table:
+            one = {(0,) * target.nvars: field.one.value}
+            table.update(image_table(one, [im._payloads() for im in imgs]))
+        mul, times = field._accumulator()[0], partial(_raw_product, field)
+        raw = _sum_terms(field, ((u, mul(c.value, cu)) for m, c in self.terms.items()
+                                 for u, cu in monomial_image(table, m, times).items()))
+        return Polynomial._from_payloads(target, raw)
 
     def apply_linear_map(self, rows) -> "Polynomial":
         """Substitute x_i -> sum_j rows[i][j] x_j for the first len(rows)
@@ -445,22 +463,11 @@ class Polynomial:
             mat = rows
         else:
             mat = Matrix.from_rows(field, rows)
-        k = mat.nrows
+        k, n = mat.nrows, self.ring.nvars
         if mat.rank() != k:
             raise SingularMatrix("linear action matrix is singular")
-        images = []
-        for i in range(self.ring.nvars):
-            if i < k:
-                terms = {}
-                for j in range(k):
-                    c = mat.rows[i][j]
-                    if not c.is_zero():
-                        exps = [0] * self.ring.nvars
-                        exps[j] = 1
-                        terms[tuple(exps)] = c
-                images.append(Polynomial(self.ring, terms))
-            else:
-                images.append(self.ring.variable(i))
+        images = [Polynomial(self.ring, {_unit(n, j): c for j, c in enumerate(row[:k])})
+                  for row in mat.rows] + self.ring.variables()[k:]
         return self.substitute(images)
 
     # -- formatting ---------------------------------------------------------
@@ -505,6 +512,61 @@ class Polynomial:
 
     def __repr__(self):
         return f"Poly({self.format()})"
+
+
+def image_table(one, images) -> dict:
+    """A monomial-image table for n = len(images) variables that knows
+    image(1) = one and image(x_j) = images[j]."""
+    n = len(images)
+    return {(0,) * n: one, **{_unit(n, j): image for j, image in enumerate(images)}}
+
+
+def monomial_image(table: dict, a: tuple, times):
+    """image(x^a) from a monomial-image table, which it fills in with
+    one product per new monomial.  Let x_j be the last variable of x^a,
+    to the power k.  A missing image(x^a) is image(x^a / x_j^k) *
+    image(x_j^k), and a missing pure power image(x_j^k) is
+    image(x_j^(k - 1)) * image(x_j), so the only monomials the table
+    gains besides x^a are powers of single variables and x^a with its
+    last variables dropped.  The images are whatever `times` multiplies:
+    raw payloads for a point, raw term dicts for linear forms and
+    polynomials."""
+    if a in table:
+        return table[a]
+    j = max(compress(count(), a))
+    power = _unit(len(a), j, a[j])
+    rest = mono_div(a, power)
+    if any(rest):
+        image = table[a] = times(monomial_image(table, rest, times),
+                                 monomial_image(table, power, times))
+        return image
+    unit, steps = _unit(len(a), j), []
+    while a not in table:
+        steps.append(a)
+        a = mono_div(a, unit)
+    image, factor = table[a], table[unit]
+    for a in reversed(steps):
+        image = table[a] = times(image, factor)
+    return image
+
+
+def _sum_terms(field: Field, terms) -> dict:
+    """Raw term dict of the sum of (monomial, payload) pairs, whose
+    payloads may be unsettled products of the field's accumulator;
+    each sum is settled once and zeros are dropped."""
+    _, add, settle = field._accumulator()
+    total = {}
+    for m, c in terms:
+        total[m] = add(total[m], c) if m in total else c
+    is_zero = field._is_zero
+    return {m: c for m, c in zip(total, map(settle, total.values())) if not is_zero(c)}
+
+
+def _raw_product(field: Field, f: dict, g: dict) -> dict:
+    """Raw term dict of the product of two raw term dicts."""
+    mul = field._accumulator()[0]
+    return _sum_terms(field, ((mono_mul(m1, m2), mul(c1, c2))
+                              for m1, c1 in f.items() for m2, c2 in g.items()))
 
 
 def shift_scale(p: Polynomial, shift, factor) -> Polynomial:

@@ -59,6 +59,7 @@ class RationalFunctionField(Field):
     def __init__(self, base: Field, names: Sequence[str]):
         self.base = base
         self.ring = PolynomialRing(base, tuple(names))
+        super().__init__()
 
     def characteristic(self):
         return self.base.characteristic()

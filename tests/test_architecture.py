@@ -37,9 +37,15 @@ is called only by `PolynomialRing.parse`, which also parses scalars
 and matrix entries (`Field.parse` reads a constant polynomial), and by
 `parsing.parse_univariate_rational` for minimal polynomials; a
 number-field element prints through `Polynomial.format`, with no term
-loop of its own.  The one power loop behind
-`Polynomial.evaluate` and `substitute` does arithmetic only through the
-callables it is given.
+loop of its own.
+
+Substitution has one memoised path, `polynomials.monomial_image`: a
+table from monomials x^a to their images, filled with one product per
+new monomial.  `Polynomial.evaluate` (images are a point's
+coordinates), `Polynomial.substitute` (and through it
+`apply_linear_map` and `groups.apply_element`) and `groups.reynolds`
+read it; it multiplies only through the callable it is given, and
+`groups` keeps no monomial-image helper of its own.
 
 Exact linear algebra has one elimination kernel, `linalg._echelon`, on
 sparse rows of raw payloads: it computes only through the field's
@@ -320,12 +326,27 @@ def test_molien_series_builds_no_polynomial_ring():
     assert ("groups", "molien_series") not in _sites(is_ring)
 
 
-def test_power_sum_computes_only_through_its_callables():
-    loop = next(node for node in _class(_source("polynomials"), "Polynomial").body
-                if isinstance(node, ast.FunctionDef) and node.name == "_power_sum")
-    assert [a.arg for a in loop.args.args] == ["self", "values", "zero", "one",
-                                               "lift", "mul", "add"]
-    assert not [node for node in ast.walk(loop) if isinstance(node, (ast.BinOp, ast.AugAssign))]
+def test_monomial_table_computes_only_through_its_callable():
+    table = next(node for node in _source("polynomials").body
+                 if isinstance(node, ast.FunctionDef) and node.name == "monomial_image")
+    assert _signature(table) == (["table", "a", "times"], None, [], None, [], [])
+    nodes = list(ast.walk(table))
+    assert not [node for node in nodes if isinstance(node, (ast.BinOp, ast.AugAssign))]
+    # products go through `times` only; the rest is exponent bookkeeping
+    called = {ast.unparse(node.func) for node in nodes if isinstance(node, ast.Call)}
+    assert called == {"times", "monomial_image", "_unit", "mono_div", "max", "compress", "count",
+                      "len", "any", "reversed", "steps.append"}
+    assert _calls("monomial_image") == {("polynomials", "evaluate"), ("polynomials", "substitute"),
+                                        ("polynomials", "monomial_image"), ("groups", "reynolds")}
+
+
+def test_groups_defines_no_monomial_image_helper():
+    def is_monomial_op(node):
+        return isinstance(node, ast.Name) and node.id.startswith(("mono_", "_unit"))
+
+    assert "groups" not in {module for module, _ in _sites(is_monomial_op)}
+    names = {node.name for node in _source("groups").body if isinstance(node, ast.FunctionDef)}
+    assert not names & {"_image", "_sum_terms", "_power_sum", "monomial_image", "image_table"}
 
 
 def test_echelon_computes_only_through_payload_methods():

@@ -297,6 +297,20 @@ def test_power_past_the_packing_bound_exits_4_before_expanding(capsys, tmp_path,
     assert json.loads(err)["error"] == "CapExceeded"
 
 
+@pytest.mark.parametrize("degree", [65, 400])
+def test_minimal_polynomial_past_the_degree_bound_exits_4(capsys, tmp_path, degree):
+    # building Q[w]/(w^400 - 2) took seconds before the degree bound
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({**_PROBLEM, "field": {
+        "kind": "simple_extension", "minimal_poly": f"w^{degree} - 2", "generator": "w"}}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "groebner", str(problem), "--json")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    error = json.loads(err)
+    assert error["error"] == "CapExceeded" and "degree" in error["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "bounds", fixture_path("d8"), "--degrees", "2,x"),
     ("analyze", "bounds", fixture_path("d8"), "--degrees", ",,"),

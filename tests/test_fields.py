@@ -6,8 +6,9 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invar.errors import DivisionByZero, FieldMismatch, InvalidFieldSpec, ParseError
+from invar.errors import CapExceeded, DivisionByZero, FieldMismatch, InvalidFieldSpec, ParseError
 from invar.fields import (
+    MAX_EXTENSION_DEGREE,
     NumberField,
     PrimeField,
     Rationals,
@@ -17,6 +18,7 @@ from invar.fields import (
     field_from_config,
 )
 from invar.prng import XorShift
+from invar.ratfunc import RationalFunctionField
 
 Q = Rationals()
 G7 = PrimeField(7)
@@ -119,6 +121,30 @@ def test_minimal_poly_validation():
         NumberField([-2, 0, 2], "w")  # not monic
     with pytest.raises(InvalidFieldSpec):
         NumberField([1, 2, 1], "w")  # (w+1)^2, not squarefree
+
+
+def test_minimal_poly_degree_bound():
+    # building the field costs O(d^3), so a degree past the bound is refused at once
+    start = time.perf_counter()
+    for d in (MAX_EXTENSION_DEGREE + 1, 400):
+        with pytest.raises(CapExceeded):
+            NumberField([-2] + [0] * (d - 1) + [1], "w")
+    assert time.perf_counter() - start < 1
+    with pytest.warns(UnverifiedIrreducibilityWarning):
+        field = NumberField([-2] + [0] * (MAX_EXTENSION_DEGREE - 1) + [1], "w")
+    assert field.generator ** MAX_EXTENSION_DEGREE == 2
+
+
+@pytest.mark.parametrize("field", [Q, G7, SQRT2, RationalFunctionField(Q, ("a", "b"))],
+                         ids=["Q", "GF7", "Qsqrt2", "Q(a,b)"])
+def test_zero_and_one_are_built_once(field):
+    assert field.zero is field.zero and field.one is field.one
+    for cached, n in ((field.zero, 0), (field.one, 1)):
+        fresh = field.scalar(n)
+        assert cached is not fresh
+        assert cached == fresh == n and hash(cached) == hash(fresh)
+    assert field.zero.is_zero() and not field.one.is_zero()
+    assert field.zero != field.one
 
 
 def test_reducibility_warnings():

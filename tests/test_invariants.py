@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +12,7 @@ from invar.errors import (
     ModularCase,
     NonHomogeneousInput,
 )
-from invar.fields import Rationals
+from invar.fields import NumberField, Rationals, UnverifiedIrreducibilityWarning
 from invar.groebner import SubalgebraOracle, buchberger, ideal_dimension
 from invar.groups import apply_element, close_group, reynolds
 from invar.invariants import (
@@ -28,6 +29,7 @@ from invar.invariants import (
 )
 from invar.linalg import Matrix
 from invar.polynomials import GREVLEX, PolynomialRing, monomials_of_degree
+from invar.prng import XorShift
 from invar.specfile import fixture_path, load_spec_file
 
 Q = Rationals()
@@ -241,6 +243,89 @@ def test_separation_samples_detect_bad_set(c2_swap):
     report = verify_separation_samples([ring.variable(0)], c2_swap, pairs=50)
     assert not report.passed
     assert report.counterexamples
+
+
+def test_separation_samples_report_a_non_invariant(d8):
+    x1 = d8.ring().variable(0)
+    report = verify_separation_samples([x1], d8, pairs=20)
+    assert not report.passed
+    assert {(c["kind"], c["invariant"]) for c in report.counterexamples} >= {("same-orbit", x1)}
+
+
+def test_separation_samples_report_a_set_that_does_not_separate(d8):
+    # x^2 + y^2 alone cannot tell orbits of one radius apart, such as
+    # those of (3, 4) and (0, 5)
+    (quadric,) = invariant_basis(d8, 2)
+    report = verify_separation_samples([quadric], d8, pairs=100, coordinate_bound=5, seed=2)
+    assert not report.passed
+    assert {c["kind"] for c in report.counterexamples} == {"distinct-orbit"}
+    for c in report.counterexamples:
+        assert quadric.evaluate(c["v"]) == quadric.evaluate(c["w"])
+        assert not any(sigma.apply(c["v"]) == c["w"] for sigma in d8.elements)
+
+
+def _reference_separation(invariants, group, pairs, coordinate_bound, seed):
+    """The sampling loop of `verify_separation_samples` without shared
+    tables or payload rows: one evaluation per invariant and point, and
+    orbit membership through `Matrix.apply`."""
+    rng = XorShift(seed)
+    field, n = group.field, group.dimension
+    counterexamples, same_checked, distinct_checked = [], 0, 0
+
+    def random_point():
+        return tuple(field.scalar(rng.randint(-coordinate_bound, coordinate_bound))
+                     for _ in range(n))
+
+    for _ in range(pairs):
+        v = random_point()
+        sigma = group.elements[rng.next_u64() % group.order]
+        w = sigma.apply(v)
+        same_checked += 1
+        for g in invariants:
+            if g.evaluate(v) != g.evaluate(w):
+                counterexamples.append(("same-orbit", g, v, w))
+                break
+        for _ in range(20):
+            v = random_point()
+            w = random_point()
+            if not any(sigma.apply(v) == w for sigma in group.elements):
+                break
+        else:
+            continue
+        distinct_checked += 1
+        if all(g.evaluate(v) == g.evaluate(w) for g in invariants):
+            counterexamples.append(("distinct-orbit", None, v, w))
+    return same_checked, distinct_checked, counterexamples
+
+
+def _sampled_group(name):
+    """Fixtures, and the C3 x C3 and C7 groups over cyclotomic fields."""
+    if name == "c3xc3":
+        K = NumberField([1, 1, 1], "w")
+        w = K.generator
+        return close_group([Matrix.from_rows(K, [[w, 0], [0, 1]]),
+                            Matrix.from_rows(K, [[1, 0], [0, w]])])
+    if name == "c7":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnverifiedIrreducibilityWarning)
+            K = NumberField([1] * 7, "w")
+        w = K.generator
+        return close_group([Matrix.from_rows(K, [[w, 0], [0, w**6]])])
+    return load_spec_file(fixture_path(name)).group
+
+
+@pytest.mark.parametrize("name", ["d8", "s3_natural", "c2_swap_gf2", "c3xc3", "c7"])
+def test_separation_samples_match_the_reference_loop(name):
+    group = _sampled_group(name)
+    noether = noether_separating_set(group).invariants
+    candidate_sets = [noether, noether[:1], [group.ring().variable(0)] + noether]
+    for seed in range(4):
+        for candidates in candidate_sets:
+            report = verify_separation_samples(candidates, group, pairs=25, coordinate_bound=3,
+                                               seed=seed)
+            got = (report.same_orbit_checked, report.distinct_orbit_checked,
+                   [(c["kind"], c["invariant"], c["v"], c["w"]) for c in report.counterexamples])
+            assert got == _reference_separation(candidates, group, 25, 3, seed)
 
 
 def test_reduce_noop_when_small(c2_swap):

@@ -349,3 +349,91 @@ def test_format_is_order_descending():
     assert p.format(LEX) == "x^2 + x*y^2 + 1"
     assert p.format(GREVLEX) == "x*y^2 + x^2 + 1"
 
+
+
+# ---------------------------------------------------------------------------
+# the shared monomial-image table behind evaluate, substitute and reynolds
+# ---------------------------------------------------------------------------
+
+SQRT2 = NumberField([-2, 0, 1], "w")
+TABLE_FIELDS = [Q, PrimeField(32003), SQRT2]
+_table_terms = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+                               st.tuples(st.integers(-9, 9), st.integers(1, 4), st.integers(-3, 3)),
+                               max_size=6)
+
+
+def _table_poly(ring, terms):
+    """Coefficients a/b + c*w over Q(sqrt 2), a/b elsewhere."""
+    field = ring.field
+    w = field.generator if field is SQRT2 else field.zero
+    p = ring.zero
+    for m, (num, den, k) in terms.items():
+        p = p + ring.monomial(m, field.scalar(Fraction(num, den)) + w * k)
+    return p
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=["Q", "GF32003", "Qsqrt2"])
+@settings(max_examples=40, deadline=None)
+@given(polys=st.lists(_table_terms, min_size=1, max_size=4),
+       point=st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)),
+       twist=st.integers(-2, 2))
+def test_evaluation_on_a_shared_table_equals_fresh_tables(field, polys, point, twist):
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    w = field.generator if field is SQRT2 else field.one
+    point = [field.scalar(point[0]) + w * twist, *point[1:]]  # an irrational first coordinate
+    polys = [_table_poly(ring, terms) for terms in polys]
+    constants = [ring.from_scalar(c) for c in point]
+    table = {}
+    shared = [p.evaluate(point, table) for p in polys]
+    assert shared == [p.evaluate(point) for p in polys]
+    assert shared == [p.substitute(constants).constant_coefficient() for p in polys]
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=["Q", "GF32003", "Qsqrt2"])
+@settings(max_examples=40, deadline=None)
+@given(polys=st.lists(_table_terms, min_size=1, max_size=4), images=st.lists(_table_terms,
+                                                                            min_size=3, max_size=3))
+def test_substitution_on_a_shared_table_equals_fresh_tables(field, polys, images):
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    target = PolynomialRing(field, ("u", "v", "s"))
+    # images of low degree, so that the substituted polynomials stay small
+    images = [_table_poly(target, {m: c for m, c in terms.items() if sum(m) <= 2})
+              for terms in images]
+    polys = [_table_poly(ring, terms) for terms in polys]
+    table = {}
+    assert [p.substitute(images, table) for p in polys] == [p.substitute(images) for p in polys]
+
+
+def _counting(field):
+    """A copy of the field whose `_mul` counts its calls."""
+    cls = type(field)
+
+    class Counting(cls):
+        calls = 0
+
+        def _mul(self, a, b):
+            Counting.calls += 1
+            return cls._mul(self, a, b)
+
+    if field is SQRT2:
+        return Counting([-2, 0, 1], "w")
+    return Counting(field.p) if cls is PrimeField else Counting()
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=["Q", "GF32003", "Qsqrt2"])
+@settings(max_examples=40, deadline=None)
+@given(polys=st.lists(_table_terms, min_size=1, max_size=4),
+       point=st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)))
+def test_the_table_makes_one_product_per_new_monomial(field, polys, point):
+    field = _counting(field)
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    # unit coefficients, so that evaluation multiplies only inside the table
+    polys = [sum((ring.monomial(m) for m in terms), ring.zero) for terms in polys]
+    table = {}
+    polys[0].evaluate(point, table)
+    for p in polys:
+        entries, calls = len(table), type(field).calls
+        value = p.evaluate(point, table)
+        assert type(field).calls - calls == len(table) - entries
+        assert value == p.substitute([ring.from_scalar(c) for c in point]).constant_coefficient()
+    assert set(table) >= {m for p in polys for m in p.terms}
