@@ -47,7 +47,6 @@ from .invariants import (
     dade_primary_invariants,
     degree_bound_report,
     invariant_basis,
-    is_hsop,
     is_phsop,
     king_generators,
     noether_separating_set,

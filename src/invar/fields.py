@@ -163,7 +163,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _settled(a):
+def _identity(a):
     return a
 
 
@@ -232,23 +232,36 @@ class Field:
     def _format(self, a) -> str:
         raise NotImplementedError
 
+    # Q, GF(p) and Q(w) lift payloads to integers: `_integral(a)` is (nums,
+    # den), ints over one positive int, one per basis element over the prime
+    # field, and `_from_integral(nums, den)` the canonical payload of any such.
+
     def _accumulator(self):
         """(mul, add, settle) for sums of products read only when
         complete: `settle(add(a, mul(b, c)))` is `_add(a, _mul(b, c))`,
         and so for any chain of such steps.  Here the steps are the
         field's own and `settle` changes nothing."""
-        return self._mul, self._add, _settled
+        return self._mul, self._add, _identity
 
 
-def _lowest(n, d):
-    """Q payload of n / d for d > 0, in lowest terms."""
-    g = gcd(n, d)
-    return (n, d) if g == 1 else (n // g, d // g)
+def _lowest(a):
+    """Q payload of n / d, for a pair a = (n, d) with d > 0, in lowest terms."""
+    n, d = a
+    g = gcd(n, d) if d != 1 else 1
+    return a if g == 1 else (n // g, d // g)
+
+
+def _pair_mul(a, b):
+    return a[0] * b[0], a[1] * b[1]
+
+
+def _pair_add(a, b):
+    (an, ad), (bn, bd) = a, b
+    return (an + bn, ad) if ad == bd else (an * bd + bn * ad, ad * bd)
 
 
 class Rationals(Field):
-    """Q, on payloads (num, den) with den > 0 and gcd(num, den) == 1, so
-    zero is (0, 1); integer operands skip the gcd."""
+    """Q, on payloads (num, den) with den > 0 and gcd(num, den) == 1: zero is (0, 1)."""
 
     kind = "rationals"
 
@@ -259,19 +272,13 @@ class Rationals(Field):
         return q.numerator, q.denominator
 
     def _add(self, a, b):
-        (an, ad), (bn, bd) = a, b
-        if ad == bd == 1:
-            return an + bn, 1
-        return _lowest(an * bd + bn * ad, ad * bd)
+        return _lowest(_pair_add(a, b))
 
     def _neg(self, a):
         return -a[0], a[1]
 
     def _mul(self, a, b):
-        (an, ad), (bn, bd) = a, b
-        if ad == bd == 1:
-            return an * bn, 1
-        return _lowest(an * bn, ad * bd)
+        return _lowest(_pair_mul(a, b))
 
     def _inv(self, a):
         n, d = a
@@ -284,6 +291,16 @@ class Rationals(Field):
 
     def _format(self, a):
         return str(a[0]) if a[1] == 1 else f"{a[0]}/{a[1]}"
+
+    def _accumulator(self):
+        # unreduced (num, den) pairs, in lowest terms once when read
+        return _pair_mul, _pair_add, _lowest
+
+    def _integral(self, a):
+        return (a[0],), a[1]
+
+    def _from_integral(self, nums, den):
+        return _lowest((nums[0], den))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -337,6 +354,12 @@ class PrimeField(Field):
         # plain int products and sums of residues, reduced once when read
         return mul, add, self.p.__rmod__
 
+    def _integral(self, a):
+        return (a,), 1
+
+    def _from_integral(self, nums, den):
+        return nums[0] % self.p
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -356,6 +379,13 @@ def _normal(nums, den):
         if g != 1:
             return tuple(x // g for x in nums), den // g
     return tuple(nums), den
+
+
+def _vector_add(a, b):
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return [x + y for x, y in zip(an, bn)], ad
+    return [x * bd + y * ad for x, y in zip(an, bn)], ad * bd
 
 
 class NumberField(Field):
@@ -453,10 +483,7 @@ class NumberField(Field):
         return (q.numerator,) + (0,) * (self.degree - 1), q.denominator
 
     def _add(self, a, b):
-        (an, ad), (bn, bd) = a, b
-        if ad == bd:
-            return _normal([x + y for x, y in zip(an, bn)], ad)
-        return _normal([x * bd + y * ad for x, y in zip(an, bn)], ad * bd)
+        return _normal(*_vector_add(a, b))
 
     def _neg(self, a):
         return tuple(-x for x in a[0]), a[1]
@@ -478,13 +505,23 @@ class NumberField(Field):
         return out
 
     def _mul(self, a, b):
+        return _normal(*self._vector_mul(a, b))
+
+    def _vector_mul(self, a, b):
         (an, ad), (bn, bd) = a, b
         # constants are very common inside polynomial arithmetic
         if not any(an[1:]):
-            return _normal([an[0] * y for y in bn], ad * bd)
+            return [an[0] * y for y in bn], ad * bd
         if not any(bn[1:]):
-            return _normal([x * bn[0] for x in an], ad * bd)
-        return _normal(self._product(an, bn), ad * bd * self._scale)
+            return [x * bn[0] for x in an], ad * bd
+        return self._product(an, bn), ad * bd * self._scale
+
+    def _accumulator(self):
+        # unnormalised (nums, den) pairs, normalised once when read
+        return self._vector_mul, _vector_add, lambda a: _normal(*a)
+
+    _integral = staticmethod(_identity)
+    _from_integral = staticmethod(_normal)
 
     def _inv(self, a):
         return self._invert(*a)
@@ -528,7 +565,7 @@ class NumberField(Field):
 
         nums, den = a
         ring = PolynomialRing(Rationals(), (self.generator_name,))
-        terms = {(i,): Scalar(ring.field, _lowest(n, den)) for i, n in enumerate(nums)}
+        terms = {(i,): Scalar(ring.field, _lowest((n, den))) for i, n in enumerate(nums)}
         return Polynomial(ring, terms).format()
 
     def __eq__(self, other):

@@ -14,10 +14,10 @@ packed monomials.  Reduction is delayed, as there: a tail update adds
 a product into the monomial's pending coefficient through the field's
 `_accumulator`, with no normalising and no zero test, and the
 coefficient is settled and tested for zero once, when its term is
-popped; a cancelled term is dropped there.  Over GF(p) pending
-coefficients are plain int products and sums, reduced mod p when
-settled; every other field accumulates with its own canonical
-arithmetic.  The ratio of a reduction step is taken from the settled
+popped; a cancelled term is dropped there.  Pending coefficients are
+unreduced ints over GF(p), integer pairs over Q and integer vectors
+over Q(w), reduced when settled; K(x) keeps its canonical arithmetic.
+The ratio of a reduction step is taken from the settled
 coefficient, so the quotient and the remainder are canonical.  The
 arithmetic runs on raw field payloads; tuples and `Scalar`s come back
 only in the result and the quotient.  Packing refuses degree 2^15; a

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import reduce
+from operator import eq
 from typing import Sequence
 
 from .errors import (
@@ -36,6 +37,8 @@ from .polynomials import (
     MonomialOrder,
     Polynomial,
     PolynomialRing,
+    evaluate_integral,
+    integer_powers,
     mono_divides,
     monomials_of_degree,
     transport,
@@ -368,8 +371,9 @@ def verify_separation_samples(
     """Seeded sampling check of the separating property: same-orbit point
     pairs must agree on every candidate invariant, and pairs from
     distinct orbits must differ somewhere (finite groups always separate
-    distinct orbits by invariants).  Each sampled point keeps one
-    monomial-value table, shared by all the invariants."""
+    distinct orbits by invariants).  Invariants are lifted to ints once
+    and evaluated in ints at points with integer coordinates; any other
+    point keeps one monomial-value table, shared by all the invariants."""
     rng = XorShift(seed)
     n = group.dimension
     field = group.field
@@ -387,6 +391,16 @@ def verify_separation_samples(
         return any(all(settle(reduce(add, (mul(c, v[j]) for j, c in row), zero)) == x.value
                        for row, x in zip(rows, w)) for rows in elements)
 
+    forms = [g.integral_form() for g in invariants]
+    exponents = [max((a[j] for g in invariants for a in g.terms), default=0) for j in range(n)]
+
+    def values(point):
+        rows = integer_powers(point, exponents)
+        if rows is None:
+            table = {}
+            return (g.evaluate(point, table).value for g in invariants)
+        return (evaluate_integral(field, form, rows) for form in forms)
+
     def random_point():
         return tuple(
             field.scalar(rng.randint(-coordinate_bound, coordinate_bound))
@@ -399,9 +413,8 @@ def verify_separation_samples(
         sigma = group.elements[rng.next_u64() % group.order]
         w = point_image(sigma, v)
         same_checked += 1
-        table_v, table_w = {}, {}
-        for g in invariants:
-            if g.evaluate(v, table_v) != g.evaluate(w, table_w):
+        for g, gv, gw in zip(invariants, values(v), values(w)):
+            if gv != gw:
                 counterexamples.append(
                     {"kind": "same-orbit", "invariant": g, "v": v, "w": w}
                 )
@@ -415,8 +428,7 @@ def verify_separation_samples(
         else:
             continue
         distinct_checked += 1
-        table_v, table_w = {}, {}
-        if all(g.evaluate(v, table_v) == g.evaluate(w, table_w) for g in invariants):
+        if all(map(eq, values(v), values(w))):
             counterexamples.append({"kind": "distinct-orbit", "invariant": None, "v": v, "w": w})
     return SeparationReport(
         passed=not counterexamples,
@@ -481,13 +493,6 @@ def is_phsop(polys: Sequence[Polynomial]) -> bool:
         return True
     dim = ideal_dimension(buchberger(polys, GREVLEX))
     return dim == n - k
-
-
-def is_hsop(polys: Sequence[Polynomial], n: int) -> bool:
-    polys = list(polys)
-    if len(polys) != n:
-        return False
-    return is_phsop(polys)
 
 
 DADE_RETRIES_PER_SLOT = 50  # random linear forms tried per slot

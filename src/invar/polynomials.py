@@ -32,7 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import compress, count
-from operator import add, le, neg, sub
+from math import lcm, prod
+from operator import add, getitem, le, neg, sub
 from typing import Optional, Sequence
 
 from .errors import (
@@ -424,6 +425,16 @@ class Polynomial:
             total = value if total is None else add(total, value)
         return Scalar(field, settle(total))
 
+    def integral_form(self):
+        """(D, components) for `evaluate_integral`: D is the lcm of the
+        coefficients' denominators, and component i lists (a, N) for each
+        x^a whose coefficient has i-th integer entry N / D != 0."""
+        field = self.ring.field
+        lifted = [(a, *field._integral(c.value)) for a, c in self.terms.items()]
+        den = lcm(*(d for _, _, d in lifted))
+        return den, [[(a, nums[i] * (den // d)) for a, nums, d in lifted if nums[i]]
+                     for i in range(len(field._integral(field.zero.value)[0]))]
+
     def substitute(self, images: Sequence["Polynomial"], table: Optional[dict] = None):
         """Map variable i to images[i], lifting scalar images into the one
         ring of the others.  Calls with the same images may share a
@@ -548,6 +559,23 @@ def monomial_image(table: dict, a: tuple, times):
     for a in reversed(steps):
         image = table[a] = times(image, factor)
     return image
+
+
+def integer_powers(point, exponents):
+    """Rows x_j^0 .. x_j^e_j of int powers of the point's coordinates, e_j
+    from `exponents`, or None unless each is the image of an integer."""
+    lifts = [x.field._integral(x.value) for x in point]
+    if any(den != 1 or any(nums[1:]) for nums, den in lifts):
+        return None
+    return [[nums[0] ** k for k in range(e + 1)] for (nums, _), e in zip(lifts, exponents)]
+
+
+def evaluate_integral(field: Field, form, rows):
+    """Canonical payload of a polynomial's value at an integer point, from its
+    `integral_form` and the point's `integer_powers`, summed in ints."""
+    den, components = form
+    nums = [sum(n * prod(map(getitem, rows, a)) for a, n in terms) for terms in components]
+    return field._from_integral(nums, den)
 
 
 def _sum_terms(field: Field, terms) -> dict:

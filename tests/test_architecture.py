@@ -19,8 +19,11 @@ kernel's unpacking helper wraps payloads into `Scalar`s, the kernel
 calls no tuple monomial operation or sort key, and one function builds
 the packers.  Its tail updates only multiply and add through the
 field's accumulator; each coefficient is settled and tested for zero
-once, when its term is popped, and only `PrimeField` (unreduced ints,
-reduced mod p when settled) overrides the base accumulator.
+once, when its term is popped.  `PrimeField` (unreduced ints, reduced
+mod p when settled), `Rationals` (unreduced integer pairs, put in lowest
+terms when settled) and `NumberField` (unnormalised integer vectors,
+normalised when settled) override the base accumulator; the base one,
+which rational function fields keep, settles nothing.
 `groebner.s_polynomial` shifts the reducers' packed tails itself: no
 tuple shift, no scaled copy, no polynomial subtraction.
 The Buchberger pair update runs on the same packings: the lcms, degrees
@@ -45,7 +48,11 @@ new monomial.  `Polynomial.evaluate` (images are a point's
 coordinates), `Polynomial.substitute` (and through it
 `apply_linear_map` and `groups.apply_element`) and `groups.reynolds`
 read it; it multiplies only through the callable it is given, and
-`groups` keeps no monomial-image helper of its own.
+`groups` keeps no monomial-image helper of its own.  It stays the one
+table; points whose coordinates are images of integers (as every
+sampled point is) run on ints instead: `polynomials.evaluate_integral`
+sums a polynomial's lifted terms over int power rows, with no field
+payload method in its term loop, and settles the sum once.
 
 Exact linear algebra has one elimination kernel, `linalg._echelon`, on
 sparse rows of raw payloads: it computes only through the field's
@@ -164,12 +171,13 @@ def test_kernel_zero_tests_only_popped_terms():
                     if isinstance(node, ast.For) and ast.unparse(node.iter) == "tail"]
     assert {ast.unparse(node.func) for node in ast.walk(tail_loop)
             if isinstance(node, ast.Call)} == {"work.get", "heapq.heappush", "mul", "add"}
-    # only prime fields delay their reduction
+    # the exact ground fields delay their reduction; the base class
+    # (and so K(x)) settles nothing
     hooks = {node.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.ClassDef)
              and any(isinstance(f, ast.FunctionDef) and f.name == "_accumulator"
                      for f in node.body)}
-    assert hooks == {"Field", "PrimeField"}
+    assert hooks == {"Field", "PrimeField", "Rationals", "NumberField"}
 
 
 def test_pair_update_computes_on_packed_exponents():
@@ -338,6 +346,21 @@ def test_monomial_table_computes_only_through_its_callable():
                       "len", "any", "reversed", "steps.append"}
     assert _calls("monomial_image") == {("polynomials", "evaluate"), ("polynomials", "substitute"),
                                         ("polynomials", "monomial_image"), ("groups", "reynolds")}
+
+
+def test_integral_evaluation_runs_on_ints():
+    evaluation = next(node for node in _source("polynomials").body
+                      if isinstance(node, ast.FunctionDef) and node.name == "evaluate_integral")
+    (term_loop,) = [node for node in ast.walk(evaluation) if isinstance(node, ast.GeneratorExp)]
+    # a term is int products and a sum: no payload method, no attribute at all
+    nodes = list(ast.walk(term_loop))
+    assert {ast.unparse(node.func) for node in nodes if isinstance(node, ast.Call)} == {"prod",
+                                                                                       "map"}
+    assert not [node for node in nodes if isinstance(node, ast.Attribute)]
+    # the one field call settles the summed components
+    assert [ast.unparse(node.func) for node in ast.walk(evaluation) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)] == ["field._from_integral"]
+    assert _calls("evaluate_integral") == {("invariants", "values")}
 
 
 def test_groups_defines_no_monomial_image_helper():

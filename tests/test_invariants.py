@@ -19,7 +19,6 @@ from invar.invariants import (
     dade_primary_invariants,
     degree_bound_report,
     invariant_basis,
-    is_hsop,
     is_phsop,
     king_generators,
     noether_separating_set,
@@ -380,6 +379,12 @@ def test_reduce_rejects_finite_fields(c2_swap_gf2):
 # ---------------------------------------------------------------------------
 # parameter systems and bounds
 # ---------------------------------------------------------------------------
+
+def is_hsop(polys, n):
+    """A homogeneous system of parameters: n polynomials forming a phsop."""
+    polys = list(polys)
+    return len(polys) == n and is_phsop(polys)
+
 
 def test_hsop_examples(d8):
     ring = d8.ring()

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from itertools import accumulate
 
@@ -13,7 +14,7 @@ from invar.errors import (
     SingularMatrix,
     ZeroPolynomial,
 )
-from invar.fields import NumberField, PrimeField, Rationals
+from invar.fields import NumberField, PrimeField, Rationals, UnverifiedIrreducibilityWarning
 from invar.groups import reynolds
 from invar.linalg import Matrix
 from invar.polynomials import (
@@ -24,6 +25,8 @@ from invar.polynomials import (
     BlockElimination,
     Polynomial,
     PolynomialRing,
+    evaluate_integral,
+    integer_powers,
     monomials_of_degree,
 )
 from invar.prng import XorShift
@@ -405,18 +408,25 @@ def test_substitution_on_a_shared_table_equals_fresh_tables(field, polys, images
 
 
 def _counting(field):
-    """A copy of the field whose `_mul` counts its calls."""
+    """A copy of the field whose `_mul` counts its calls in `calls`, and
+    whose `_add` counts its calls in `sums`."""
     cls = type(field)
 
     class Counting(cls):
-        calls = 0
+        calls = sums = 0
 
         def _mul(self, a, b):
             Counting.calls += 1
             return cls._mul(self, a, b)
 
-    if field is SQRT2:
-        return Counting([-2, 0, 1], "w")
+        def _add(self, a, b):
+            Counting.sums += 1
+            return cls._add(self, a, b)
+
+    if isinstance(field, NumberField):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnverifiedIrreducibilityWarning)
+            return Counting(field.minimal_poly, field.generator_name)
     return Counting(field.p) if cls is PrimeField else Counting()
 
 
@@ -437,3 +447,65 @@ def test_the_table_makes_one_product_per_new_monomial(field, polys, point):
         assert type(field).calls - calls == len(table) - entries
         assert value == p.substitute([ring.from_scalar(c) for c in point]).constant_coefficient()
     assert set(table) >= {m for p in polys for m in p.terms}
+
+
+# ---------------------------------------------------------------------------
+# evaluation in ints at points with integer coordinates
+# ---------------------------------------------------------------------------
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", UnverifiedIrreducibilityWarning)
+    ZETA7 = NumberField([1] * 7, "w")
+INTEGRAL_FIELDS = [Q, PrimeField(2), PrimeField(32003), SQRT2, ZETA7]
+INTEGRAL_IDS = ["Q", "GF2", "GF32003", "Qsqrt2", "Qzeta7"]
+# odd denominators, so that every coefficient exists in GF(2) as well
+_odd_fractions = st.builds(Fraction, st.integers(-40, 40),
+                           st.integers(0, 12).map(lambda k: 2 * k + 1))
+_integral_terms = st.dictionaries(st.tuples(*[st.integers(0, 16)] * 3),
+                                  st.lists(_odd_fractions, min_size=1, max_size=6), max_size=8)
+_integer_points = st.lists(st.integers(-20, 20), min_size=3, max_size=3)
+
+
+def _integral_poly(ring, terms):
+    """Coefficients sum_k c_k w^k over Q(w), c_0 elsewhere."""
+    field = ring.field
+    degree = field.degree if isinstance(field, NumberField) else 1
+    powers = [field.generator ** k if k else field.one for k in range(degree)]
+    return sum((ring.monomial(m, sum((c * w for c, w in zip(cs, powers)), field.zero))
+                for m, cs in terms.items()), ring.zero)
+
+
+@pytest.mark.parametrize("field", INTEGRAL_FIELDS, ids=INTEGRAL_IDS)
+@settings(max_examples=40, deadline=None)
+@given(terms=_integral_terms, constant=_odd_fractions, point=_integer_points)
+def test_integral_evaluation_equals_field_evaluation(field, terms, constant, point):
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    polys = [_integral_poly(ring, terms), ring.zero, ring.from_scalar(constant)]
+    # the drawn point, one with a zero coordinate, and its negative
+    for coordinates in (point, [0] + point[1:], [-x for x in point]):
+        at = [field.scalar(x) for x in coordinates]
+        rows = integer_powers(at, [16] * 3)
+        for p in polys:
+            assert evaluate_integral(field, p.integral_form(), rows) == p.evaluate(at).value
+
+
+@pytest.mark.parametrize("field", INTEGRAL_FIELDS, ids=INTEGRAL_IDS)
+@settings(max_examples=20, deadline=None)
+@given(terms=_integral_terms, point=_integer_points)
+def test_integral_evaluation_makes_no_field_arithmetic(field, terms, point):
+    field = _counting(field)
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    p = _integral_poly(ring, terms)
+    point = [field.scalar(x) for x in point]
+    counts = type(field).calls, type(field).sums
+    value = evaluate_integral(field, p.integral_form(), integer_powers(point, [16] * 3))
+    assert (type(field).calls, type(field).sums) == counts
+    assert value == p.evaluate(point).value
+
+
+def test_integer_powers_need_integer_coordinates():
+    assert integer_powers([Q.scalar(-3), Q.zero], [2, 1]) == [[1, -3, 9], [1, 0]]
+    assert integer_powers([Q.scalar(Fraction(1, 2)), Q.one], [2, 2]) is None
+    assert integer_powers([SQRT2.scalar(-3)], [1]) == [[1, -3]]
+    assert integer_powers([SQRT2.one, SQRT2.generator], [1, 1]) is None
+    assert integer_powers([PrimeField(7).scalar(-3)], [2]) == [[1, 4, 16]]
