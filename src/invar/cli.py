@@ -15,6 +15,7 @@ stderr, and domain errors exit with a documented code:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -248,7 +249,9 @@ def cmd_groebner(args):
     return "groebner", digest, None, payload, order
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="invar",
         description="Exact invariant-theory computations for finite and "

@@ -15,7 +15,9 @@ parentheses, e.g. ``(3*w^2 - 1)/2``, with whitespace insignificant.
 `Field.parse` takes it through `PolynomialRing.parse`, and an extension
 element prints as `Polynomial.format` prints it as a polynomial in the
 generator over Q, so scalars and polynomials share one parser and one
-printer.
+printer.  `field_from_config` reads a ``minimal_poly`` through the same
+parser, as a polynomial in the generator over Q, and hands its
+coefficients to `NumberField`.
 """
 
 from __future__ import annotations
@@ -388,6 +390,13 @@ def _vector_add(a, b):
     return [x * bd + y * ad for x, y in zip(an, bn)], ad * bd
 
 
+def _generator_name(name):
+    """The name, if it can name an extension generator."""
+    if not isinstance(name, str) or not name.isidentifier():
+        raise InvalidFieldSpec(f"bad generator name {name!r}")
+    return name
+
+
 class NumberField(Field):
     """Q[t]/(m(t)) for monic squarefree m of degree >= 2.
 
@@ -436,9 +445,7 @@ class NumberField(Field):
             self._invert(tuple(int(c * den) for c in deriv), den)
         except DivisionByZero:
             raise InvalidFieldSpec("minimal polynomial must be squarefree") from None
-        if not generator_name.isidentifier():
-            raise InvalidFieldSpec(f"bad generator name {generator_name!r}")
-        self.generator_name = generator_name
+        self.generator_name = _generator_name(generator_name)
         self._hash = hash(("ext", coeffs, generator_name))
         super().__init__()
         self._warn_if_reducible()
@@ -686,9 +693,12 @@ def field_from_config(cfg: dict) -> Field:
             raise ParseError(f"prime p must be an integer or an integer string, not {p!r}")
         return PrimeField(int(p))
     if kind == "simple_extension":
-        from .parsing import parse_univariate_rational
+        from .polynomials import PolynomialRing
 
-        name = cfg.get("generator", "t")
-        coeffs = parse_univariate_rational(cfg["minimal_poly"], name)
+        name = _generator_name(cfg.get("generator", "t"))
+        m = PolynomialRing(Rationals(), (name,)).parse(cfg["minimal_poly"])
+        coeffs = [Fraction(0)] * (m.total_degree() + 1)
+        for (i,), c in m.terms.items():
+            coeffs[i] = Fraction(*c.value)
         return NumberField(coeffs, name)
     raise ParseError(f"unknown field kind {kind!r}")

@@ -166,24 +166,6 @@ def apply_element(p: Polynomial, m: Matrix) -> Polynomial:
     return p.apply_linear_map(m)
 
 
-def point_image(m: Matrix, point) -> tuple:
-    """Image of a point under the element, consistent with the variable
-    action: evaluating sigma(f) at v equals evaluating f at sigma(v)."""
-    return m.apply(point)
-
-
-def orbit(group: FiniteMatrixGroup, point) -> list:
-    """Deterministic orbit listing (element order, first occurrence)."""
-    seen = []
-    seen_set = set()
-    for sigma in group.elements:
-        img = point_image(sigma, point)
-        if img not in seen_set:
-            seen_set.add(img)
-            seen.append(img)
-    return seen
-
-
 def reynolds(f: Polynomial, group: FiniteMatrixGroup) -> Polynomial:
     """Group average; the projection of f onto the invariant ring.
 

@@ -30,7 +30,7 @@ from .groebner import (
     ideal_dimension,
     ideal_membership,
 )
-from .groups import FiniteMatrixGroup, apply_element, point_image, reynolds
+from .groups import FiniteMatrixGroup, apply_element, reynolds
 from .linalg import nullspace
 from .polynomials import (
     GREVLEX,
@@ -411,7 +411,7 @@ def verify_separation_samples(
         # same-orbit pair
         v = random_point()
         sigma = group.elements[rng.next_u64() % group.order]
-        w = point_image(sigma, v)
+        w = sigma.apply(v)
         same_checked += 1
         for g, gv, gw in zip(invariants, values(v), values(w)):
             if gv != gw:

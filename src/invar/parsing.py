@@ -2,24 +2,22 @@
 
 One grammar serves all text input: identifiers, integer literals,
 ``+ - * / ^`` and parentheses, no implicit multiplication, whitespace
-insignificant.  The parser is generic over the value domain and has two
-callers: `PolynomialRing.parse`, which also parses matrix entries and
+insignificant.  The parser is generic over the value domain and has one
+caller, `PolynomialRing.parse`, which also parses matrix entries,
 scalars (`Field.parse` takes the constant coefficient over a ring with
-no variables), and `parse_univariate_rational` for minimal polynomials.
+no variables) and minimal polynomials (`field_from_config` reads them
+over Q in the generator).
 
-A power whose degree reaches `polynomials.DEGREE_BOUND` (2^15) raises
-`CapExceeded` before it is expanded: `Polynomial.__pow__` checks it, and
-`_UniPoly.__pow__` the same way.  Text nested too deeply for the
+The values do the arithmetic, so `Polynomial` holds its checks: a power
+whose degree reaches `polynomials.DEGREE_BOUND` (2^15) raises
+`CapExceeded` before it is expanded, and division by a nonconstant or
+zero polynomial raises `ParseError`.  Text nested too deeply for the
 recursive descent raises `ParseError`.
 """
 
 from __future__ import annotations
 
-import operator
-from fractions import Fraction
-
-from .errors import CapExceeded, DivisionByZero, InvarError, ParseError
-from .polynomials import DEGREE_BOUND
+from .errors import DivisionByZero, InvarError, ParseError
 
 
 def _tokenize(text: str):
@@ -146,7 +144,7 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}")
 
 
-def parse_expression(text: str, symbols, make_int, mul=operator.mul):
+def parse_expression(text: str, symbols, make_int, mul):
     """Value of the text; `mul` forms the products of the ``*`` operator."""
     if not isinstance(text, str):
         raise ParseError(f"expected an expression string, got {type(text).__name__} {text!r}")
@@ -158,59 +156,3 @@ def parse_expression(text: str, symbols, make_int, mul=operator.mul):
         raise ParseError(str(exc)) from exc
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
-
-
-class _UniPoly:
-    """Minimal univariate polynomial over Q, for minimal-poly input only."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        return _UniPoly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                        for i in range(max(len(a), len(b))))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _UniPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _UniPoly(out)
-
-    def __truediv__(self, other):
-        if len(other.coeffs) > 1:
-            raise ParseError("division by nonconstant polynomial")
-        if not other.coeffs:
-            raise DivisionByZero("division by zero")
-        inv = Fraction(1) / other.coeffs[0]
-        return _UniPoly(tuple(c * inv for c in self.coeffs))
-
-    def __pow__(self, n):
-        if (len(self.coeffs) - 1) * n >= DEGREE_BOUND:
-            raise CapExceeded(f"power of degree {(len(self.coeffs) - 1) * n} "
-                              f"reaches the bound {DEGREE_BOUND}")
-        out = _UniPoly((Fraction(1),))
-        for _ in range(n):
-            out = out * self
-        return out
-
-
-def parse_univariate_rational(text: str, name: str):
-    """Parse e.g. 'w^2 - 2' into Fraction coefficients, low degree first."""
-    symbols = {name: _UniPoly((Fraction(0), Fraction(1)))}
-    value = parse_expression(text, symbols, lambda n: _UniPoly((Fraction(n),)))
-    return list(value.coeffs)

@@ -105,9 +105,6 @@ class RationalFunctionField(Field):
     def generators(self):
         return [self.generator(i) for i in range(self.ring.nvars)]
 
-    def denominator(self, s: Scalar) -> Polynomial:
-        return s.value[1]
-
     # -- Field protocol --------------------------------------------------------
 
     def _from_rational(self, q: Fraction):

@@ -32,15 +32,16 @@ operations on leading exponents, never tuple monomial operations.
 
 Rational arithmetic runs on integer pairs and number-field arithmetic
 on integer vectors, never on `Fraction`s, and `fields` keeps no
-univariate polynomial helpers: minimal polynomials are parsed by
-`parsing._UniPoly` alone.
+univariate polynomial helpers: minimal polynomials are parsed as
+polynomials over Q, and `parsing` defines no value type of its own.
 
 Text has one parser entry and one printer.  `parsing.parse_expression`
-is called only by `PolynomialRing.parse`, which also parses scalars
-and matrix entries (`Field.parse` reads a constant polynomial), and by
-`parsing.parse_univariate_rational` for minimal polynomials; a
-number-field element prints through `Polynomial.format`, with no term
-loop of its own.
+is called only by `PolynomialRing.parse`, which also parses scalars,
+matrix entries (`Field.parse` reads a constant polynomial) and minimal
+polynomials; a number-field element prints through `Polynomial.format`,
+with no term loop of its own.  The power-degree cap has one home:
+`DEGREE_BOUND` is read only by `polynomials` and by `groebner`'s
+packed monomials.
 
 Substitution has one memoised path, `polynomials.monomial_image`: a
 table from monomials x^a to their images, filled with one product per
@@ -317,14 +318,27 @@ def test_fields_defines_no_univariate_helpers():
 
 
 def test_text_has_one_parser_entry_and_one_printer():
-    assert _calls("parse_expression") == {("polynomials", "parse"),
-                                          ("parsing", "parse_univariate_rational")}
+    assert _calls("parse_expression") == {("polynomials", "parse")}
     printer = next(node for node in _class(_source("fields"), "NumberField").body
                    if isinstance(node, ast.FunctionDef) and node.name == "_format")
     nodes = list(ast.walk(printer))
     assert "format" in {node.func.attr for node in nodes
                         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
     assert not [node for node in nodes if isinstance(node, (ast.For, ast.While))]
+
+
+def test_parsing_defines_no_value_type():
+    assert [node.name for node in _source("parsing").body
+            if isinstance(node, ast.ClassDef)] == ["_Parser"]
+
+
+def test_degree_bound_is_read_only_by_polynomials_and_groebner():
+    def reads_bound(node):
+        return ((isinstance(node, ast.Name) and node.id == "DEGREE_BOUND"
+                 and isinstance(node.ctx, ast.Load))
+                or (isinstance(node, ast.Attribute) and node.attr == "DEGREE_BOUND"))
+
+    assert {module for module, _ in _sites(reads_bound)} == {"polynomials", "groebner"}
 
 
 def test_molien_series_builds_no_polynomial_ring():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from invar import invariants
-from invar.cli import main
+from invar.cli import build_parser, main
 from invar.specfile import fixture_path
 
 
@@ -311,6 +311,37 @@ def test_minimal_polynomial_past_the_degree_bound_exits_4(capsys, tmp_path, degr
     assert error["error"] == "CapExceeded" and "degree" in error["message"]
 
 
+@pytest.mark.parametrize("minimal_poly,generator,code,record", [
+    ("w^32767 - 2", "w", 4, {"error": "CapExceeded",
+                             "message": "minimal polynomial of degree 32767 exceeds the bound 64"}),
+    ("(w+1)^300 - 2", "w", 4, {"error": "CapExceeded",
+                               "message": "minimal polynomial of degree 300 exceeds the bound 64"}),
+    ("w^40000 - 2", "w", 4, {"error": "CapExceeded",
+                             "message": "power of degree 40000 reaches the bound 32768"}),
+    ("w^2/w", "w", 2, {"error": "ParseError", "message": "division by nonconstant polynomial"}),
+    ("w^2/(w-w)", "w", 2, {"error": "ParseError", "message": "division by zero"}),
+    ("3", "w", 2, {"error": "InvalidFieldSpec",
+                   "message": "minimal polynomial must have degree >= 2"}),
+    (["w^2"], "w", 2, {"error": "ParseError",
+                       "message": "expected an expression string, got list ['w^2']"}),
+    ("w^2 - 2", 5, 2, {"error": "InvalidFieldSpec", "message": "bad generator name 5"}),
+    ("w^2 - 2", "1w", 2, {"error": "InvalidFieldSpec", "message": "bad generator name '1w'"}),
+    ("w^2 - 2", "", 2, {"error": "InvalidFieldSpec", "message": "bad generator name ''"}),
+], ids=["degree-32767", "binomial-power-300", "past-the-power-bound", "nonconstant-divisor",
+        "zero-divisor", "a-constant", "a-list", "generator-a-number",
+        "generator-not-an-identifier", "generator-empty"])
+def test_malformed_minimal_polynomials_fail_fast(capsys, tmp_path, minimal_poly, generator,
+                                                 code, record):
+    # expanding w^32767 by repeated products took 38 s before the field refused its degree
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({**_PROBLEM, "field": {
+        "kind": "simple_extension", "minimal_poly": minimal_poly, "generator": generator}}))
+    start = time.perf_counter()
+    result = run_cli(capsys, "groebner", str(problem), "--json")
+    assert time.perf_counter() - start < 1
+    assert result == (code, "", json.dumps(record, sort_keys=True) + "\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", "bounds", fixture_path("d8"), "--degrees", "2,x"),
     ("analyze", "bounds", fixture_path("d8"), "--degrees", ",,"),
@@ -352,6 +383,16 @@ def test_failed_internal_check_exits_6(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "analyze", "primary", fixture_path("c2_swap"), "--json")
     assert (code, out) == (6, "")
     assert json.loads(err)["error"] == "RetryLimitExceeded"
+
+
+def test_one_argument_parser_serves_every_call(capsys):
+    golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+    for case, argv in [("analyze-molien-d8", ["analyze", "molien", fixture_path("d8")]),
+                       ("generators-c2_swap", ["generators", fixture_path("c2_swap")]),
+                       ("analyze-molien-d8", ["analyze", "molien", fixture_path("d8")])]:
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert {"code": code, "out": out, "err": err} == golden[case]["json"]
+    assert build_parser() is build_parser()
 
 
 def test_wall_time_only_in_human_output(capsys):

@@ -1,3 +1,4 @@
+import operator
 import time
 import warnings
 from fractions import Fraction
@@ -6,7 +7,14 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invar.errors import CapExceeded, DivisionByZero, FieldMismatch, InvalidFieldSpec, ParseError
+from invar.errors import (
+    CapExceeded,
+    DivisionByZero,
+    FieldMismatch,
+    InvalidFieldSpec,
+    InvarError,
+    ParseError,
+)
 from invar.fields import (
     MAX_EXTENSION_DEGREE,
     NumberField,
@@ -17,6 +25,8 @@ from invar.fields import (
     UnverifiedIrreducibilityWarning,
     field_from_config,
 )
+from invar.parsing import parse_expression
+from invar.polynomials import DEGREE_BOUND, Polynomial, PolynomialRing
 from invar.prng import XorShift
 from invar.ratfunc import RationalFunctionField
 
@@ -515,3 +525,106 @@ def test_accumulator_settles_to_field_arithmetic(name, data):
         x, y = data.draw(payloads), field.scalar(Fraction(1, q)).value
         acc, expected = add(acc, mul(x, y)), field._add(expected, field._mul(x, y))
     assert settle(acc) == expected
+
+
+class _UniPoly:
+    """Dense univariate polynomial over Q, once the library's parser of
+    minimal polynomials; kept here as the reference for the ring parser."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        return _UniPoly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                        for i in range(max(len(a), len(b))))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return _UniPoly(tuple(-c for c in self.coeffs))
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _UniPoly(out)
+
+    def __truediv__(self, other):
+        if len(other.coeffs) > 1:
+            raise ParseError("division by nonconstant polynomial")
+        if not other.coeffs:
+            raise DivisionByZero("division by zero")
+        inv = Fraction(1) / other.coeffs[0]
+        return _UniPoly(tuple(c * inv for c in self.coeffs))
+
+    def __pow__(self, n):
+        if (len(self.coeffs) - 1) * n >= DEGREE_BOUND:
+            raise CapExceeded(f"power of degree {(len(self.coeffs) - 1) * n} "
+                              f"reaches the bound {DEGREE_BOUND}")
+        out = _UniPoly((Fraction(1),))
+        for _ in range(n):
+            out = out * self
+        return out
+
+
+def _reference_coefficients(text):
+    """Fraction coefficients of the text in w, low degree first."""
+    symbols = {"w": _UniPoly((Fraction(0), Fraction(1)))}
+    value = parse_expression(text, symbols, lambda n: _UniPoly((Fraction(n),)), operator.mul)
+    return list(value.coeffs)
+
+
+def _binary(args):
+    (left, dl), op, (right, dr) = args
+    return f"{left} {op} {right}", {"*": dl + dr, "/": dl}.get(op, max(dl, dr))
+
+
+# (text, a bound on its degree in w); the bound keeps the reference's
+# power-by-repeated-products fast
+_LEAVES = st.one_of(
+    st.just(("w", 1)),
+    st.integers(0, 12).map(lambda n: (str(n), 0)),
+    st.tuples(st.integers(0, 12), st.integers(0, 4)).map(lambda nd: (f"{nd[0]}/{nd[1]}", 0)),
+)
+_MINIMAL_POLY_TEXTS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from("+-*/"), inner).map(_binary),
+    st.tuples(inner, st.integers(0, 12)).map(lambda t: (f"({t[0][0]})^{t[1]}", t[0][1] * t[1])),
+    st.tuples(st.sampled_from(["w", "1/2", "3"]), st.integers(0, 12)).map(
+        lambda t: (f"{t[0]}^{t[1]}", t[1] if t[0] == "w" else 0)),
+    inner.map(lambda t: (f"-{t[0]}", t[1])),
+    inner.map(lambda t: (f"({t[0]})", t[1])),
+), max_leaves=8).filter(lambda t: t[1] <= 150)
+# a leading w^k over a tail of lower degree is monic, so some texts build fields
+_MONIC_TEXTS = st.tuples(st.integers(2, 6), _MINIMAL_POLY_TEXTS).filter(
+    lambda t: t[1][1] < t[0]).map(lambda t: f"w^{t[0]} + {t[1][0]}")
+
+
+def _outcome(build):
+    """What build() returns, or the class and message of what it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return build()
+        except InvarError as exc:
+            return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(_MINIMAL_POLY_TEXTS.map(lambda t: t[0]), _MONIC_TEXTS))
+def test_minimal_polynomials_parse_as_the_reference_parser_did(text):
+    ring = PolynomialRing(Q, ("w",))
+    assert _outcome(lambda: ring.parse(text)) == _outcome(lambda: Polynomial(ring, {
+        (i,): Q.scalar(c) for i, c in enumerate(_reference_coefficients(text))}))
+    config = {"kind": "simple_extension", "generator": "w", "minimal_poly": text}
+    assert _outcome(lambda: field_from_config(config)) == _outcome(
+        lambda: NumberField(_reference_coefficients(text), "w"))

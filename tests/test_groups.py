@@ -20,8 +20,6 @@ from invar.groups import (
     is_bireflection_group,
     is_reflection_group,
     molien_series,
-    orbit,
-    point_image,
     reynolds,
 )
 from invar.invariants import invariant_basis
@@ -437,14 +435,6 @@ def test_molien_matches_sympy(sympy, name):
     assert [value(c) for c in molien_series(group, 15)] == expected
 
 
-def test_orbit_and_point_image(c2_swap):
-    v = (Q.scalar(1), Q.scalar(2))
-    orb = orbit(c2_swap, v)
-    assert len(orb) == 2
-    swap = c2_swap.generators[0]
-    assert point_image(swap, v) == (Q.scalar(2), Q.scalar(1))
-
-
 @lru_cache(maxsize=None)
 def _fixture_group(name):
     return load_spec_file(fixture_path(name)).group
@@ -469,6 +459,6 @@ def test_action_convention(name, terms, v):
     for exps, (a, b) in terms.items():
         f = f + ring.monomial(exps, field.scalar(a) + w * b)
     for sigma in group.elements:
-        assert apply_element(f, sigma).evaluate(v) == f.evaluate(point_image(sigma, v))
+        assert apply_element(f, sigma).evaluate(v) == f.evaluate(sigma.apply(v))
     constants = [ring.from_scalar(x) for x in v]
     assert f.evaluate(v) == f.substitute(constants).constant_coefficient()

@@ -153,7 +153,7 @@ def test_apply_matches_scalar_sums(name, data):
     assert image == tuple(sum((a[i][k] * v[k] for k in range(n)), field.zero)
                           for i in range(m))
     assert all(x.field == field for x in image)
-    # int coordinates are coerced, as `groups.point_image` passes them
+    # int coordinates are coerced
     assert Matrix(field, a).apply([3] * n) == Matrix(field, a).apply([field.scalar(3)] * n)
     other = FIELDS[min(set(FIELDS) - {name})]
     with pytest.raises(FieldMismatch):

@@ -85,7 +85,7 @@ def test_fraction_canonical_form():
     assert str(num) == "a" and str(den) == "b"
     # denominator normalized monic
     frac = L.one / (L.from_polynomial(3 * RING.variable(1)))
-    assert L.denominator(frac).leading(GREVLEX)[1] == Q.one
+    assert frac.value[1].leading(GREVLEX)[1] == Q.one
 
 
 def test_fraction_arithmetic():
