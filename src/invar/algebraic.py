@@ -12,7 +12,9 @@ subalgebras for reductive groups.
 The action enters through ``action_graph_generators`` alone: it is the
 only reader of the action matrix, and every construction below derives
 its images sum_j a_ij(z) x_j from those generators (``groups.apply_element``
-is the finite-group counterpart).
+is the finite-group counterpart).  The degree-d invariants of the action
+are solved for by ``invariants.fixed_forms``, the solver that finite
+groups use too.
 """
 
 from __future__ import annotations
@@ -34,14 +36,12 @@ from .groebner import (
     radical_membership,
     reduce_basis,
 )
-from .invariants import GeneratingSetResult
-from .linalg import nullspace
+from .invariants import GeneratingSetResult, fixed_forms
 from .polynomials import (
     GREVLEX,
     BlockElimination,
     Polynomial,
     PolynomialRing,
-    monomials_of_degree,
     transport,
 )
 from .ratfunc import RationalFunctionField
@@ -129,9 +129,6 @@ class DerksenIdealResult:
     generators: list
     reduced: bool
 
-    def ring(self):
-        return self.generators[0].ring if self.generators else None
-
 
 def derksen_ideal(spec: AlgebraicGroupSpec) -> DerksenIdealResult:
     """Vanishing ideal of the action graph in the doubled variables,
@@ -174,27 +171,21 @@ def hilbert_ideal_generators(spec: AlgebraicGroupSpec) -> list:
 
 def algebraic_invariant_basis(spec: AlgebraicGroupSpec, d: int) -> list:
     """Echelonized basis of the degree-d invariants of the linear
-    action: the coefficients of a generic degree-d form are constrained
-    by requiring f(A(z) x) - f(x) to vanish modulo the group ideal."""
-    xring = spec.x_ring()
-    monos = list(reversed(monomials_of_degree(xring, d)))  # descending grevlex
-    if not monos:
-        return []
-    field = spec.field
+    action, from `invariants.fixed_forms`: the coefficients of a generic
+    degree-d form are constrained by requiring f(A(z) x) - f(x) to
+    vanish modulo the group ideal, one equation per (x-monomial,
+    z-monomial) of the reduced image."""
     zring = spec.z_ring()
     zbasis = spec._cache.get("group_basis")
     n = spec.n
-    graph = action_graph_generators(spec)
-    ring = graph[0].ring  # y block, x block, z block
+    ring = spec.graph_ring()  # y block, x block, z block
     # x_j -> f_j, read off the graph generator f_j - y_j
+    graph = action_graph_generators(spec)[len(spec.ideal_gens):]
     images = ring.variables()
-    images[n:2 * n] = [g + ring.variable(j) for j, g in enumerate(graph[-n:])]
-
-    # equations[(x-monomial, z-monomial)][j]: its coefficient in m_j(A(z) x) - m_j
-    # after reduction modulo the group ideal
-    equations = {}
+    images[n:2 * n] = [g + ring.variable(j) for j, g in enumerate(graph)]
     table = {}  # the images of the monomials below degree d, shared
-    for cidx, m in enumerate(monos):
+
+    def equations(m):
         exps = (0,) * n + m + (0,) * len(spec.group_vars)
         mono = ring.monomial(exps)
         image = mono.substitute(images, table)
@@ -207,13 +198,9 @@ def algebraic_invariant_basis(spec: AlgebraicGroupSpec, d: int) -> list:
             if zbasis is not None:
                 zpoly = normal_form(zpoly, zbasis)
             for zm, c in zpoly.terms.items():
-                equations.setdefault((xm, zm), {})[cidx] = c
+                yield (xm, zm), c
 
-    basis = nullspace([equations[k] for k in sorted(equations)], field, len(monos))
-    return [
-        Polynomial(xring, {m: c for m, c in zip(monos, vec) if not c.is_zero()})
-        for vec in basis
-    ]
+    return fixed_forms(spec.x_ring(), d, equations)
 
 
 def derksen_generators(spec: AlgebraicGroupSpec) -> GeneratingSetResult:

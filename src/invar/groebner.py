@@ -51,7 +51,7 @@ by construction and are never formed, and only sums are tested for
 zero.  `extend` still forms each pair through the module-level
 `s_polynomial`, which returns a `Polynomial` (one unpacking per
 surviving term), so that the pair count can be observed by replacing
-that one name; it hands the result's terms straight to `_reduce_terms`.
+that one name; `_reduce_terms` packs the result's terms again.
 Results built from kernel output skip `Polynomial.__init__`'s zero
 re-test, as the kernel never emits a zero coefficient.
 """

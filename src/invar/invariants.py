@@ -5,6 +5,11 @@ generating sets driven by truncated Groebner bases, Noether-style
 separating sets and their reduction to at most 2n+1 elements, sampled
 separation checks, homogeneous systems of parameters, Dade's orbit
 product construction of primary invariants, and degree bound reports.
+
+Degree-d invariants of finite and algebraic groups alike come from one
+solver, `fixed_forms`: the callers supply the sparse linear equations
+that a fixed form's coefficients satisfy, and it solves them with one
+`nullspace` call.
 """
 
 from __future__ import annotations
@@ -50,30 +55,37 @@ from .prng import XorShift
 # invariant spaces degree by degree
 # ---------------------------------------------------------------------------
 
+def fixed_forms(ring: PolynomialRing, d: int, equations) -> list:
+    """Echelonized basis of the degree-d forms of `ring` whose
+    coefficients satisfy sparse linear equations: `equations(m)` yields
+    (key, c) for each equation, named by key, in which the coefficient of
+    the monomial m enters with factor c.  The one solver for invariant
+    spaces.  The reduced echelon form is unique, so the basis does not
+    depend on the order of the equations; they are eliminated in key
+    order, which fixes the work done."""
+    monos = list(reversed(monomials_of_degree(ring, d)))  # descending grevlex
+    rows = {}
+    for j, m in enumerate(monos):
+        for key, c in equations(m):
+            rows.setdefault(key, {})[j] = c
+    return [Polynomial(ring, {m: c for m, c in zip(monos, vec) if not c.is_zero()})
+            for vec in nullspace([rows[k] for k in sorted(rows)], ring.field, len(monos))]
+
+
 def invariant_basis(group: FiniteMatrixGroup, d: int) -> list:
     """Echelonized basis of the homogeneous degree-d invariants, from the
-    exact linear system sigma(f) = f over the monomial basis.  Works in
+    exact linear system sigma(f) = f over the monomial basis, one
+    equation per generator sigma and monomial of sigma(m) - m.  Works in
     the modular case as well."""
     ring = group.ring()
-    monos = list(reversed(monomials_of_degree(ring, d)))  # descending grevlex
-    if not monos:
-        return []
-    rows = []
-    for sigma in group.generators:
-        # column j holds the coordinates of sigma(m_j) - m_j
-        equations = {mm: {} for mm in monos}
-        for j, m in enumerate(monos):
-            mono = ring.monomial(m)
+
+    def equations(m):
+        mono = ring.monomial(m)
+        for i, sigma in enumerate(group.generators):
             for mm, c in (apply_element(mono, sigma) - mono).terms.items():
-                equations[mm][j] = c
-        rows.extend(equations.values())
-    basis = nullspace(rows, group.field, len(monos))
-    out = []
-    for vec in basis:
-        out.append(
-            Polynomial(ring, {m: c for m, c in zip(monos, vec) if not c.is_zero()})
-        )
-    return out
+                yield (i, mm), c
+
+    return fixed_forms(ring, d, equations)
 
 
 # ---------------------------------------------------------------------------

@@ -231,17 +231,15 @@ class PolynomialRing:
             return self.zero
         return Polynomial(self, {tuple(exps): coeff})
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
     def parse(self, text: str) -> "Polynomial":
         from .parsing import parse_expression
 
         symbols = {n: self.variable(i) for i, n in enumerate(self.names)}
         if isinstance(self.field, NumberField):
             gen = self.field.generator_name
-            if gen not in symbols:
-                symbols[gen] = self.from_scalar(self.field.generator)
+            if gen in symbols:
+                raise ParseError(f"field generator {gen!r} is also a variable of the ring")
+            symbols[gen] = self.from_scalar(self.field.generator)
         value = parse_expression(text, symbols, self.from_int, _product)
         if isinstance(value, Polynomial):
             return value

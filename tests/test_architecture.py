@@ -57,8 +57,11 @@ payload method in its term loop, and settles the sum once.
 
 Exact linear algebra has one elimination kernel, `linalg._echelon`, on
 sparse rows of raw payloads: it computes only through the field's
-payload methods, and the invariant-space solvers hand it their
-equations as sparse rows, never padded out with zeros.
+payload methods.  Degree-d invariants have one solver,
+`invariants.fixed_forms`, the only caller of `linalg.nullspace`; finite
+and algebraic groups reach it only through `invariant_basis` and
+`algebraic_invariant_basis`, whose equations it hands to the kernel as
+sparse rows, never padded out with zeros.
 
 The Buchberger engine has one pair-selection path: one heap of pairs
 keyed on sugar, and `BuchbergerEngine.add_generator` takes the sugar
@@ -405,8 +408,12 @@ def test_invariant_solvers_pass_sparse_equations():
         return ((isinstance(node, ast.Name) and node.id == "zero")
                 or (isinstance(node, ast.Attribute) and node.attr == "zero"))
 
-    assert not _sites(is_zero) & {("algebraic", "algebraic_invariant_basis"),
-                                  ("invariants", "invariant_basis")}
+    solver = ("invariants", "fixed_forms")
+    callers = {("algebraic", "algebraic_invariant_basis"), ("invariants", "invariant_basis")}
+    equation_builders = {("algebraic", "equations"), ("invariants", "equations")}
+    assert not _sites(is_zero) & (callers | equation_builders | {solver})
+    assert _calls("nullspace") == {solver}
+    assert _calls("fixed_forms") == callers
 
 
 def _cli_sites(matches):

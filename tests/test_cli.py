@@ -257,6 +257,11 @@ _GM = json.loads(Path(fixture_path("gm_weights")).read_text())
                "action_matrix": [["t", "0"], ["0", "t"]]}),
     ("field", {**_GM, "group_vars": ["x1", "y1"], "ideal_gens": ["x1*y1 - 1"],
                "action_matrix": [["x1", "0"], ["0", "y1"]]}),
+    # a field generator may not share a name with a variable: every use would be ambiguous
+    ("groebner", {**_PROBLEM, "field": {"kind": "simple_extension", "generator": "x",
+                                        "minimal_poly": "x^2 - 2"}}),
+    ("field", {**_GM, "field": {"kind": "simple_extension", "generator": "z1",
+                                "minimal_poly": "z1^2 - 2"}}),
     # text nested past the parser's recursion depth
     ("groebner", {**_PROBLEM, "polynomials": ["(" * 400 + "x" + ")" * 400]}),
     ("generators", {**_C2, "generators": [[["-" * 2000 + "1", "0"], ["0", "1"]]]}),
@@ -271,6 +276,7 @@ _GM = json.loads(Path(fixture_path("gm_weights")).read_text())
         "dimension-a-float", "dimension-a-bool", "dimension-a-string",
         "algebraic-dimension-a-float", "linear-reductive-a-string",
         "linear-reductive-a-number", "group-vars-repeated", "group-vars-name-coordinates",
+        "generator-names-a-variable", "group-vars-name-the-generator",
         "nested-parentheses", "leading-minus-signs", "nested-brackets"])
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     spec = tmp_path / "spec.json"

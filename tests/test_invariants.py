@@ -60,6 +60,19 @@ def test_invariant_basis_modular_works(c2_swap_gf2):
     assert basis == [x1 + x2]
 
 
+@pytest.mark.parametrize("name", ["s3_natural", "d8", "c2_swap_gf2"])
+def test_invariant_basis_does_not_depend_on_equation_order(name):
+    # reordering the generators reorders the equations, repeating one repeats
+    # them; the echelonized basis of the solution space is unique
+    group = load_spec_file(fixture_path(name)).group
+    gens = list(group.generators)
+    others = [close_group(gens[::-1]), close_group(gens + gens[:1])]
+    bases = [invariant_basis(group, d) for d in range(1, 5)]
+    assert any(bases)
+    for other in others:
+        assert [invariant_basis(other, d) for d in range(1, 5)] == bases
+
+
 # ---------------------------------------------------------------------------
 # King's algorithm
 # ---------------------------------------------------------------------------
