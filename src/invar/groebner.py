@@ -25,6 +25,18 @@ term that a division raises to it stops the division with
 `CapExceeded`, never a wrong answer, when it is popped nonzero (a
 product of zero divisors there vanishes and is dropped).
 
+A popped term is reduced by the first reducer in the list whose leading
+monomial divides it.  The owner of a reducer list keeps a memo beside
+it, handed to every division on that list: per packed monomial, the
+index of the first reducer found to divide it, or the list's length
+when none did.  A later pop of the monomial resumes the scan there, so a
+known divisor costs one mask test and a known miss tests only the
+reducers appended since.  The memo is exact because every reducer list
+only grows by `append` (the engine's, the one `reduce_basis` builds and
+hands on to its result, and a `GroebnerBasis`'s frozen one): the
+reducers before a remembered index never change, and none of them
+divides.  Throwaway lists, as in `ratfunc`'s divisions, get a fresh memo.
+
 Determinism is a hard requirement: pair selection follows the sugar
 strategy (Giovini, Mora, Niesi, Robbiano & Traverso, ISSAC 1991).
 Every basis element carries a sugar degree, the degree it would have
@@ -33,7 +45,8 @@ its two elements' sugars lifted to the lcm.  The lowest sugar goes
 first, ties by lcm degree, then by the monomial order on the lcm, then
 by pair indices.  On homogeneous input the sugar is the lcm degree, so
 this is the normal strategy there.  The reducer is always the first
-basis element whose leading monomial divides, and queued pairs survive
+basis element whose leading monomial divides (found through the memo
+above, which picks the same one), and queued pairs survive
 truncation: a run truncated at sugar d is a prefix of the full run, so
 it can be continued to higher degree without recomputation.  Pair
 pruning uses the Gebauer-Moeller criteria (J. Symb. Comput. 6, 1988),
@@ -41,7 +54,8 @@ which depend only on leading monomials and therefore commute with
 truncation.  They run on the packed leading exponents, the low fields of
 every packing: an lcm takes a few int operations and its degree is the
 int mod 2^16 - 1.  Of the new pairs, one pass in increasing lcm degree
-keeps the minimal lcms, and queues the last pair of each one that no
+keeps the minimal lcms (a plain loop over those kept so far, stopping at
+the first divisor), and queues the last pair of each one that no
 coprime pair shares.
 
 An s-pair is formed from the two elements' `_reducer`s: both packed
@@ -61,7 +75,7 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from operator import add, mul
 from typing import Optional, Sequence
 
@@ -181,12 +195,13 @@ def _unpacked(packer: _Packer, field, items) -> dict:
 
 
 def _reduce_terms(
-    terms: dict, reducers, order: MonomialOrder, quotient: Optional[dict] = None
+    terms: dict, reducers, memo: dict, order: MonomialOrder, quotient: Optional[dict] = None
 ) -> dict:
     """Full normal form of a term dict against `_reducer`s; the first
-    divisible reducer wins.  With a single reducer, a `quotient` dict
-    collects the quotient's terms.  Both come back with tuple monomials,
-    in descending order, and nonzero coefficients."""
+    divisible reducer wins, found through `memo`, the list's memo of
+    first divisors, which the call updates.  With a single reducer, a
+    `quotient` dict collects the quotient's terms.  Both come back with
+    tuple monomials, in descending order, and nonzero coefficients."""
     if not terms:
         return {}
     field = next(iter(terms.values())).field
@@ -209,25 +224,30 @@ def _reduce_terms(
             # in-range fields sum below 2^_W: overflow only sets a guard bit
             raise CapExceeded(f"an exponent reached {DEGREE_BOUND} in division")
         tg = t | guard
-        for plm, inv, tail, _ in reducers:
-            if (tg - plm) & guard != guard:
-                continue
-            ratio = times(c, inv)
-            shift = t - plm
-            if quotient is not None:
-                steps.append((shift, ratio))
-            ratio = negate(ratio)
-            for m, mc in tail:
-                m2 = m + shift
-                cur = work.get(m2)
-                if cur is None:
-                    heapq.heappush(heap, -m2)
-                    work[m2] = mul(ratio, mc)
-                else:
-                    work[m2] = add(cur, mul(ratio, mc))
-            break
-        else:
+        # reducers before the remembered index do not divide t
+        i = start = memo.get(t, 0)
+        for plm, inv, tail, _ in islice(reducers, start, None):
+            if (tg - plm) & guard == guard:
+                break
+            i += 1
+        if i != start:
+            memo[t] = i
+        if i == len(reducers):
             result.append((t, c))
+            continue
+        ratio = times(c, inv)
+        shift = t - plm
+        if quotient is not None:
+            steps.append((shift, ratio))
+        ratio = negate(ratio)
+        for m, mc in tail:
+            m2 = m + shift
+            cur = work.get(m2)
+            if cur is None:
+                heapq.heappush(heap, -m2)
+                work[m2] = mul(ratio, mc)
+            else:
+                work[m2] = add(cur, mul(ratio, mc))
     if quotient is not None:
         quotient.update(_unpacked(packer, field, steps))
     return _unpacked(packer, field, result)
@@ -242,8 +262,9 @@ class GroebnerBasis:
     _cache: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     def reducers(self):
+        """The generators' `_reducer`s, frozen, and their division memo."""
         if "reducers" not in self._cache:
-            self._cache["reducers"] = [_reducer(g, self.order) for g in self.generators]
+            self._cache["reducers"] = [_reducer(g, self.order) for g in self.generators], {}
         return self._cache["reducers"]
 
     def contains_one(self) -> bool:
@@ -260,6 +281,7 @@ class BuchbergerEngine:
         self.order = order
         self.basis = []
         self._reducers = []
+        self._memo = {}  # of `_reduce_terms`, shared by s-pairs and normal forms
         # per element: its packed leading exponents (the low nvars fields
         # of every packing), their degree, and its sugar's excess over it
         self._leads = []
@@ -274,7 +296,8 @@ class BuchbergerEngine:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise ContextMismatch("polynomial from a different ring")
-        return Polynomial._from_nonzero(f.ring, _reduce_terms(f.terms, self._reducers, self.order))
+        terms = _reduce_terms(f.terms, self._reducers, self._memo, self.order)
+        return Polynomial._from_nonzero(f.ring, terms)
 
     def seed(self, gens: Sequence[Polynomial]):
         """Insert initial generators in order, each in normal form with
@@ -321,7 +344,11 @@ class BuchbergerEngine:
         # minimal lcm shared by no coprime pair is queued
         minimal = []
         for lcm in sorted(last, key=lambda lcm: lcm % _FOLD):
-            if all(((lcm | guard) - m) & guard != guard for m in minimal):
+            lg = lcm | guard
+            for m in minimal:
+                if (lg - m) & guard == guard:
+                    break
+            else:
                 minimal.append(lcm)
         unpack = _packer(self.order, self.ring.nvars).unpack
         for lcm in minimal:
@@ -351,7 +378,7 @@ class BuchbergerEngine:
                 self.basis[i], self.basis[j], self.order, (self._reducers[i], self._reducers[j])
             )
             # s lives in this ring: no `normal_form` ring check
-            h = _reduce_terms(s.terms, self._reducers, self.order)
+            h = _reduce_terms(s.terms, self._reducers, self._memo, self.order)
             if h:
                 self.add_generator(Polynomial._from_nonzero(self.ring, h), sugar)
 
@@ -390,7 +417,8 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
         raise TruncationInsufficient(f"basis truncated at {d} is not homogeneous")
     if d is not None and f.total_degree() > d:
         raise TruncationInsufficient(f"degree {f.total_degree()} exceeds truncation {d}")
-    return Polynomial._from_nonzero(f.ring, _reduce_terms(f.terms, basis.reducers(), basis.order))
+    reducers, memo = basis.reducers()
+    return Polynomial._from_nonzero(f.ring, _reduce_terms(f.terms, reducers, memo, basis.order))
 
 
 def ideal_membership(f: Polynomial, basis: GroebnerBasis) -> bool:
@@ -410,7 +438,7 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
         ((g.leading(order), g) for g in basis.generators if not g.is_zero()),
         key=lambda lead: order.key(lead[0][0]),
     )
-    monic, reducers = [], []
+    monic, reducers, memo = [], [], {}
     for (lm, lc), g in leads:
         if any(mono_divides(r[3], lm) for r in reducers):
             continue
@@ -418,10 +446,10 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
         # normal forms are linear, so only the surviving terms are scaled
         inverse = lc.inverse()
         h = Polynomial(basis.ring, {m: c * inverse for m, c in
-                                    _reduce_terms(g.terms, reducers, order).items()})
+                                    _reduce_terms(g.terms, reducers, memo, order).items()})
         monic.append(h)
         reducers.append(_reducer(h, order))
-    return GroebnerBasis(basis.ring, order, tuple(monic), _cache={"reducers": reducers})
+    return GroebnerBasis(basis.ring, order, tuple(monic), _cache={"reducers": (reducers, memo)})
 
 
 def front_free_basis(gens: Sequence[Polynomial], order: BlockElimination) -> tuple:

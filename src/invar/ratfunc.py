@@ -27,7 +27,7 @@ from .polynomials import GREVLEX, Polynomial, PolynomialRing
 def _exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g; ArithmeticError unless g divides f exactly."""
     q = {}
-    if _reduce_terms(f.terms, [_reducer(g, GREVLEX)], GREVLEX, q):
+    if _reduce_terms(f.terms, [_reducer(g, GREVLEX)], {}, GREVLEX, q):
         raise ArithmeticError("exact division failed")
     return Polynomial(f.ring, q)
 

@@ -42,12 +42,21 @@ def parse_group_config(cfg: dict, cap: int = DEFAULT_CLOSURE_CAP):
 def _parse_finite(cfg: dict, cap: int) -> FiniteMatrixGroup:
     field = field_from_config(cfg["field"])
     n = json_value(cfg, "dimension", int)
+    _refuse_coordinate_generator(field, {f"x{i + 1}" for i in range(n)})
     gens = []
     for rows in cfg["generators"]:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ParseError(f"generator matrix is not {n}x{n}")
         gens.append(Matrix(field, [[field.parse(e) for e in row] for row in rows]))
     return close_group(gens, field=field, cap=cap, label=cfg.get("label", ""))
+
+
+def _refuse_coordinate_generator(field, coordinates: set):
+    """Results print in a ring over the coordinates, where a field
+    generator of the same name would read as the variable."""
+    name = getattr(field, "generator_name", None)
+    if name in coordinates:
+        raise ParseError(f"field generator {name!r} is also a coordinate name")
 
 
 def json_value(cfg: dict, key: str, kind: type, default=None, item: type = None):
@@ -73,6 +82,7 @@ def _parse_algebraic(cfg: dict) -> AlgebraicGroupSpec:
     coordinates = {f"{v}{i + 1}" for v in "xy" for i in range(n)}
     if len(set(group_vars)) != len(group_vars) or coordinates.intersection(group_vars):
         raise ParseError(f"group_vars {list(group_vars)} repeat a name or name a coordinate")
+    _refuse_coordinate_generator(field, coordinates)
     zring = PolynomialRing(field, group_vars)
     ideal_gens = [zring.parse(t) for t in json_value(cfg, "ideal_gens", list, [], str)]
     action = [[zring.parse(e) for e in row] for row in rows]

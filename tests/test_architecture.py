@@ -24,6 +24,10 @@ mod p when settled), `Rationals` (unreduced integer pairs, put in lowest
 terms when settled) and `NumberField` (unnormalised integer vectors,
 normalised when settled) override the base accumulator; the base one,
 which rational function fields keep, settles nothing.
+Every reducer list the kernel reads only grows by `append`, and its
+owner (the engine, `reduce_basis`, a `GroebnerBasis`) hands the list's
+memo of first divisors to every division on it, so a remembered index
+stays exact; a throwaway list, as in `ratfunc`, gets a fresh memo.
 `groebner.s_polynomial` shifts the reducers' packed tails itself: no
 tuple shift, no scaled copy, no polynomial subtraction.
 The Buchberger pair update runs on the same packings: the lcms, degrees
@@ -182,6 +186,33 @@ def test_kernel_zero_tests_only_popped_terms():
              and any(isinstance(f, ast.FunctionDef) and f.name == "_accumulator"
                      for f in node.body)}
     assert hooks == {"Field", "PrimeField", "Rationals", "NumberField"}
+
+
+def test_reducer_lists_only_grow_and_pass_their_memo():
+    lists = {"self._reducers", "reducers"}
+    nodes = list(ast.walk(_source("groebner")))
+    assert {node.attr for node in nodes if isinstance(node, ast.Attribute)
+            and ast.unparse(node.value) in lists} == {"append"}
+    assert not [node for node in nodes if isinstance(node, ast.Subscript)
+                and ast.unparse(node.value) in lists and not isinstance(node.ctx, ast.Load)]
+    assert not [node for node in nodes if isinstance(node, ast.AugAssign)
+                and ast.unparse(node.target) in lists]
+    assert {function for module, function in _sites(
+        lambda node: isinstance(node, ast.Attribute) and node.attr in ("_reducers", "_memo")
+        and isinstance(node.ctx, ast.Store))} == {"__init__"}
+
+    calls = set()
+    for module in ("groebner", "ratfunc"):
+        for function in ast.walk(_source(module)):
+            if isinstance(function, ast.FunctionDef):
+                calls |= {(module, function.name, *map(ast.unparse, node.args[1:3]))
+                          for node in ast.walk(function) if isinstance(node, ast.Call)
+                          and ast.unparse(node.func) == "_reduce_terms"}
+    assert calls == {("groebner", "normal_form", "self._reducers", "self._memo"),
+                     ("groebner", "extend", "self._reducers", "self._memo"),
+                     ("groebner", "normal_form", "reducers", "memo"),
+                     ("groebner", "reduce_basis", "reducers", "memo"),
+                     ("ratfunc", "_exact_div", "[_reducer(g, GREVLEX)]", "{}")}
 
 
 def test_pair_update_computes_on_packed_exponents():

@@ -262,6 +262,14 @@ _GM = json.loads(Path(fixture_path("gm_weights")).read_text())
                                         "minimal_poly": "x^2 - 2"}}),
     ("field", {**_GM, "field": {"kind": "simple_extension", "generator": "z1",
                                 "minimal_poly": "z1^2 - 2"}}),
+    # nor with a coordinate, in whose ring the results are printed
+    ("generators", {**_C2, "field": {"kind": "simple_extension", "generator": "x1",
+                                     "minimal_poly": "x1^2 - 2"},
+                    "generators": [[["0", "x1"], ["x1/2", "0"]]]}),
+    ("derksen-ideal", {**_GM, "field": {"kind": "simple_extension", "generator": "y1",
+                                        "minimal_poly": "y1^2 - 2"},
+                       "group_vars": ["t"], "ideal_gens": ["t*y1 - 1"],
+                       "action_matrix": [["t", "0"], ["0", "t"]]}),
     # text nested past the parser's recursion depth
     ("groebner", {**_PROBLEM, "polynomials": ["(" * 400 + "x" + ")" * 400]}),
     ("generators", {**_C2, "generators": [[["-" * 2000 + "1", "0"], ["0", "1"]]]}),
@@ -277,6 +285,7 @@ _GM = json.loads(Path(fixture_path("gm_weights")).read_text())
         "algebraic-dimension-a-float", "linear-reductive-a-string",
         "linear-reductive-a-number", "group-vars-repeated", "group-vars-name-coordinates",
         "generator-names-a-variable", "group-vars-name-the-generator",
+        "generator-names-a-coordinate", "generator-names-a-graph-coordinate",
         "nested-parentheses", "leading-minus-signs", "nested-brackets"])
 def test_malformed_input_is_a_parse_error(capsys, tmp_path, command, document):
     spec = tmp_path / "spec.json"

@@ -4,7 +4,9 @@
 replaced, kept below as the reference, on hypothesis-drawn inputs over
 fields with and without zero divisors, GF(p) for small and large p
 among them (its tail updates are unreduced ints), and under every
-monomial order.  The packing of monomials into ints, which the kernel computes on, is
+monomial order, also when a memo of first divisors, filled on a shorter
+reducer list, is reused after the list has grown.  The packing of
+monomials into ints, which the kernel computes on, is
 checked against the tuple operations it stands for, and at its degree
 bound, where a computation must stop with `CapExceeded` rather than
 return a wrong answer, unless the term past it vanishes.
@@ -165,7 +167,7 @@ def test_kernel_matches_reference_loop(field_name, order_name, dividend, divisor
     if with_quotient:
         gs = gs[:1]
     ours, theirs = ({} if with_quotient else None), ({} if with_quotient else None)
-    remainder = _reduce_terms(f.terms, [_reducer(g, order) for g in gs], order, ours)
+    remainder = _reduce_terms(f.terms, [_reducer(g, order) for g in gs], {}, order, ours)
     # same terms in the same (descending) order, as Scalars of the field
     assert list(remainder.items()) == list(_reference_reduce(f.terms, gs, order, theirs).items())
     assert all(c.field == field for c in remainder.values())
@@ -177,6 +179,36 @@ def test_kernel_matches_reference_loop(field_name, order_name, dividend, divisor
         for m, c in remainder.items():
             r = r + ring.monomial(m, c)
         assert q * gs[0] + r == f
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+@pytest.mark.parametrize("field_name", ["GF32003", "QQ", "QQ(sqrt2)"])
+@settings(max_examples=40, deadline=None)
+@given(
+    dividends=st.tuples(_term_dicts, _term_dicts),
+    divisors=st.lists(st.tuples(_term_dicts, st.sampled_from([1, -1, 2, 3])),
+                      min_size=1, max_size=4),
+    k=st.integers(0, 3),
+    with_quotient=st.booleans(),
+)
+def test_memo_stays_valid_as_the_reducer_list_grows(field_name, order_name, dividends, divisors,
+                                                     k, with_quotient):
+    # a remembered divisor or miss was found on a shorter list: the
+    # scan must resume there, not stop
+    field, order = FIELDS[field_name], ORDERS[order_name]
+    ring = PolynomialRing(field, NAMES)
+    f, g = (_polynomial(ring, terms) for terms in dividends)
+    gs = [_divisor(ring, order, terms, lead) for terms, lead in divisors]
+    reducers, memo = [_reducer(h, order) for h in gs[:k]], {}
+    _reduce_terms(f.terms, reducers, memo, order)
+    for h in gs[k:]:
+        reducers.append(_reducer(h, order))
+    for p in (f, g):
+        ours, theirs = ({} if with_quotient else None), ({} if with_quotient else None)
+        remainder = _reduce_terms(p.terms, reducers, memo, order, ours)
+        assert list(remainder.items()) == list(_reference_reduce(p.terms, gs, order,
+                                                                 theirs).items())
+        assert ours == theirs
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +272,11 @@ def test_only_a_nonzero_term_past_the_bound_stops_division(field_name):
     f, g = (w + 1) * x * y**e, x - (w - 1) * y**e
     quotient = {}
     if ((w + 1) * (w - 1)).is_zero():
-        assert _reduce_terms(f.terms, [_reducer(g, LEX)], LEX, quotient) == {}
+        assert _reduce_terms(f.terms, [_reducer(g, LEX)], {}, LEX, quotient) == {}
         assert quotient == {(0, e): w + 1}
     else:
         with pytest.raises(CapExceeded):
-            _reduce_terms(f.terms, [_reducer(g, LEX)], LEX, quotient)
+            _reduce_terms(f.terms, [_reducer(g, LEX)], {}, LEX, quotient)
 
 
 def test_degree_bound_exits_4_through_the_cli(capsys, tmp_path):

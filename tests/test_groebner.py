@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from invar import groebner
 from invar.cli import main
 from invar.errors import CapExceeded, TruncatedBasis, TruncationInsufficient
-from invar.fields import NumberField, PrimeField, Rationals
+from invar.fields import NumberField, PrimeField, Rationals, Scalar
 from invar.groebner import (
     BuchbergerEngine,
     GroebnerBasis,
@@ -701,11 +701,14 @@ def test_duplicate_variable_names_rejected():
         PolynomialRing(Q, ("x", "x"))
 
 
-def test_parsing_and_reducing_cyclic5_form_no_polynomial_products(monkeypatch):
+def _cyclic5_gf():
     ring = PolynomialRing(PrimeField(32003), tuple(f"x{i + 1}" for i in range(5)))
     xs = ring.names
-    texts = [" + ".join("*".join(xs[(i + j) % 5] for j in range(k)) for i in range(5))
-             for k in range(1, 5)] + ["*".join(xs) + " - 1"]
+    return [ring.parse(" + ".join("*".join(xs[(i + j) % 5] for j in range(k)) for i in range(5)))
+            for k in range(1, 5)] + [ring.parse("*".join(xs) + " - 1")]
+
+
+def test_parsing_and_reducing_cyclic5_form_no_polynomial_products(monkeypatch):
     products = []
     for name in ("__mul__", "__rmul__"):
         method = getattr(Polynomial, name)
@@ -715,7 +718,8 @@ def test_parsing_and_reducing_cyclic5_form_no_polynomial_products(monkeypatch):
             return method(self, other)
 
         monkeypatch.setattr(Polynomial, name, counted)
-    polys = [ring.parse(text) for text in texts]
+    polys = _cyclic5_gf()
+    ring = polys[0].ring
     reduced = reduce_basis(buchberger(polys, GREVLEX))
     assert products == []
     monkeypatch.undo()
@@ -724,3 +728,60 @@ def test_parsing_and_reducing_cyclic5_form_no_polynomial_products(monkeypatch):
     assert polys[4] == x[0] * x[1] * x[2] * x[3] * x[4] - 1
     assert len(reduced.generators) == 20
     assert all(g.leading(GREVLEX)[1] == ring.field.one for g in reduced.generators)
+
+
+def _katsura5_qq():
+    ring = PolynomialRing(Q, tuple(f"x{i}" for i in range(6)))
+    xs = ring.names
+
+    def var(l):
+        return xs[abs(l)] if abs(l) <= 5 else None
+
+    texts = [" + ".join(f"{var(l)}*{var(m - l)}" for l in range(-5, 6)
+                        if var(l) and var(m - l)) + f" - {xs[m]}" for m in range(5)]
+    texts.append(" + ".join(var(l) for l in range(-5, 6)) + " - 1")
+    return [ring.parse(text) for text in texts]
+
+
+@pytest.mark.parametrize("system", [_cyclic5_gf, _katsura5_qq], ids=["cyclic5-gf", "katsura5-qq"])
+def test_engine_reduces_by_the_first_divisible_reducer(monkeypatch, system):
+    # the kernel's memo of the first divisor must pick the reducer the
+    # plain scan picks: the same basis, in the same order, from the
+    # same pairs
+    from test_division_kernel import _reference_reduce
+
+    gens = system()
+    ring = gens[0].ring
+    packer = groebner._packer(GREVLEX, ring.nvars)
+    field = ring.field
+    polynomials = {}  # reducer id -> (the reducer, kept so its id stays unique, its polynomial)
+
+    def polynomial(reducer):
+        plm, inv, tail, lm = reducer
+        if id(reducer) not in polynomials:
+            terms = {lm: field.one / Scalar(field, inv), **groebner._unpacked(packer, field, tail)}
+            polynomials[id(reducer)] = reducer, Polynomial(ring, terms)
+        return polynomials[id(reducer)][1]
+
+    def reference(terms, reducers, memo, order, quotient=None):
+        return _reference_reduce(terms, [polynomial(r) for r in reducers], order, quotient)
+
+    def run():
+        formed = []
+        original = groebner.s_polynomial
+
+        def spy(*args):
+            formed.append(args[:2])
+            return original(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "s_polynomial", spy)
+            basis = buchberger(gens, GREVLEX).generators
+        return basis, len(formed)
+
+    kernel_basis, kernel_pairs = run()
+    monkeypatch.setattr(groebner, "_reduce_terms", reference)
+    reference_basis, reference_pairs = run()
+    assert polynomials  # the reference division ran
+    assert kernel_pairs == reference_pairs
+    assert list(kernel_basis) == list(reference_basis)
