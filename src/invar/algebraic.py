@@ -15,6 +15,13 @@ its images sum_j a_ij(z) x_j from those generators (``groups.apply_element``
 is the finite-group counterpart).  The degree-d invariants of the action
 are solved for by ``invariants.fixed_forms``, the solver that finite
 groups use too.
+
+The group ideal reduces in the graph ring (y, x, z), where the spec
+keeps its Groebner basis, computed in K[z]: the basis involves z only,
+grevlex on (y, x, z) orders z-only monomials as grevlex on z does, and
+a z-only reducer keeps the x-part of each term, so one remainder there
+is the reduction of every x-coefficient in K[z].
+Polynomials change rings through ``polynomials.transport``, by name.
 """
 
 from __future__ import annotations
@@ -79,11 +86,12 @@ class AlgebraicGroupSpec:
             for entry in row:
                 if entry.ring != zring:
                     raise ContextMismatch("action entries must live in the z ring")
-        if self.ideal_gens:
-            basis = buchberger(self.ideal_gens, GREVLEX)
-            if basis.contains_one():
-                raise ContextMismatch("group ideal is the whole ring")
-            self._cache["group_basis"] = basis
+        gens = buchberger(self.ideal_gens, GREVLEX).generators if self.ideal_gens else ()
+        graph = self.graph_ring()  # where `algebraic_invariant_basis` reduces
+        basis = GroebnerBasis(graph, GREVLEX, tuple(transport(g, graph) for g in gens))
+        if basis.contains_one():
+            raise ContextMismatch("group ideal is the whole ring")
+        self._cache["group_basis"] = basis
 
     def z_ring(self) -> PolynomialRing:
         return PolynomialRing(self.field, self.group_vars)
@@ -113,12 +121,11 @@ def action_graph_generators(spec: AlgebraicGroupSpec) -> list:
     {(v, sigma v, sigma)}: the group ideal plus f_i - y_i."""
     ring = spec.graph_ring()
     n = spec.n
-    z_map = [2 * n + i for i in range(len(spec.group_vars))]
-    out = [transport(g, ring, z_map) for g in spec.ideal_gens]
+    out = [transport(g, ring) for g in spec.ideal_gens]
     for i in range(n):
         f_i = ring.zero
         for j in range(n):
-            a = transport(spec.action_matrix[i][j], ring, z_map)
+            a = transport(spec.action_matrix[i][j], ring)
             f_i = f_i + a * ring.variable(n + j)  # x_j
         out.append(f_i - ring.variable(i))  # y_i
     return out
@@ -174,11 +181,10 @@ def algebraic_invariant_basis(spec: AlgebraicGroupSpec, d: int) -> list:
     action, from `invariants.fixed_forms`: the coefficients of a generic
     degree-d form are constrained by requiring f(A(z) x) - f(x) to
     vanish modulo the group ideal, one equation per (x-monomial,
-    z-monomial) of the reduced image."""
-    zring = spec.z_ring()
-    zbasis = spec._cache.get("group_basis")
+    z-monomial) of the image reduced once in the graph ring."""
     n = spec.n
     ring = spec.graph_ring()  # y block, x block, z block
+    basis = spec._cache["group_basis"]
     # x_j -> f_j, read off the graph generator f_j - y_j
     graph = action_graph_generators(spec)[len(spec.ideal_gens):]
     images = ring.variables()
@@ -190,15 +196,8 @@ def algebraic_invariant_basis(spec: AlgebraicGroupSpec, d: int) -> list:
         mono = ring.monomial(exps)
         image = mono.substitute(images, table)
         del table[exps]  # a degree-d image is a factor of no other
-        buckets = {}
-        for mm, c in (image - mono).terms.items():
-            buckets.setdefault(mm[n:2 * n], {})[mm[2 * n:]] = c
-        for xm, zterms in buckets.items():
-            zpoly = Polynomial(zring, zterms)
-            if zbasis is not None:
-                zpoly = normal_form(zpoly, zbasis)
-            for zm, c in zpoly.terms.items():
-                yield (xm, zm), c
+        for mm, c in normal_form(image - mono, basis).terms.items():
+            yield (mm[n:2 * n], mm[2 * n:]), c
 
     return fixed_forms(spec.x_ring(), d, equations)
 
@@ -250,8 +249,7 @@ def invariant_field_generators(spec: AlgebraicGroupSpec) -> list:
     Only the final inter-reduction runs over L."""
     n, r = spec.n, len(spec.group_vars)
     ring = PolynomialRing(spec.field, spec.group_vars + spec.y_names() + spec.x_names())
-    to_zyx = list(range(r, r + 2 * n)) + list(range(r))  # from the graph ring's (y, x, z)
-    moved = [transport(g, ring, to_zyx) for g in action_graph_generators(spec)]
+    moved = [transport(g, ring) for g in action_graph_generators(spec)]
     free = front_free_basis(moved, BlockElimination(r, n)) if moved else ()
     L = RationalFunctionField(spec.field, spec.x_names())
     yring = PolynomialRing(L, spec.y_names())
@@ -289,18 +287,14 @@ def separating_variety(spec: AlgebraicGroupSpec) -> list:
     (orbit closures meet): both points are mapped into a shared target
     by two independent copies of the group, and everything but the pair
     is eliminated."""
-    n = spec.n
-    r = len(spec.group_vars)
-    u_names = tuple(f"u{i + 1}" for i in range(n))
+    u_names = tuple(f"u{i + 1}" for i in range(spec.n))
     za_names = tuple(f"{z}_a" for z in spec.group_vars)
     zb_names = tuple(f"{z}_b" for z in spec.group_vars)
-    big = PolynomialRing(
-        spec.field, spec.y_names() + spec.x_names() + u_names + za_names + zb_names
-    )
+    ys, zs = spec.y_names(), spec.group_vars
+    big = PolynomialRing(spec.field, ys + spec.x_names() + u_names + za_names + zb_names)
     # copy a sends (y, x, z) to (u, x, z_a), copy b sends it to (u, y, z_b)
-    u = list(range(2 * n, 3 * n))
-    a_map = u + list(range(n, 2 * n)) + list(range(3 * n, 3 * n + r))
-    b_map = u + list(range(n)) + list(range(3 * n + r, 3 * n + 2 * r))
+    a_map = dict(zip(ys + zs, u_names + za_names))
+    b_map = dict(zip(ys + spec.x_names() + zs, u_names + ys + zb_names))
     gens = []
     for g in action_graph_generators(spec):
         gens.append(transport(g, big, a_map))
@@ -314,15 +308,13 @@ def separating_subalgebra(spec: AlgebraicGroupSpec, max_degree: int) -> list:
     (radical membership in both directions)."""
     sep = separating_variety(spec)
     xy = spec.pair_ring()
-    n = spec.n
-    lift_x = list(range(n, 2 * n))
-    lift_y = list(range(n))
+    to_y = dict(zip(spec.x_names(), spec.y_names()))
     invs = []
     deltas = []
     for d in range(1, max_degree + 1):
         for f in algebraic_invariant_basis(spec, d):
             invs.append(f)
-            deltas.append(transport(f, xy, lift_x) - transport(f, xy, lift_y))
+            deltas.append(transport(f, xy) - transport(f, xy, to_y))
         if not deltas:
             continue
         if all(radical_membership(g, deltas) for g in sep):

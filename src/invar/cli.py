@@ -187,9 +187,10 @@ def cmd_analyze(args):
             try:
                 degrees = [int(d) for d in args.degrees.split(",")]
             except ValueError:
-                raise ParseError(
-                    f"--degrees needs comma-separated integers, got {args.degrees!r}"
-                ) from None
+                degrees = []
+            if len(degrees) != group.dimension or min(degrees) < 1:
+                raise ParseError(f"--degrees needs {group.dimension} comma-separated "
+                                 f"integers of at least 1, got {args.degrees!r}")
         else:
             degrees = [p.total_degree() for p in inv.dade_primary_invariants(group, seed=args.seed)]
             seed = args.seed

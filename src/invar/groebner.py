@@ -75,8 +75,8 @@ from __future__ import annotations
 import heapq
 import struct
 from dataclasses import dataclass, field as dataclass_field
-from itertools import chain, combinations, islice
-from operator import add, mul
+from itertools import combinations, islice
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import CapExceeded, ContextMismatch, TruncatedBasis, TruncationInsufficient
@@ -84,6 +84,7 @@ from .fields import Scalar
 from .polynomials import (
     DEGREE_BOUND,
     GREVLEX,
+    LEX,
     BlockElimination,
     MonomialOrder,
     Polynomial,
@@ -136,23 +137,15 @@ _FOLD = (1 << _W) - 1  # 2^_W = 1 mod _FOLD: an int is its fields' sum mod _FOLD
 
 class _Packer:
     """Monomials as ints of `_W`-bit fields, most significant first: the
-    rows of the order's key (linear in the exponents), each made 0/1 by
-    adding the row above (grevlex's -x_k becomes x_1 + ... + x_(k-1)), then
-    the exponents unless the rows end with them.  Below degree `DEGREE_BOUND` no
+    order's 0/1 `rows` dotted with the exponents, then the exponents
+    unless the rows end with them.  Below degree `DEGREE_BOUND` no
     field reaches its guard bit G, and a | b iff ((b | G) - a) & G == G."""
 
     def __init__(self, order: MonomialOrder, n: int):
-        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        rows = []
-        for row in zip(*map(order.key, units)):
-            if min(row) < 0:
-                row = tuple(map(add, row, rows[-1]))
-            if any(row):  # a zero row never decides
-                rows.append(row)
+        units = LEX.rows(n)
+        rows = order.rows(n)
         if rows[len(rows) - n:] != units:
             rows += units
-        if not set(chain(*rows)) <= {0, 1}:
-            raise ValueError(f"the keys of {order!r} have no 0/1 packing")
         shifts = [_W * j for j in reversed(range(len(rows)))]
         self.unit = [sum(row[i] << s for row, s in zip(rows, shifts)) for i in range(n)]
         self.guard = sum(DEGREE_BOUND << s for s in shifts)
@@ -417,6 +410,8 @@ def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
         raise TruncationInsufficient(f"basis truncated at {d} is not homogeneous")
     if d is not None and f.total_degree() > d:
         raise TruncationInsufficient(f"degree {f.total_degree()} exceeds truncation {d}")
+    if not basis.generators:
+        return f
     reducers, memo = basis.reducers()
     return Polynomial._from_nonzero(f.ring, _reduce_terms(f.terms, reducers, memo, basis.order))
 
@@ -481,14 +476,12 @@ def elimination_ideal(gens: Sequence[Polynomial], eliminate) -> list:
     front = [n for n in ring.names if n in elim_set]
     kept = [n for n in ring.names if n not in elim_set]
     work_ring = PolynomialRing(ring.field, front + kept)
-    index_map = [work_ring.names.index(n) for n in ring.names]
     order = BlockElimination(len(front))
-    free = front_free_basis([transport(g, work_ring, index_map) for g in gens], order)
+    free = front_free_basis([transport(g, work_ring) for g in gens], order)
     # the block key of a free monomial is its grevlex key on the kept block
     reduced = reduce_basis(GroebnerBasis(work_ring, order, free)).generators
     kept_ring = PolynomialRing(ring.field, kept)
-    lift = [None] * len(front) + list(range(len(kept)))
-    return [transport(g, kept_ring, lift) for g in reduced]
+    return [transport(g, kept_ring) for g in reduced]
 
 
 def ideal_dimension(basis: GroebnerBasis):
@@ -519,8 +512,7 @@ def _adjoin_variable(name: str, *polys: Polynomial):
     while name in ring.names:
         name += "_"
     big = PolynomialRing(ring.field, ring.names + (name,))
-    lift = list(range(ring.nvars))
-    return [transport(p, big, lift) for p in polys], big.variable(ring.nvars)
+    return [transport(p, big) for p in polys], big.variable(ring.nvars)
 
 
 def radical_membership(f: Polynomial, gens: Sequence[Polynomial]) -> bool:
@@ -556,11 +548,10 @@ class SubalgebraOracle:
         self.ring = ring
         self.tag_ring = PolynomialRing(ring.field, tags)
         self.big_ring = PolynomialRing(ring.field, ring.names + tags)
-        self._lift = list(range(ring.nvars))
         ideal = []
         for i, g in enumerate(gens):
             tag = self.big_ring.variable(ring.nvars + i)
-            ideal.append(tag - transport(g, self.big_ring, self._lift))
+            ideal.append(tag - transport(g, self.big_ring))
         order = BlockElimination(ring.nvars)
         self.basis = buchberger(ideal, order)
 
@@ -568,13 +559,11 @@ class SubalgebraOracle:
         """Witness polynomial in the tag ring, or None."""
         if f.ring != self.ring:
             raise ContextMismatch("polynomial from a different ring")
-        nf = normal_form(transport(f, self.big_ring, self._lift), self.basis)
+        nf = normal_form(transport(f, self.big_ring), self.basis)
         n = self.ring.nvars
         if any(any(e != 0 for e in m[:n]) for m in nf.terms):
             return None
-        return transport(
-            nf, self.tag_ring, [None] * n + list(range(self.tag_ring.nvars))
-        )
+        return transport(nf, self.tag_ring)
 
     def contains(self, f: Polynomial) -> bool:
         return self.express(f) is not None

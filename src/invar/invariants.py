@@ -326,12 +326,11 @@ def reduce_separating_set(
         tags = tuple(f"T{i + 1}" for i in range(k))
         big = PolynomialRing(field, x_names + y_names + ("t_aux",) + tags)
         t = big.variable(2 * n)
-        lift_x = list(range(n))
-        lift_y = list(range(n, 2 * n))
+        to_y = dict(zip(x_names, y_names))
         ideal = []
         for i, f in enumerate(invariants):
-            fx = transport(f, big, lift_x)
-            fy = transport(f, big, lift_y)
+            fx = transport(f, big)
+            fy = transport(f, big, to_y)
             tag = big.variable(2 * n + 1 + i)
             ideal.append(tag - t * (fx - fy))
         relations = elimination_ideal(ideal, big.names[:2 * n + 1])

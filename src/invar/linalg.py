@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Sequence
 
-from .errors import FieldMismatch, SingularMatrix
+from .errors import FieldMismatch
 from .fields import Field, Scalar
 
 
@@ -96,20 +96,6 @@ class Matrix:
         if self._rank is None:
             self._rank = len(_echelon(self.field, self._sparse_rows(), self.ncols)[1])
         return self._rank
-
-    def inverse(self) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise SingularMatrix("only square matrices invert")
-        n, field = self.nrows, self.field
-        one, zero = field.one.value, field.zero
-        aug = self._sparse_rows()
-        for i, row in enumerate(aug):
-            row[n + i] = one
-        reduced, pivots = _echelon(field, aug, 2 * n, reduce=True)
-        if pivots != list(range(n)):
-            raise SingularMatrix("matrix is singular")
-        return Matrix(field, [[Scalar(field, row[j]) if j in row else zero
-                               for j in range(n, 2 * n)] for row in reduced])
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)

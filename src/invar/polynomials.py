@@ -83,8 +83,10 @@ class MonomialOrder:
     """Total, multiplicative well-order on monomials, via a sort key.
 
     Every key is a flat tuple of ints, linear in the exponents, so keys
-    compare in C and the division kernel packs them into ints; monomials
-    of one ring all have keys of one length."""
+    compare in C; monomials of one ring all have keys of one length.
+    `rows(n)` lists 0/1 rows that, dotted with the exponents and compared
+    in turn, decide the same order: the division kernel packs monomials
+    by them, so building a packing evaluates no key."""
 
     name = "abstract"
 
@@ -107,6 +109,9 @@ class _Lex(MonomialOrder):
     def key(self, exps):
         return exps
 
+    def rows(self, n):
+        return [_unit(n, j) for j in range(n)]
+
 
 class _GradedLex(MonomialOrder):
     name = "gradedlex"
@@ -114,12 +119,18 @@ class _GradedLex(MonomialOrder):
     def key(self, exps):
         return (sum(exps), *exps)
 
+    def rows(self, n):
+        return [(1,) * n, *LEX.rows(n)]
+
 
 class _Grevlex(MonomialOrder):
     name = "grevlex"
 
     def key(self, exps):
         return (sum(exps), *map(neg, reversed(exps)))
+
+    def rows(self, n):  # x_1 + ... + x_(n-k): the degree, then -x_(n-k+1) plus the row above
+        return [(1,) * (n - k) + (0,) * k for k in range(n)]
 
 
 LEX = _Lex()
@@ -162,6 +173,11 @@ class BlockElimination(MonomialOrder):
         k = self.front_size
         return self.inner.key(exps[:k]) + self.rest.key(exps[k:])
 
+    def rows(self, n):
+        k = self.front_size
+        return ([r + (0,) * (n - k) for r in self.inner.rows(k)]
+                + [(0,) * k + r for r in self.rest.rows(n - k)])
+
 
 def order_by_name(name: str) -> MonomialOrder:
     table = {"lex": LEX, "gradedlex": GRADEDLEX, "graded-lex": GRADEDLEX,
@@ -180,7 +196,8 @@ class PolynomialRing:
 
     def __init__(self, field: Field, names: Sequence[str]):
         names = tuple(names)
-        if len(set(names)) != len(names):
+        self.index = {n: i for i, n in enumerate(names)}  # name -> position, read by transport
+        if len(self.index) != len(names):
             raise ContextMismatch(f"duplicate variable names in {names}")
         for n in names:
             if not n.isidentifier():
@@ -628,19 +645,21 @@ def monomials_of_degree(ring: PolynomialRing, d: int, order: MonomialOrder = GRE
     return out
 
 
-def transport(p: Polynomial, target: PolynomialRing, index_map) -> Polynomial:
-    """Re-home a polynomial: old variable i becomes target variable
-    index_map[i].  A None entry asserts the variable is absent from p.
-    Fields must agree."""
+def transport(p: Polynomial, target: PolynomialRing, rename=None) -> Polynomial:
+    """Re-home a polynomial by variable name: each variable becomes the
+    target variable of the same name, or of the name `rename` maps it
+    to.  A variable that occurs in p must have a target; fields must
+    agree."""
     if target.field != p.ring.field:
         raise ContextMismatch("transport across different fields")
+    to = [target.index.get((rename or {}).get(n, n)) for n in p.ring.names]
     terms = {}
     for m, c in p.terms.items():
         exps = [0] * target.nvars
         for i, e in enumerate(m):
             if e == 0:
                 continue
-            j = index_map[i]
+            j = to[i]
             if j is None:
                 raise ContextMismatch(
                     f"variable {p.ring.names[i]} has no image in target ring"

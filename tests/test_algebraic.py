@@ -25,8 +25,8 @@ from invar.groebner import (
     normal_form,
     reduce_basis,
 )
-from invar.invariants import king_generators
-from invar.polynomials import GREVLEX, Polynomial, PolynomialRing, transport
+from invar.invariants import fixed_forms, king_generators
+from invar.polynomials import GREVLEX, Polynomial, PolynomialRing, monomials_of_degree, transport
 from invar.ratfunc import RationalFunctionField
 
 Q = Rationals()
@@ -49,21 +49,14 @@ def scalar_in_polynomial_subfield(c, generators, L: RationalFunctionField) -> bo
     return oracle.contains(num * den.constant_coefficient().inverse())
 
 
-def transport_by_name(p: Polynomial, target: PolynomialRing) -> Polynomial:
-    """Transport matching variables by name."""
-    index_map = [target.names.index(n) if n in target.names else None for n in p.ring.names]
-    return transport(p, target, index_map)
-
-
 def _ideal_intersection(gens1, gens2):
     """Oracle: I1 cap I2 via the one-tag trick t*I1 + (1-t)*I2."""
     ring = gens1[0].ring
     tname = "t_mix"
     big = PolynomialRing(ring.field, (tname,) + ring.names)
-    shift = [i + 1 for i in range(ring.nvars)]
     t = big.variable(0)
-    mixed = [t * transport(g, big, shift) for g in gens1]
-    mixed += [(big.one - t) * transport(g, big, shift) for g in gens2]
+    mixed = [t * transport(g, big) for g in gens1]
+    mixed += [(big.one - t) * transport(g, big) for g in gens2]
     return elimination_ideal(mixed, [tname])
 
 
@@ -143,8 +136,6 @@ def test_algebraic_invariant_basis_trivial(trivial_algebraic):
     for d in (1, 2, 3):
         basis = algebraic_invariant_basis(trivial_algebraic, d)
         assert len(basis) == len(list(xring.names)) if d == 1 else True
-        from invar.polynomials import monomials_of_degree
-
         assert len(basis) == len(monomials_of_degree(xring, d))
 
 
@@ -158,16 +149,15 @@ def test_algebraic_invariant_basis_exactness(gm, c2_variety, sl2):
             else None
         )
         combined = PolynomialRing(spec.field, spec.x_names() + spec.group_vars)
-        zmap = [spec.n + i for i in range(len(spec.group_vars))]
         images = []
         for i in range(spec.n):
             f_i = combined.zero
             for j in range(spec.n):
-                f_i = f_i + transport(spec.action_matrix[i][j], combined, zmap) * combined.variable(j)
+                f_i = f_i + transport(spec.action_matrix[i][j], combined) * combined.variable(j)
             images.append(f_i)
         images += [combined.variable(spec.n + i) for i in range(len(spec.group_vars))]
         for f in algebraic_invariant_basis(spec, 2):
-            lifted = transport(f, combined, list(range(spec.n)))
+            lifted = transport(f, combined)
             delta = lifted.substitute(images) - lifted
             # reduce every x-coefficient modulo the group ideal
             buckets = {}
@@ -178,6 +168,61 @@ def test_algebraic_invariant_basis_exactness(gm, c2_variety, sl2):
                 if zbasis is not None:
                     zpoly = normal_form(zpoly, zbasis)
                 assert zpoly.is_zero()
+
+
+def _bucket_invariant_basis(spec, d):
+    """The reduction that the one in the graph ring replaced, kept as the
+    reference: the terms of each image are bucketed by x-monomial, and
+    each bucket reduces as a polynomial in K[z] by the group ideal's
+    reduced basis."""
+    zring = spec.z_ring()
+    zbasis = reduce_basis(buchberger(spec.ideal_gens, GREVLEX)) if spec.ideal_gens else None
+    n = spec.n
+    ring = spec.graph_ring()
+    graph = action_graph_generators(spec)[len(spec.ideal_gens):]
+    images = ring.variables()
+    images[n:2 * n] = [g + ring.variable(j) for j, g in enumerate(graph)]
+
+    def equations(m):
+        mono = ring.monomial((0,) * n + m + (0,) * len(spec.group_vars))
+        buckets = {}
+        for mm, c in (mono.substitute(images) - mono).terms.items():
+            buckets.setdefault(mm[n:2 * n], {})[mm[2 * n:]] = c
+        for xm, zterms in buckets.items():
+            zpoly = Polynomial(zring, zterms)
+            if zbasis is not None:
+                zpoly = normal_form(zpoly, zbasis)
+            for zm, c in zpoly.terms.items():
+                yield (xm, zm), c
+
+    return fixed_forms(spec.x_ring(), d, equations)
+
+
+@pytest.mark.parametrize("name", ["gm", "c2_variety", "sl2", "trivial_algebraic"])
+def test_algebraic_invariant_basis_matches_the_bucket_reduction(request, monkeypatch, name):
+    spec = request.getfixturevalue(name)
+    calls = []
+    reduce = algebraic.normal_form
+
+    def counting_normal_form(f, basis):
+        calls.append(f)
+        return reduce(f, basis)
+
+    monkeypatch.setattr(algebraic, "normal_form", counting_normal_form)
+    for d in range(1, 5):
+        calls.clear()
+        assert algebraic_invariant_basis(spec, d) == _bucket_invariant_basis(spec, d)
+        # one reduction per degree-d monomial, in the graph ring
+        assert len(calls) == len(monomials_of_degree(spec.x_ring(), d))
+        assert all(f.ring == spec.graph_ring() for f in calls)
+
+
+@pytest.mark.parametrize("spec", [lambda: _torus([2, -1, 3]), lambda: _ga_binary_forms(3)],
+                         ids=["torus", "ga-cubics"])
+def test_algebraic_invariant_basis_matches_the_bucket_reduction_off_the_fixtures(spec):
+    spec = spec()
+    for d in range(1, 5):
+        assert algebraic_invariant_basis(spec, d) == _bucket_invariant_basis(spec, d)
 
 
 def test_finite_as_variety_consistency_with_king(c2_variety, c2_swap):
@@ -238,18 +283,17 @@ def test_invariant_field_generators_fixed_by_action(gm, c2_variety):
             else None
         )
         combined = PolynomialRing(spec.field, spec.x_names() + spec.group_vars)
-        zmap = [spec.n + i for i in range(len(spec.group_vars))]
         images = []
         for i in range(spec.n):
             f_i = combined.zero
             for j in range(spec.n):
-                f_i = f_i + transport(spec.action_matrix[i][j], combined, zmap) * combined.variable(j)
+                f_i = f_i + transport(spec.action_matrix[i][j], combined) * combined.variable(j)
             images.append(f_i)
         images += [combined.variable(spec.n + i) for i in range(len(spec.group_vars))]
         for c in gens:
             num, den = c.value
-            p = transport_by_name(num, combined)
-            q = transport_by_name(den, combined)
+            p = transport(num, combined)
+            q = transport(den, combined)
             delta = p.substitute(images) * q - p * q.substitute(images)
             buckets = {}
             for m, cc in delta.terms.items():

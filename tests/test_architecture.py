@@ -85,6 +85,12 @@ inter-reduction, which one runtime check below watches.
 Dade's construction tests each candidate list once: the test that
 accepts the last slot is the hsop test of the result.
 
+Polynomials change rings only through `polynomials.transport`, by
+variable name: each variable goes to the target variable of its own
+name or of the name a rename dict gives it, and no caller spells out a
+positional index map.  The source also carries no import that is never
+read and no function-local name that is stored and never read.
+
 Results reach the user through one report path.  Every CLI command
 takes the parsed arguments and returns raw result values; `cli.main`
 converts them once with `cli._jsonable` and is the only writer of the
@@ -92,11 +98,13 @@ report.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import invar
 from invar import groebner
 from invar.cli import main
+from invar.polynomials import transport
 from invar.ratfunc import RationalFunctionField
 from invar.specfile import fixture_path
 
@@ -477,3 +485,75 @@ def test_cli_commands_take_only_the_parsed_arguments():
     assert len(commands) == 7
     for node in commands:
         assert [a.arg for a in node.args.args] == ["args"], node.name
+
+
+def _is_list(node):
+    """A list display, comprehension or concatenation, or `list(...)`."""
+    if isinstance(node, ast.BinOp):
+        return _is_list(node.left) or _is_list(node.right)
+    return (isinstance(node, (ast.List, ast.ListComp))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "list"))
+
+
+def test_rings_change_only_through_transport_by_name():
+    parameters = inspect.signature(transport).parameters
+    assert list(parameters) == ["p", "target", "rename"]
+    assert parameters["rename"].default is None
+    # a map passed by name, such as `lift` or `self._lift`, counts by
+    # every value bound to that name anywhere in the source
+    bound = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    bound.setdefault(ast.unparse(target), []).append(node.value)
+
+    def passes_a_list(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "transport"):
+            return False
+        maps = node.args[2:] + [keyword.value for keyword in node.keywords]
+        return any(_is_list(value) for m in maps for value in [m, *bound.get(ast.unparse(m), [])])
+
+    assert _calls("transport")
+    assert not _sites(passes_a_list)
+
+
+def _function_names(function):
+    """(stored, loaded) names of a function: stores outside its nested
+    functions, lambdas and classes, loads anywhere inside it, as a
+    closure reads its outer locals."""
+    stored, loaded = set(), set()
+
+    def visit(node, own):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                if isinstance(child.ctx, ast.Load):
+                    loaded.add(child.id)
+                elif own:
+                    stored.add(child.id)
+            visit(child, own and not isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)))
+
+    visit(function, True)
+    return stored, loaded
+
+
+def test_src_has_no_unused_imports_or_locals():
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        loads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            # the package's __init__ imports only to re-export
+            if (isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py"
+                    and getattr(node, "module", None) != "__future__"):
+                unused += [f"{path.stem}: import {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in loads]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stored, loaded = _function_names(node)
+                unused += [f"{path.stem}.{node.name}: {name}" for name in sorted(stored - loaded)
+                           if not name.startswith("_")]
+    assert unused == []

@@ -360,12 +360,15 @@ def test_malformed_minimal_polynomials_fail_fast(capsys, tmp_path, minimal_poly,
 @pytest.mark.parametrize("argv", [
     ("analyze", "bounds", fixture_path("d8"), "--degrees", "2,x"),
     ("analyze", "bounds", fixture_path("d8"), "--degrees", ",,"),
+    ("analyze", "bounds", fixture_path("d8"), "--degrees", "0,-3"),
+    ("analyze", "bounds", fixture_path("d8"), "--degrees", "2"),
     ("separating", fixture_path("c2_swap"), "--verify-samples", "3", "--bound", "-1"),
     ("separating", fixture_path("c2_swap"), "--verify-samples", "-3"),
     ("analyze", "molien", fixture_path("d8"), "--degree", "-2"),
     ("generators", fixture_path("d8"), "--cap", "-5"),
     ("generators", fixture_path("d8"), "--cap", "0"),
-], ids=["degrees-not-int", "degrees-empty", "negative-bound", "negative-samples",
+], ids=["degrees-not-int", "degrees-empty", "degrees-nonpositive", "degrees-wrong-count",
+        "negative-bound", "negative-samples",
         "negative-degree", "negative-cap", "zero-cap"])
 def test_malformed_argument_is_a_parse_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--json")

@@ -27,6 +27,7 @@ from invar.cli import main
 from invar.errors import CapExceeded
 from invar.fields import NumberField, PrimeField, Rationals
 from invar.groebner import (
+    _Packer,
     _packer,
     _reduce_terms,
     _reducer,
@@ -232,6 +233,19 @@ def test_packing_stands_for_the_tuple_operations(order_name, a, b):
     assert (pa < pb, pa == pb) == (order.key(a) < order.key(b), a == b)
     assert (((pb | guard) - pa) & guard == guard) == mono_divides(a, b)
     assert pa + pb == packer.pack(mono_mul(a, b))
+
+
+@pytest.mark.parametrize("order_name", sorted(ORDERS))
+def test_packings_are_built_without_evaluating_keys(monkeypatch, order_name):
+    # packers live as long as their order, so a key evaluated while building
+    # one would make key counts depend on which packers were built before
+    def refuse(self, exps):
+        raise AssertionError("a packing evaluated a key")
+
+    for order in ORDERS.values():
+        monkeypatch.setattr(type(order), "key", refuse)
+    packer = _Packer(ORDERS[order_name], 4)
+    assert packer.unpack(packer.pack((1, 0, 2, 3))) == (1, 0, 2, 3)
 
 
 @pytest.mark.parametrize("order_name", sorted(ORDERS))

@@ -73,6 +73,15 @@ def test_normal_form_membership_and_units():
     assert normal_form(R.one, basis) == R.one
 
 
+def test_normal_form_by_the_empty_basis_is_the_input():
+    empty = GroebnerBasis(R, GREVLEX, ())
+    f = X**2 - 3 * Y + 1
+    assert normal_form(f, empty) == f
+    assert normal_form(R.zero, empty).is_zero()
+    with pytest.raises(TruncationInsufficient):
+        normal_form(X**3, GroebnerBasis(R, GREVLEX, (), truncation_degree=2))
+
+
 def test_normal_form_of_averaged_quartic_vanishes(d8):
     # the degree-4 average is divisible by the quadratic invariant, so its
     # normal form against it is zero
@@ -405,12 +414,10 @@ def _reference_elimination(gens, eliminate):
     front = [n for n in ring.names if n in eliminate]
     kept = [n for n in ring.names if n not in eliminate]
     work_ring = PolynomialRing(ring.field, front + kept)
-    moved = [transport(g, work_ring, [work_ring.names.index(n) for n in ring.names])
-             for g in gens]
+    moved = [transport(g, work_ring) for g in gens]
     basis = reduce_basis(buchberger(moved, BlockElimination(len(front))))
     kept_ring = PolynomialRing(ring.field, kept)
-    out = [transport(g, kept_ring, [None] * len(front) + list(range(len(kept))))
-           for g in basis.generators
+    out = [transport(g, kept_ring) for g in basis.generators
            if all(not any(m[:len(front)]) for m in g.terms)]
     return sorted(out, key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
 

@@ -28,6 +28,7 @@ from invar.polynomials import (
     evaluate_integral,
     integer_powers,
     monomials_of_degree,
+    transport,
 )
 from invar.prng import XorShift
 from invar.specfile import fixture_path, load_spec_file
@@ -73,6 +74,48 @@ def test_context_mismatch():
     other = PolynomialRing(Q, ("x", "z"))
     with pytest.raises(ContextMismatch):
         X + other.variable(0)
+
+
+def test_transport_moves_variables_by_name():
+    target = PolynomialRing(Q, ("z", "y", "w", "x"))
+    p = R.parse("x^2*y - 3*y + 1")
+    assert transport(p, target) == target.parse("x^2*y - 3*y + 1")
+    assert transport(transport(p, target), R) == p
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.permutations(["a", "b", "c"]),
+       st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-5, 5), max_size=6),
+       st.tuples(*[st.integers(-4, 4)] * 3))
+def test_transport_between_orders_keeps_values(names, terms, point):
+    source = PolynomialRing(Q, ("a", "b", "c"))
+    target = PolynomialRing(Q, tuple(names))
+    p = Polynomial(source, {m: Q.scalar(c) for m, c in terms.items() if c})
+    moved = transport(p, target)
+    assert moved.ring == target
+    assert moved.evaluate([point["abc".index(n)] for n in names]) == p.evaluate(list(point))
+    assert transport(moved, source) == p
+
+
+def test_transport_renames():
+    target = PolynomialRing(Q, ("y", "u"))
+    assert transport(R.parse("x^2*y + x"), target, {"x": "u"}) == target.parse("u^2*y + u")
+    assert transport(R.parse("x - 2*y^3"), R, {"x": "y", "y": "x"}) == R.parse("y - 2*x^3")
+
+
+def test_transport_needs_a_target_only_for_present_variables():
+    small = PolynomialRing(Q, ("y",))
+    assert transport(R.parse("2*y^2 - 1"), small) == small.parse("2*y^2 - 1")
+    assert transport(R.zero, small) == small.zero
+    with pytest.raises(ContextMismatch):
+        transport(R.parse("x*y"), small)
+    with pytest.raises(ContextMismatch):
+        transport(R.parse("y"), small, {"y": "v"})  # renamed to a name with no target
+
+
+def test_transport_refuses_another_field():
+    with pytest.raises(ContextMismatch):
+        transport(X + Y, PolynomialRing(PrimeField(7), ("x", "y")))
 
 
 def test_leading_monomial():
