@@ -5,8 +5,10 @@ and simple extensions Q[t]/(m(t)) of the rationals by a monic minimal
 polynomial.  All arithmetic is exact; scalars are immutable values in
 canonical form: rationals as integer pairs (numerator, positive
 denominator) in lowest terms, residues in [0, p), and extension
-elements reduced modulo m and stored as integer coefficient vectors
-over one positive denominator that shares no factor with all of them.
+elements reduced modulo m, those in Q as the same pairs (so their
+arithmetic costs what it costs in Q) and the others as integer
+coefficient vectors over one positive denominator that shares no
+factor with all of them.
 
 Scalar text (used by all input files) is polynomial text without
 variables: signed decimal integers, fractions ``a/b``, and
@@ -262,6 +264,17 @@ def _pair_add(a, b):
     return (an + bn, ad) if ad == bd else (an * bd + bn * ad, ad * bd)
 
 
+def _pair_inv(a):
+    n, d = a
+    if n == 0:
+        raise DivisionByZero("division by zero")
+    return (d, n) if n > 0 else (-d, -n)
+
+
+def _pair_format(a):
+    return str(a[0]) if a[1] == 1 else f"{a[0]}/{a[1]}"
+
+
 class Rationals(Field):
     """Q, on payloads (num, den) with den > 0 and gcd(num, den) == 1: zero is (0, 1)."""
 
@@ -283,16 +296,12 @@ class Rationals(Field):
         return _lowest(_pair_mul(a, b))
 
     def _inv(self, a):
-        n, d = a
-        if n == 0:
-            raise DivisionByZero("division by zero")
-        return (d, n) if n > 0 else (-d, -n)
+        return _pair_inv(a)
 
     def _is_zero(self, a):
         return a[0] == 0
 
-    def _format(self, a):
-        return str(a[0]) if a[1] == 1 else f"{a[0]}/{a[1]}"
+    _format = staticmethod(_pair_format)
 
     def _accumulator(self):
         # unreduced (num, den) pairs, in lowest terms once when read
@@ -373,7 +382,9 @@ class PrimeField(Field):
 
 
 def _normal(nums, den):
-    """Canonical extension payload: den > 0 and gcd(den, *nums) == 1."""
+    """Canonical extension payload of the vector nums / den, for den != 0."""
+    if not any(nums[1:]):
+        return _lowest((nums[0], den) if den > 0 else (-nums[0], -den))
     if den != 1:
         g = gcd(den, *nums)
         if den < 0:
@@ -383,8 +394,19 @@ def _normal(nums, den):
     return tuple(nums), den
 
 
+def _settle(a):
+    """Canonical extension payload of an unnormalised pair or vector."""
+    return _lowest(a) if a[0].__class__ is int else _normal(*a)
+
+
 def _vector_add(a, b):
+    if a[0].__class__ is int:
+        if b[0].__class__ is int:
+            return _pair_add(a, b)
+        a, b = b, a
     (an, ad), (bn, bd) = a, b
+    if bn.__class__ is int:  # a vector plus a Q pair
+        bn = (bn,) + (0,) * (len(an) - 1)
     if ad == bd:
         return [x + y for x, y in zip(an, bn)], ad
     return [x * bd + y * ad for x, y in zip(an, bn)], ad * bd
@@ -405,9 +427,11 @@ class NumberField(Field):
     degree only warns.  A reducible m produces a ring with zero
     divisors, in which inverting a zero divisor raises DivisionByZero.
 
-    An element is the payload (nums, den): the coefficients of
-    t^0 .. t^(d-1) are nums[i] / den, with den > 0 and no common factor
-    of den and every nums[i], so equal elements have equal payloads.
+    An element of Q has its `Rationals` payload, an int pair.  Any other
+    is (nums, den), a tuple and an int: the coefficients of t^0 ..
+    t^(d-1) are nums[i] / den, some nums[i] != 0 for i >= 1, den > 0 and
+    no common factor of den and every nums[i].  So equal elements have
+    equal payloads, and `payload[0].__class__ is int` tells the forms apart.
     A degree above MAX_EXTENSION_DEGREE raises CapExceeded at once.
     """
 
@@ -487,13 +511,13 @@ class NumberField(Field):
         return Scalar(self, ((0, 1) + (0,) * (self.degree - 2), 1))
 
     def _from_rational(self, q):
-        return (q.numerator,) + (0,) * (self.degree - 1), q.denominator
+        return q.numerator, q.denominator
 
     def _add(self, a, b):
-        return _normal(*_vector_add(a, b))
+        return _settle(_vector_add(a, b))
 
     def _neg(self, a):
-        return tuple(-x for x in a[0]), a[1]
+        return (-a[0] if a[0].__class__ is int else tuple(-x for x in a[0])), a[1]
 
     def _product(self, an, bn):
         """Integer vector of scale * an * bn reduced modulo m."""
@@ -512,32 +536,33 @@ class NumberField(Field):
         return out
 
     def _mul(self, a, b):
-        return _normal(*self._vector_mul(a, b))
+        return _settle(self._vector_mul(a, b))
 
     def _vector_mul(self, a, b):
         (an, ad), (bn, bd) = a, b
-        # constants are very common inside polynomial arithmetic
-        if not any(an[1:]):
-            return [an[0] * y for y in bn], ad * bd
-        if not any(bn[1:]):
-            return [x * bn[0] for x in an], ad * bd
+        if an.__class__ is int:
+            if bn.__class__ is int:
+                return _pair_mul(a, b)
+            return [an * y for y in bn], ad * bd
+        if bn.__class__ is int:
+            return [x * bn for x in an], ad * bd
         return self._product(an, bn), ad * bd * self._scale
 
     def _accumulator(self):
-        # unnormalised (nums, den) pairs, normalised once when read
-        return self._vector_mul, _vector_add, lambda a: _normal(*a)
+        # unnormalised Q pairs and vectors, made canonical once when read
+        return self._vector_mul, _vector_add, _settle
 
-    _integral = staticmethod(_identity)
+    def _integral(self, a):
+        return ((a[0],) + (0,) * (self.degree - 1), a[1]) if a[0].__class__ is int else a
+
     _from_integral = staticmethod(_normal)
 
     def _inv(self, a):
-        return self._invert(*a)
+        return _pair_inv(a) if a[0].__class__ is int else self._invert(*a)
 
     def _invert(self, nums, den):
-        """Solve (nums / den) * x = 1 by fraction-free (Bareiss)
-        elimination on the integer matrix of multiplication by nums."""
-        if not any(nums):
-            raise DivisionByZero("division by zero")
+        """Solve (nums / den) * x = 1, for nums not all zero, by fraction-free
+        (Bareiss) elimination on the integer matrix of multiplication by nums."""
         d = self.degree
         cols = [self._product(nums, (0,) * j + (1,)) for j in range(d)]
         rows = [[col[i] for col in cols] + [0] for i in range(d)]
@@ -565,12 +590,14 @@ class NumberField(Field):
         return _normal(sol, prev)
 
     def _is_zero(self, a):
-        return not any(a[0])
+        return a[0] == 0
 
     def _format(self, a):
+        nums, den = a
+        if nums.__class__ is int:
+            return _pair_format(a)
         from .polynomials import Polynomial, PolynomialRing
 
-        nums, den = a
         ring = PolynomialRing(Rationals(), (self.generator_name,))
         terms = {(i,): Scalar(ring.field, _lowest((n, den))) for i, n in enumerate(nums)}
         return Polynomial(ring, terms).format()

@@ -15,8 +15,9 @@ a product into the monomial's pending coefficient through the field's
 `_accumulator`, with no normalising and no zero test, and the
 coefficient is settled and tested for zero once, when its term is
 popped; a cancelled term is dropped there.  Pending coefficients are
-unreduced ints over GF(p), integer pairs over Q and integer vectors
-over Q(w), reduced when settled; K(x) keeps its canonical arithmetic.
+unreduced ints over GF(p), integer pairs over Q, and over Q(w) the
+same pairs for rational values and integer vectors for the others,
+reduced when settled; K(x) keeps its canonical arithmetic.
 The ratio of a reduction step is taken from the settled
 coefficient, so the quotient and the remainder are canonical.  The
 arithmetic runs on raw field payloads; tuples and `Scalar`s come back

@@ -21,8 +21,9 @@ the packers.  Its tail updates only multiply and add through the
 field's accumulator; each coefficient is settled and tested for zero
 once, when its term is popped.  `PrimeField` (unreduced ints, reduced
 mod p when settled), `Rationals` (unreduced integer pairs, put in lowest
-terms when settled) and `NumberField` (unnormalised integer vectors,
-normalised when settled) override the base accumulator; the base one,
+terms when settled) and `NumberField` (the same unreduced pairs for
+rational values, unnormalised integer vectors for the others, each made
+canonical when settled) override the base accumulator; the base one,
 which rational function fields keep, settles nothing.
 Every reducer list the kernel reads only grows by `append`, and its
 owner (the engine, `reduce_basis`, a `GroebnerBasis`) hands the list's
@@ -38,6 +39,11 @@ Rational arithmetic runs on integer pairs and number-field arithmetic
 on integer vectors, never on `Fraction`s, and `fields` keeps no
 univariate polynomial helpers: minimal polynomials are parsed as
 polynomials over Q, and `parsing` defines no value type of its own.
+A number-field element in Q is the rational integer pair, and its
+arithmetic is the one copy of pair arithmetic that `Rationals` uses.
+Only `fields` tells the two payload forms apart or indexes into a
+vector; `polynomials` lifts payloads to integer vectors only through
+the field's `_integral`.
 
 Text has one parser entry and one printer.  `parsing.parse_expression`
 is called only by `PolynomialRing.parse`, which also parses scalars,
@@ -352,6 +358,26 @@ def test_number_field_arithmetic_avoids_fractions_and_univariate_helpers():
 
 def test_rational_arithmetic_avoids_fractions():
     assert "_lowest" in _field_arithmetic_reach("Rationals")
+
+
+def test_number_fields_share_the_rational_pair_arithmetic():
+    pair_arithmetic = {"_lowest", "_pair_mul", "_pair_add", "_pair_inv"}
+    assert pair_arithmetic <= _field_arithmetic_reach("Rationals")
+    assert pair_arithmetic <= _field_arithmetic_reach("NumberField")
+
+
+def test_payload_forms_are_read_only_in_fields():
+    def indexes_a_vector(node):
+        return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript)
+                and isinstance(node.value.value, ast.Attribute) and node.value.value.attr == "value")
+
+    def tells_forms_apart(node):
+        return isinstance(node, ast.Attribute) and node.attr == "__class__"
+
+    assert {module for module, _ in _sites(indexes_a_vector)} <= {"fields"}
+    assert {module for module, _ in _sites(tells_forms_apart)} == {"fields"}
+    assert _calls("_integral") == {("polynomials", "integral_form"),
+                                   ("polynomials", "integer_powers")}
 
 
 def test_fields_defines_no_univariate_helpers():

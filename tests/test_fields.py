@@ -316,7 +316,7 @@ class _FractionTupleField:
 def _old_format(field, payload):
     """`NumberField._format` before it printed through `Polynomial.format`,
     kept here as the reference for the printed text."""
-    nums, den = payload
+    nums, den = field._integral(payload)
     parts = []
     for i in range(field.degree - 1, -1, -1):
         c = Fraction(nums[i], den)
@@ -356,20 +356,27 @@ DIFFERENTIAL_FIELDS = {
 }
 
 
-def _as_fractions(payload):
-    nums, den = payload
+def _as_fractions(field, payload):
+    nums, den = field._integral(payload)
     return tuple(Fraction(n, den) for n in nums)
 
 
 def _element(field, fractions):
-    """The canonical payload: the least common denominator."""
+    """The element with these coefficients, over their least common denominator."""
     den = lcm(*(c.denominator for c in fractions))
-    return Scalar(field, (tuple(int(c * den) for c in fractions), den))
+    return Scalar(field, field._from_integral([int(c * den) for c in fractions], den))
 
 
-def _assert_canonical(payload):
-    nums, den = payload
-    assert den > 0 and gcd(den, *nums) == 1
+def _assert_canonical(field, payload):
+    """The Q pair in lowest terms exactly when the element is rational, else
+    a vector of ints over a positive denominator coprime to all of them."""
+    num, den = payload
+    assert type(den) is int and den > 0
+    if any(field._integral(payload)[0][1:]):
+        assert type(num) is tuple and len(num) == field.degree
+        assert all(type(x) is int for x in num) and gcd(den, *num) == 1
+    else:
+        assert type(num) is int and gcd(num, den) == 1
 
 
 @pytest.mark.parametrize("minimal_poly", DIFFERENTIAL_FIELDS.values(),
@@ -390,18 +397,18 @@ def test_integer_vectors_match_fraction_tuples(minimal_poly, data):
         (-a, ref.neg(fa)),
         (a * b, ref.mul(fa, fb)),
     ]:
-        _assert_canonical(value.value)
-        assert _as_fractions(value.value) == expected
+        _assert_canonical(field, value.value)
+        assert _as_fractions(field, value.value) == expected
     # a times w - 1 is a zero divisor in Q[w]/(w^2 - 1)
     for x in (a, a * (field.generator - 1)):
-        expected_inverse = ref.inv(_as_fractions(x.value))
+        expected_inverse = ref.inv(_as_fractions(field, x.value))
         if expected_inverse is None:
             with pytest.raises(DivisionByZero):
                 x.inverse()
         else:
             inverse = x.inverse()
-            _assert_canonical(inverse.value)
-            assert _as_fractions(inverse.value) == expected_inverse
+            _assert_canonical(field, inverse.value)
+            assert _as_fractions(field, inverse.value) == expected_inverse
             assert x * inverse == field.one
     assert str(a) == _old_format(field, a.value)
     assert field.parse(str(a)) == a
@@ -412,6 +419,77 @@ def test_integer_vectors_match_fraction_tuples(minimal_poly, data):
     assert a * b == b * a and hash(a * b) == hash(b * a)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def _mixed_coefficients(data, degree):
+    """Coefficients of an element that is rational on about half the draws."""
+    coeffs = data.draw(st.lists(st.fractions(-30, 30, max_denominator=12),
+                                min_size=degree, max_size=degree))
+    if data.draw(st.booleans()):
+        coeffs[1:] = [Fraction(0)] * (degree - 1)
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("minimal_poly", DIFFERENTIAL_FIELDS.values(),
+                         ids=DIFFERENTIAL_FIELDS.keys())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_payload_forms_follow_rationality(minimal_poly, data):
+    """Results move between the Q pair and the vector form exactly as
+    their Fraction-tuple values move in and out of Q."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = NumberField(minimal_poly, "w")
+    ref = _FractionTupleField(minimal_poly)
+    d, g = field.degree, field.generator
+    fg = ref.pad((Fraction(0), Fraction(1)))
+
+    def check(value, expected):
+        _assert_canonical(field, value.value)
+        assert _as_fractions(field, value.value) == expected
+        return value.value
+
+    # w * w^k is rational for k = 1 in the quadratic fields (sqrt2 * sqrt2
+    # = 2) and for k = 4 in Q(zeta5) (zeta * zeta^4 = 1)
+    k = 4 if d == 4 else 1
+    fpower = fg
+    for _ in range(k - 1):
+        fpower = ref.mul(fpower, fg)
+    assert type(check(g * g ** k, ref.mul(fg, fpower))[0]) is int
+    # (w - 1)(w + 1) = w^2 - 1 is zero in Q[w]/(w^2 - 1)
+    one = ref.pad((Fraction(1),))
+    check((g - 1) * (g + 1), ref.mul(ref.add(fg, ref.neg(one)), ref.add(fg, one)))
+    if minimal_poly == [-1, 0, 1]:
+        assert ((g - 1) * (g + 1)).value == (0, 1)
+    fs = [_mixed_coefficients(data, d) for _ in range(4)]
+    xs = [_element(field, f) for f in fs]
+    # b cancels the irrational part of a
+    q = data.draw(st.fractions(-30, 30, max_denominator=12))
+    fb = (q,) + ref.neg(fs[0][1:])
+    assert check(xs[0] + _element(field, fb), ref.pad((fs[0][0] + q,))) == _pair(fs[0][0] + q)
+    # inverses of pairs are pairs
+    if q:
+        assert check(field.scalar(q).inverse(), ref.pad((1 / q,))) == _pair(1 / q)
+    for x, fx in zip(xs, fs):
+        for y, fy in zip(xs, fs):
+            check(x + y, ref.add(fx, fy))
+            check(x - y, ref.add(fx, ref.neg(fy)))
+            check(x * y, ref.mul(fx, fy))
+        expected_inverse = ref.inv(fx)
+        if expected_inverse is None:
+            with pytest.raises(DivisionByZero):
+                x.inverse()
+        else:
+            check(x.inverse(), expected_inverse)
+    # an accumulator chain, settled once, and one whose last product
+    # cancels the irrational part of the others
+    mul, add, settle = field._accumulator()
+    chain = add(mul(xs[0].value, xs[1].value), mul(xs[2].value, xs[3].value))
+    expected = ref.add(ref.mul(fs[0], fs[1]), ref.mul(fs[2], fs[3]))
+    check(Scalar(field, settle(chain)), expected)
+    cancel = _element(field, (Fraction(0),) + ref.neg(expected[1:]))
+    chain = add(chain, mul(cancel.value, field.one.value))
+    assert check(Scalar(field, settle(chain)), ref.pad(expected[:1])) == _pair(expected[0])
 
 
 # zeros and units decide which terms print and how their signs join
