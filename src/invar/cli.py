@@ -135,7 +135,7 @@ def cmd_separating(args):
     if args.method == "noether":
         result = noether
     else:
-        result = inv.reduce_separating_set(noether.invariants, group.dimension)
+        result = inv.reduce_separating_set(noether.invariants)
     payload = {
         "method": args.method,
         **_fields(result, "invariants", "size", "homogeneous"),

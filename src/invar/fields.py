@@ -323,6 +323,11 @@ class Rationals(Field):
         return "QQ"
 
 
+# The prime of the modular certificates over Q: the closure's proof that
+# a generator has infinite order, and the hsop test of Dade's construction.
+MODULAR_PRIME = 2**31 - 1
+
+
 class PrimeField(Field):
     kind = "prime"
 
@@ -336,10 +341,7 @@ class PrimeField(Field):
         return self.p
 
     def _from_rational(self, q):
-        den = q.denominator % self.p
-        if den == 0:
-            raise DivisionByZero(f"denominator divisible by {self.p}")
-        return q.numerator * pow(den, -1, self.p) % self.p
+        return self._from_integral((q.numerator,), q.denominator)
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -369,7 +371,18 @@ class PrimeField(Field):
         return (a,), 1
 
     def _from_integral(self, nums, den):
-        return nums[0] % self.p
+        """The residue of nums[0] / den: the one reduction of a rational mod p."""
+        p = self.p
+        if den % p == 0:
+            raise DivisionByZero(f"denominator divisible by {p}")
+        return nums[0] * pow(den, -1, p) % p
+
+    def residue(self, s: "Scalar") -> "Scalar":
+        """The image in GF(p) of a scalar of Q; DivisionByZero when p
+        divides its denominator."""
+        if not isinstance(s.field, Rationals):
+            raise FieldMismatch(f"residue of a scalar of {s.field} in {self}")
+        return Scalar(self, self._from_integral(*s.field._integral(s.value)))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -505,14 +505,23 @@ def ideal_dimension(basis: GroebnerBasis):
     return 0
 
 
+def fresh_names(names, taken) -> tuple:
+    """Each of `names` followed by as many underscores as make it new:
+    distinct from `taken` and from the names before it."""
+    taken, out = set(taken), []
+    for name in names:
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        out.append(name)
+    return tuple(out)
+
+
 def _adjoin_variable(name: str, *polys: Polynomial):
     """(the polynomials, the new variable) in their ring with one more
-    variable, last, named `name` followed by as many underscores as make
-    it new."""
+    variable, last, named by `fresh_names`."""
     ring = polys[0].ring
-    while name in ring.names:
-        name += "_"
-    big = PolynomialRing(ring.field, ring.names + (name,))
+    big = PolynomialRing(ring.field, ring.names + fresh_names((name,), ring.names))
     return [transport(p, big) for p in polys], big.variable(ring.nvars)
 
 

@@ -12,11 +12,11 @@ from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache, partial
 from math import comb, gcd, lcm
-from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from .errors import CapExceeded, ModularCase, PositiveCharacteristic, SingularGenerator
-from .fields import Field
+from .errors import (CapExceeded, DivisionByZero, ModularCase, PositiveCharacteristic,
+                     SingularGenerator)
+from .fields import MODULAR_PRIME, Field, PrimeField
 from .linalg import Matrix
 from .polynomials import (
     Polynomial,
@@ -58,9 +58,15 @@ class FiniteMatrixGroup:
         return p != 0 and self.order % p == 0
 
 
+def require_nonmodular(group: FiniteMatrixGroup):
+    """Raise ModularCase when the characteristic divides the group order."""
+    if group.is_modular():
+        raise ModularCase(f"characteristic {group.field.characteristic()} divides "
+                          f"group order {group.order}")
+
+
 def close_group(
-    generators: Sequence,
-    field: Optional[Field] = None,
+    generators: Sequence[Matrix],
     cap: int = DEFAULT_CLOSURE_CAP,
     label: str = "",
 ) -> FiniteMatrixGroup:
@@ -75,13 +81,7 @@ def close_group(
     primitive k-th root of unity of degree phi(k) <= n: g^M != 1 modulo
     a prime proves infinite order.  GF(p) matrices have finite order;
     number fields rely on the cap."""
-    gens = []
-    for g in generators:
-        if not isinstance(g, Matrix):
-            if field is None:
-                raise ValueError("field required for raw matrix input")
-            g = Matrix.from_rows(field, g)
-        gens.append(g)
+    gens = list(generators)
     if not gens:
         raise ValueError("dimension unknown for an empty generating set")
     field = gens[0].field
@@ -98,12 +98,9 @@ def close_group(
                                   "integral with |c_i| <= binomial(n, i)")
             if not _power_is_identity_mod(g, _order_bound(n)):
                 raise CapExceeded(f"a generator has infinite order: g^{_order_bound(n)} != 1 "
-                                  f"modulo {_PRIME}")
+                                  f"modulo {MODULAR_PRIME}")
     return FiniteMatrixGroup(field=field, dimension=n, generators=tuple(gens),
                              elements=_closure(gens, cap), label=label)
-
-
-_PRIME = 2**31 - 1
 
 
 @lru_cache(maxsize=None)
@@ -115,25 +112,20 @@ def _order_bound(n: int) -> int:
 
 
 def _power_is_identity_mod(g: Matrix, e: int) -> bool:
-    """Is g^e = 1 modulo _PRIME, by repeated squaring on ints?  Necessary
-    for g^e = 1 over Q; a denominator divisible by _PRIME answers True."""
-    n = g.nrows
-    rows = [[x.value for x in row] for row in g.rows]
-    if any(den % _PRIME == 0 for row in rows for _, den in row):
+    """Is g^e = 1 over GF(MODULAR_PRIME), by square-and-multiply?
+    Necessary for g^e = 1 over Q; a denominator divisible by the prime
+    answers True."""
+    field = PrimeField(MODULAR_PRIME)
+    try:
+        base = Matrix(field, [[field.residue(x) for x in row] for row in g.rows])
+    except DivisionByZero:
         return True
-    base = [[num * pow(den, -1, _PRIME) % _PRIME for num, den in row] for row in rows]
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    power = identity
-
-    def times(a, b):
-        return [[sum(map(mul, row, col)) % _PRIME for col in zip(*b)] for row in a]
-
-    while e:
-        if e & 1:
-            power = times(power, base)
-        base = times(base, base)
-        e >>= 1
-    return power == identity
+    power = base
+    for bit in bin(e)[3:]:
+        power = power @ power
+        if bit == "1":
+            power = power @ base
+    return power == Matrix.identity(field, g.nrows)
 
 
 def _closure(gens: Sequence[Matrix], cap: int) -> tuple:
@@ -173,9 +165,7 @@ def reynolds(f: Polynomial, group: FiniteMatrixGroup) -> Polynomial:
     sigma(x^a) as raw terms, and the orbit sums S(a) = sum_sigma
     sigma(x^a).  The average is sum_a c_a S(a) / |G|."""
     field, ring = group.field, f.ring
-    p = field.characteristic()
-    if p != 0 and group.order % p == 0:
-        raise ModularCase(f"characteristic {p} divides the group order {group.order}")
+    require_nonmodular(group)
     if ring not in group._cache:
         one = {(0,) * ring.nvars: field.one.value}
         group._cache[ring] = [image_table(one, [apply_element(x, sigma)._payloads()

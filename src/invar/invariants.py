@@ -20,22 +20,23 @@ from operator import eq
 from typing import Sequence
 
 from .errors import (
+    DivisionByZero,
     FieldTooSmall,
-    ModularCase,
     NonHomogeneousInput,
     RetryLimitExceeded,
     VerificationFailed,
 )
-from .fields import PrimeField, Scalar
+from .fields import MODULAR_PRIME, PrimeField
 from .groebner import (
     BuchbergerEngine,
     SubalgebraOracle,
     buchberger,
     elimination_ideal,
+    fresh_names,
     ideal_dimension,
     ideal_membership,
 )
-from .groups import FiniteMatrixGroup, apply_element, reynolds
+from .groups import FiniteMatrixGroup, apply_element, require_nonmodular, reynolds
 from .linalg import nullspace
 from .polynomials import (
     GREVLEX,
@@ -125,11 +126,7 @@ def king_generators(
     monomial pool (possibly deleting not-yet-visited monomials).  The
     algorithm stops at the first pass that opens with an empty pool,
     which happens at degree |G| + 1 at the latest."""
-    if group.is_modular():
-        raise ModularCase(
-            f"characteristic {group.field.characteristic()} divides "
-            f"group order {group.order}"
-        )
+    require_nonmodular(group)
     ring = group.ring()
     engine = BuchbergerEngine(ring, order)
     gens = []
@@ -194,11 +191,7 @@ def verify_noether_and_hilbert(
     order, every monomial of degree |G| lies in the generated ideal, and
     the Reynolds image of every monomial up to the termination degree
     lies in the generated subalgebra."""
-    if group.is_modular():
-        raise ModularCase(
-            f"characteristic {group.field.characteristic()} divides "
-            f"group order {group.order}"
-        )
+    require_nonmodular(group)
     gens = result.generators
     ring = gens[0].ring if gens else group.ring()
     g_order = group.order
@@ -296,10 +289,9 @@ def _alpha_candidates(k: int, level: int):
         yield tup
 
 
-def reduce_separating_set(
-    invariants: Sequence[Polynomial], n: int
-) -> SeparatingSetResult:
-    """Boil a finite separating set down to at most 2n+1 elements.
+def reduce_separating_set(invariants: Sequence[Polynomial]) -> SeparatingSetResult:
+    """Boil a finite separating set in n variables down to at most 2n+1
+    elements.
 
     While more than 2n+1 invariants remain, the polynomials
     t*(f_i(x) - f_i(y)) acquire an algebraic relation H (least element
@@ -315,18 +307,17 @@ def reduce_separating_set(
     field = ring.field
     if field.characteristic() != 0:
         raise FieldTooSmall("reduction needs an infinite (characteristic 0) field")
-    if ring.nvars != n:
-        raise ValueError("n must match the number of ring variables")
+    n = ring.nvars
     alphas = []
     target = 2 * n + 1
     while len(invariants) > target:
         k = len(invariants)
-        x_names = ring.names
-        y_names = tuple(f"{nm}_cp" for nm in x_names)
-        tags = tuple(f"T{i + 1}" for i in range(k))
-        big = PolynomialRing(field, x_names + y_names + ("t_aux",) + tags)
+        # y copies, t and the tags T1..Tk, renamed away from the x names
+        aux = fresh_names([f"{nm}_cp" for nm in ring.names] + ["t_aux"]
+                          + [f"T{i + 1}" for i in range(k)], ring.names)
+        big = PolynomialRing(field, ring.names + aux)
         t = big.variable(2 * n)
-        to_y = dict(zip(x_names, y_names))
+        to_y = dict(zip(ring.names, aux))
         ideal = []
         for i, f in enumerate(invariants):
             fx = transport(f, big)
@@ -455,25 +446,17 @@ def verify_separation_samples(
 # systems of parameters and degree bounds
 # ---------------------------------------------------------------------------
 
-HSOP_PRIME = 2**31 - 1  # the prime of the modular hsop certificate
-
-
 def _dimension_mod_prime(polys: Sequence[Polynomial]):
-    """dim (f_1, ..., f_k) over GF(HSOP_PRIME) for f_i over Q, or None
+    """dim (f_1, ..., f_k) over GF(MODULAR_PRIME) for f_i over Q, or None
     when a denominator is divisible by the prime.  An f_i that vanishes
     mod p only raises the dimension."""
-    p = HSOP_PRIME
-    field = PrimeField(p)
+    field = PrimeField(MODULAR_PRIME)
     ring = PolynomialRing(field, polys[0].ring.names)
-    images = []
-    for f in polys:
-        terms = {}
-        for m, c in f.terms.items():
-            num, den = c.value
-            if den % p == 0:
-                return None
-            terms[m] = Scalar(field, num * pow(den, -1, p) % p)
-        images.append(Polynomial(ring, terms))
+    try:
+        images = [Polynomial(ring, {m: field.residue(c) for m, c in f.terms.items()})
+                  for f in polys]
+    except DivisionByZero:
+        return None
     return ideal_dimension(buchberger(images, GREVLEX))
 
 
@@ -481,7 +464,7 @@ def is_phsop(polys: Sequence[Polynomial]) -> bool:
     """Partial homogeneous system of parameters: the variety has the
     least possible dimension n - k.
 
-    Over Q a test mod p = HSOP_PRIME runs first and can only certify:
+    Over Q a test mod p = MODULAR_PRIME runs first and can only certify:
     with denominators prime to p, the degree-d part of the ideal is the
     row space of one integer matrix, whose rank mod p is at most its
     rank over Q, so degree by degree the Hilbert function mod p is at

@@ -68,6 +68,8 @@ class Matrix:
         return Matrix(field, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("dimension mismatch")
         return Matrix(
             self.field,
             [
@@ -78,6 +80,8 @@ class Matrix:
 
     def apply(self, vector: Sequence[Scalar]):
         """Matrix-vector product, on raw payloads like `__matmul__`."""
+        if len(vector) != self.ncols:
+            raise ValueError("dimension mismatch")
         field = self.field
         zero, mul, add = field.zero, field._mul, field._add
         values = [field.scalar(x).value for x in vector]  # refuses another field's scalars

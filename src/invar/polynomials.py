@@ -475,20 +475,14 @@ class Polynomial:
                                  for u, cu in monomial_image(table, m, times).items()))
         return Polynomial._from_payloads(target, raw)
 
-    def apply_linear_map(self, rows) -> "Polynomial":
-        """Substitute x_i -> sum_j rows[i][j] x_j for the first len(rows)
-        variables, leaving any remaining variables fixed.  `rows` is a
-        Matrix over the ring's field, whose rank is computed once, or
-        plain rows of scalars.  The matrix must be invertible."""
-        from .linalg import Matrix
-
+    def apply_linear_map(self, mat) -> "Polynomial":
+        """Substitute x_i -> sum_j mat[i][j] x_j for the first mat.nrows
+        variables, leaving any remaining variables fixed.  `mat` is an
+        invertible Matrix over the ring's field, whose rank is computed
+        once."""
         field = self.ring.field
-        if isinstance(rows, Matrix):
-            if rows.field != field:
-                raise FieldMismatch(f"matrix over {rows.field} acting on a ring over {field}")
-            mat = rows
-        else:
-            mat = Matrix.from_rows(field, rows)
+        if mat.field != field:
+            raise FieldMismatch(f"matrix over {mat.field} acting on a ring over {field}")
         k, n = mat.nrows, self.ring.nvars
         if mat.rank() != k:
             raise SingularMatrix("linear action matrix is singular")

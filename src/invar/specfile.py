@@ -48,7 +48,7 @@ def _parse_finite(cfg: dict, cap: int) -> FiniteMatrixGroup:
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ParseError(f"generator matrix is not {n}x{n}")
         gens.append(Matrix(field, [[field.parse(e) for e in row] for row in rows]))
-    return close_group(gens, field=field, cap=cap, label=cfg.get("label", ""))
+    return close_group(gens, cap=cap, label=cfg.get("label", ""))
 
 
 def _refuse_coordinate_generator(field, coordinates: set):

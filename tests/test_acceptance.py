@@ -120,7 +120,7 @@ def test_criterion_5_separating_suites(c2_swap, s3, cn4):
             assert report.passed, (group.label, report.counterexamples)
             assert report.same_orbit_checked == 100
         noether = noether_separating_set(cn4)
-        reduced = reduce_separating_set(noether.invariants, cn4.dimension)
+        reduced = reduce_separating_set(noether.invariants)
         assert reduced.size <= 2 * cn4.dimension + 1
         report = verify_separation_samples(
             reduced.invariants, cn4, pairs=100, coordinate_bound=10, seed=0

@@ -45,6 +45,12 @@ Only `fields` tells the two payload forms apart or indexes into a
 vector; `polynomials` lifts payloads to integer vectors only through
 the field's `_integral`.
 
+A rational is reduced modulo a prime in one place,
+`PrimeField._from_integral`, the only modular inverse outside
+`PrimeField._inv`.  The two modular certificates over Q, the closure's
+g^M test and the hsop test of Dade's construction, reach it through
+`PrimeField.residue` and share one prime, `fields.MODULAR_PRIME`.
+
 Text has one parser entry and one printer.  `parsing.parse_expression`
 is called only by `PolynomialRing.parse`, which also parses scalars,
 matrix entries (`Field.parse` reads a constant polynomial) and minimal
@@ -377,7 +383,26 @@ def test_payload_forms_are_read_only_in_fields():
     assert {module for module, _ in _sites(indexes_a_vector)} <= {"fields"}
     assert {module for module, _ in _sites(tells_forms_apart)} == {"fields"}
     assert _calls("_integral") == {("polynomials", "integral_form"),
-                                   ("polynomials", "integer_powers")}
+                                   ("polynomials", "integer_powers"), ("fields", "residue")}
+
+
+def test_one_reduction_modulo_a_prime():
+    def assigns_prime(node):
+        return (isinstance(node, ast.Assign)
+                and "MODULAR_PRIME" in {ast.unparse(target) for target in node.targets})
+
+    def writes_prime(node):
+        return ast.unparse(node) in ("2 ** 31 - 1", str(2**31 - 1))
+
+    def inverts_modulo(node):
+        return (isinstance(node, ast.Call) and ast.unparse(node.func) == "pow"
+                and len(node.args) == 3 and ast.unparse(node.args[1]) == "-1")
+
+    assert _sites(assigns_prime) == {("fields", None)}
+    assert _sites(writes_prime) == {("fields", None)}
+    assert _sites(inverts_modulo) == {("fields", "_inv"), ("fields", "_from_integral")}
+    assert _calls("residue") == {("groups", "_power_is_identity_mod"),
+                                 ("invariants", "_dimension_mod_prime")}
 
 
 def test_fields_defines_no_univariate_helpers():

@@ -43,6 +43,66 @@ def test_prime_field_division():
     assert G7.scalar(3) / G7.scalar(5) == G7.scalar(2)
 
 
+# ---------------------------------------------------------------------------
+# the integer lift protocol: _integral and _from_integral
+# ---------------------------------------------------------------------------
+
+ZETA5 = NumberField([1, 1, 1, 1, 1], "w")
+LIFT_FIELDS = {"Q": Q, "GF7": G7, "Q(sqrt2)": SQRT2, "Q(zeta5)": ZETA5}
+_FRACTIONS = st.fractions(-10**4, 10**4, max_denominator=60)
+
+
+def _lift_element(field, coefficients):
+    """The element sum c_i w^i, or its first coefficient where there is no w."""
+    if not isinstance(field, NumberField):
+        return field.scalar(coefficients[0])
+    w = field.generator
+    return sum((w**i * c for i, c in enumerate(coefficients[:field.degree])), field.zero)
+
+
+@pytest.mark.parametrize("field", LIFT_FIELDS.values(), ids=LIFT_FIELDS.keys())
+@settings(max_examples=80, deadline=None)
+@given(coefficients=st.lists(st.one_of(st.just(Fraction(0)), _FRACTIONS), min_size=4,
+                             max_size=4))
+def test_integral_lift_round_trips(field, coefficients):
+    # the Q pair and the vector forms of Q(w) both come back unchanged
+    if isinstance(field, PrimeField):
+        coefficients = [c.numerator for c in coefficients]
+    a = _lift_element(field, coefficients).value
+    assert field._from_integral(*field._integral(a)) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(-10**6, 10**6), d=st.integers(-10**6, 10**6).filter(bool),
+       p=st.sampled_from([2, 7, 32003, 2**31 - 1]))
+def test_prime_field_lift_divides_by_its_denominator(n, d, p):
+    field = PrimeField(p)
+    if d % p == 0:
+        with pytest.raises(DivisionByZero):
+            field._from_integral((n,), d)
+        return
+    r = field._from_integral((n,), d)
+    assert 0 <= r < p and (r * d - n) % p == 0
+    assert field.scalar(Fraction(n, d)) == field.scalar(n) / d
+    q = Fraction(n, d)
+    if q.denominator % p:
+        assert field.residue(Q.scalar(q)) == field.scalar(q.numerator) / q.denominator
+    else:
+        with pytest.raises(DivisionByZero):
+            field.residue(Q.scalar(q))
+
+
+def test_prime_field_lift_examples():
+    assert G7._from_integral((3,), 2) == 5
+    assert G7._from_integral((3,), -1) == 4
+    with pytest.raises(DivisionByZero):
+        G7._from_integral((1,), 14)
+    assert G7.residue(Q.scalar(Fraction(7, 2))) == G7.zero
+    for other in (G7.one, SQRT2.one, PrimeField(5).one):
+        with pytest.raises(FieldMismatch):
+            G7.residue(other)
+
+
 def test_extension_multiplication():
     w = SQRT2.generator
     assert (SQRT2.one + w) * (SQRT2.one - w) == SQRT2.scalar(-1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invar.errors import CapExceeded, ModularCase, PositiveCharacteristic, SingularGenerator
-from invar.fields import PrimeField, Rationals, Scalar
+from invar.fields import MODULAR_PRIME, PrimeField, Rationals, Scalar
 from invar.groups import (
     FiniteMatrixGroup,
     apply_element,
@@ -59,9 +59,17 @@ def test_infinite_order_generators_passing_the_det_test_fail_fast(rows):
     # det(1 - t*g) is (1 - t)^2 and 1 - t - t^2: integral and within the
     # binomial bound, so only g^12 != 1 rules out finite order
     start = perf_counter()
-    with pytest.raises(CapExceeded, match="infinite order"):
+    with pytest.raises(CapExceeded, match=r"infinite order: g\^12 != 1 modulo 2147483647"):
         close_group([qmat(rows)])
     assert perf_counter() - start < 1
+
+
+def test_denominators_divisible_by_the_prime_skip_the_modular_test():
+    # g^12 has no image mod p, so finite order is left to the closure
+    p = MODULAR_PRIME
+    assert close_group([qmat([[0, p], [Fraction(1, p), 0]])]).order == 2
+    with pytest.raises(CapExceeded, match="closure exceeded cap 50"):
+        close_group([qmat([[1, Fraction(1, p)], [0, 1]])], cap=50)
 
 
 def _permutation(images):
@@ -128,7 +136,7 @@ def test_reynolds_idempotent_and_invariant(d8, c2_swap):
             image = reynolds(p, group)
             assert reynolds(image, group) == image
             for g in group.generators:
-                assert image.apply_linear_map(g.rows) == image
+                assert image.apply_linear_map(g) == image
 
 
 def test_reynolds_shared_power_tables_match_the_plain_average(d8, s3, cn5):
@@ -143,8 +151,9 @@ def test_reynolds_shared_power_tables_match_the_plain_average(d8, s3, cn5):
             plain = sum((apply_element(f, s) for s in d8.elements), ring.zero) / d8.order
             assert reynolds(f, d8) == plain
     # multi-term input over Q(sqrt 2), Q(zeta_5), Q and GF(5), where 5 does not divide |S3|
-    gf5 = close_group([[[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [1, 0, 0]]],
-                      field=PrimeField(5))
+    gf5 = close_group([Matrix.from_rows(PrimeField(5), rows)
+                       for rows in ([[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                                    [[0, 1, 0], [0, 0, 1], [1, 0, 0]])])
     for group in (d8, cn5, s3, gf5):
         small = group.ring()
         big = PolynomialRing(group.field, small.names + ("t",))

@@ -27,7 +27,7 @@ from invar.invariants import (
     verify_separation_samples,
 )
 from invar.linalg import Matrix
-from invar.polynomials import GREVLEX, PolynomialRing, monomials_of_degree
+from invar.polynomials import GREVLEX, PolynomialRing, monomials_of_degree, transport
 from invar.prng import XorShift
 from invar.specfile import fixture_path, load_spec_file
 
@@ -103,8 +103,14 @@ def test_king_c2_swap_against_bruteforce_oracle(c2_swap):
 
 
 def test_king_modular_case(c2_swap_gf2):
-    with pytest.raises(ModularCase):
-        king_generators(c2_swap_gf2)
+    # one check raises the text stored in tests/golden_cli.json
+    ring = c2_swap_gf2.ring()
+    result = king_generators(close_group([Matrix.identity(c2_swap_gf2.field, 2)]))
+    for call in (lambda: king_generators(c2_swap_gf2),
+                 lambda: verify_noether_and_hilbert(c2_swap_gf2, result),
+                 lambda: reynolds(ring.variable(0), c2_swap_gf2)):
+        with pytest.raises(ModularCase, match="^characteristic 2 divides group order 2$"):
+            call()
 
 
 def test_king_d8_pass_trace(d8):
@@ -230,7 +236,7 @@ def test_noether_separating_degrees_and_invariance(s3, cn4):
         for p in result.invariants:
             assert p.total_degree() <= group.order
             for sigma in group.generators:
-                assert p.apply_linear_map(sigma.rows) == p
+                assert p.apply_linear_map(sigma) == p
 
 
 def test_noether_separating_modular(c2_swap_gf2):
@@ -342,7 +348,7 @@ def test_separation_samples_match_the_reference_loop(name):
 
 def test_reduce_noop_when_small(c2_swap):
     noether = noether_separating_set(c2_swap)
-    result = reduce_separating_set(noether.invariants, 2)
+    result = reduce_separating_set(noether.invariants)
     assert result.invariants == noether.invariants
     assert result.alphas == []
 
@@ -350,7 +356,7 @@ def test_reduce_noop_when_small(c2_swap):
 def test_reduce_separating_set_c5(cn5):
     noether = noether_separating_set(cn5)
     assert noether.size == 6  # one more than 2n+1
-    result = reduce_separating_set(noether.invariants, 2)
+    result = reduce_separating_set(noether.invariants)
     assert result.size <= 5
     # all inputs share degree 5, so the combinations happen to stay homogeneous
     assert result.homogeneous == all(p.is_homogeneous() for p in result.invariants)
@@ -375,7 +381,7 @@ def test_reduce_mixed_degree_set(c2_swap):
     e1 = x1 + x2
     inflated = noether + [e1**3, e1**4, x1 * x2 * e1]
     assert len(inflated) == 6
-    result = reduce_separating_set(inflated, 2)
+    result = reduce_separating_set(inflated)
     assert result.size == 5
     assert len(result.alphas) == 1
     assert not result.homogeneous  # combinations now mix degrees
@@ -383,10 +389,26 @@ def test_reduce_mixed_degree_set(c2_swap):
     assert report.passed
 
 
+@pytest.mark.parametrize("names", [("t_aux", "T1"), ("a", "a_cp")])
+def test_reduce_renames_its_auxiliary_variables(c2_swap, names):
+    # the ring's own names may be the ones the reduction adjoins: the y
+    # copies <x>_cp, t_aux and the tags T1..Tk
+    ring = c2_swap.ring()
+    x1, x2 = ring.variables()
+    e1 = x1 + x2
+    inflated = noether_separating_set(c2_swap).invariants + [e1**3, e1**4, x1 * x2 * e1]
+    clash = PolynomialRing(ring.field, names)
+    rename = dict(zip(ring.names, names))
+    result = reduce_separating_set([transport(f, clash, rename) for f in inflated])
+    expected = reduce_separating_set(inflated)
+    assert result.alphas == expected.alphas and len(result.alphas) == 1
+    assert result.invariants == [transport(f, clash, rename) for f in expected.invariants]
+
+
 def test_reduce_rejects_finite_fields(c2_swap_gf2):
     noether = noether_separating_set(c2_swap_gf2)
     with pytest.raises(FieldTooSmall):
-        reduce_separating_set(noether.invariants, 2)
+        reduce_separating_set(noether.invariants)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +474,7 @@ def test_dade_s3_and_d8(s3, d8):
         for p in prim:
             assert p.total_degree() <= group.order
             for sigma in group.generators:
-                assert p.apply_linear_map(sigma.rows) == p
+                assert p.apply_linear_map(sigma) == p
 
 
 def test_degree_bound_report(d8, c2_swap):
@@ -475,7 +497,7 @@ def test_phsop_falls_back_to_q_when_the_prime_is_unlucky(monkeypatch):
     # mod 7 the ideal is (xy, x^2), of dimension 1; over Q it has dimension 0
     ring = PolynomialRing(Q, ("x", "y"))
     polys = [ring.parse("x*y"), ring.parse("x^2 + 7*y^2")]
-    monkeypatch.setattr(invariants, "HSOP_PRIME", 7)
+    monkeypatch.setattr(invariants, "MODULAR_PRIME", 7)
     real = invariants._dimension_mod_prime
     mod_p = []
 
@@ -490,7 +512,7 @@ def test_phsop_falls_back_to_q_when_the_prime_is_unlucky(monkeypatch):
 
 
 def test_phsop_certificate_skips_denominators_and_vanishing_generators():
-    p = invariants.HSOP_PRIME
+    p = invariants.MODULAR_PRIME
     ring = PolynomialRing(Q, ("x", "y"))
     x, y = ring.variables()
     vanishing = [ring.parse(f"{p}*x^2")]
@@ -528,7 +550,7 @@ def _homogeneous_systems(draw):
 def test_phsop_matches_the_computation_over_q(polys):
     # mod 5 many systems lose rank, so the certificate often has to decline
     n, k = polys[0].ring.nvars, len(polys)
-    with mock.patch.object(invariants, "HSOP_PRIME", 5):
+    with mock.patch.object(invariants, "MODULAR_PRIME", 5):
         assert is_phsop(polys) == (_dimension_over_q(polys) == n - k)
 
 

@@ -144,6 +144,22 @@ def test_apply_matches_scalar_sums(name, data):
         Matrix(field, a).apply([other.one] * n)
 
 
+def test_apply_refuses_a_vector_of_the_wrong_length():
+    matrix = Matrix.from_rows(Q, [[1, 2], [3, 4]])
+    for vector in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matrix.apply(vector)
+    assert matrix.apply([1, 1]) == (Q.scalar(3), Q.scalar(7))
+
+
+def test_difference_refuses_matrices_of_other_shapes():
+    matrix = Matrix.from_rows(Q, [[1, 2], [3, 4]])
+    for other in ([[1]], [[1, 2]], [[1], [2]]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            matrix - Matrix.from_rows(Q, other)
+    assert matrix - Matrix.identity(Q, 2) == Matrix.from_rows(Q, [[0, 2], [3, 3]])
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_singular_square_matrices_do_not_invert(name):
     field = FIELDS[name]
