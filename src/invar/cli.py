@@ -221,7 +221,8 @@ def cmd_separating_variety(args):
 def _parse_groebner_problem(cfg):
     names = json_value(cfg, "variables", list, item=str)
     ring = PolynomialRing(field_from_config(cfg["field"]), tuple(names))
-    polys = [ring.parse(t) for t in json_value(cfg, "polynomials", list, item=str)]
+    # an empty list is the zero ideal, as ["0"] is
+    polys = [ring.parse(t) for t in json_value(cfg, "polynomials", list, item=str)] or [ring.zero]
     order = order_by_name(cfg.get("order", "grevlex"))
     truncate = cfg.get("truncate")
     if truncate is not None and (type(truncate) is not int or truncate < 0):

@@ -38,30 +38,24 @@ class ReducibleMinimalPolynomialWarning(UserWarning):
 
 class UnverifiedIrreducibilityWarning(UserWarning):
     """Irreducibility was not checked beyond squarefreeness: degree > 4,
-    or a rational-root search too long to run."""
+    or a divisor search of the integer form too long to run."""
 
 
 # ---------------------------------------------------------------------------
-# irreducibility checks on minimal polynomials, given as tuples of
-# Fractions (index = power)
+# irreducibility checks on minimal polynomials, given in primitive
+# integer form as tuples of ints (index = power)
 # ---------------------------------------------------------------------------
 
-# Trial division for rational-root candidates stops beyond this many steps.
+# Each divisor search, and the walk over (divisor of a_0, divisor of a_d)
+# pairs, stops beyond this many steps.
 _DIVISOR_STEPS = 10**6
 
 # The largest minimal-polynomial degree: building a field costs O(d^3).
 MAX_EXTENSION_DEGREE = 64
 
 
-def _is_square_fraction(q: Fraction):
-    """Return sqrt(q) as a Fraction, or None if q is not a rational square."""
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
+def _is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def _divisors(n: int):
@@ -70,74 +64,49 @@ def _divisors(n: int):
     n = abs(n)
     if isqrt(n) > _DIVISOR_STEPS:
         return None
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
+    return sorted({*small, *(n // i for i in small)})
 
 
-def _rational_roots(coeffs):
-    """All rational roots of a univariate polynomial with Fraction coeffs
-    and nonzero leading coefficient, or None when the divisor search
-    would be too long."""
-    den = lcm(*[c.denominator for c in coeffs])
-    ints = [int(c * den) for c in coeffs]
-    roots = set()
-    while ints[0] == 0:
-        ints = ints[1:]  # factor out x
-        roots.add(Fraction(0))
-    nums, dens = _divisors(ints[0]), _divisors(ints[-1])
-    if nums is None or dens is None:
+def _least_factor_degree(a):
+    """The least degree of a factor over Q of the primitive integer
+    polynomial a of degree 2 .. 4 with a[-1] > 0 (so its own degree when
+    it is irreducible), or None when the divisor search is too long.
+
+    By Gauss's lemma every factor has an integer form whose leading
+    coefficient divides a[-1] and whose constant coefficient divides a[0].
+    """
+    d = len(a) - 1
+    if d == 2:
+        return 1 if _is_square(a[1] * a[1] - 4 * a[0] * a[2]) else 2
+    if a[0] == 0:
+        return 1
+    ends, leads = _divisors(a[0]), _divisors(a[d])
+    if ends is None or leads is None or len(ends) * len(leads) > _DIVISOR_STEPS:
         return None
-    for p in nums:
-        for q in dens:
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
-                for c in reversed(coeffs):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def _quartic_has_quadratic_factor(m):
-    """Monic quartic over Q with no rational root: does it split into two
-    rational quadratics?  Decided through the resolvent cubic; None when
-    its rational-root search would be too long."""
-    a0, a1, a2, a3 = m[:4]
-    # depress by x -> u - a3/4 to u^4 + p u^2 + q u + r
-    p = a2 - 3 * a3**2 / 8
-    q = a1 - a3 * a2 / 2 + a3**3 / 8
-    r = a0 - a3 * a1 / 4 + a3**2 * a2 / 16 - 3 * a3**4 / 256
-    if q == 0:
-        # biquadratic: (u^2+v)(u^2+w) needs p^2-4r square;
-        # (u^2+au+b)(u^2-au+b) needs b^2 = r and 2b - p a square
-        if _is_square_fraction(p * p - 4 * r) is not None:
-            return True
-        rt = _is_square_fraction(r)
-        if rt is not None:
-            for b in (rt, -rt):
-                if _is_square_fraction(2 * b - p) is not None:
-                    return True
-        return False
-    # resolvent cubic in s = a^2:  s^3 + 2p s^2 + (p^2 - 4r) s - q^2
-    roots = _rational_roots((-q * q, p * p - 4 * r, 2 * p, Fraction(1)))
-    if roots is None:
-        return None
-    for s in roots:
-        if s <= 0:
-            continue
-        a = _is_square_fraction(s)
-        if a is None or a == 0:
-            continue
-        # b, c from c - b = q/a, c + b = p + s: automatically rational
-        return True
-    return False
+    ends += [-g for g in ends]
+    # p/q is a root iff sum a_i p^i q^(d-i) = 0
+    if any(sum(c * p**i * q ** (d - i) for i, c in enumerate(a)) == 0
+           for p in ends for q in leads):
+        return 1
+    if d == 3:
+        return 3
+    a0, a1, a2, a3, a4 = a
+    for u in leads:
+        v = a4 // u
+        for g in ends:
+            h = a0 // g
+            # (u x^2 + s x + g)(v x^2 + t x + h) = a needs v s + u t = a3,
+            # h s + g t = a1 and s t = rest
+            rest = a2 - u * h - g * v
+            det = v * g - u * h
+            if det:
+                if (a3 * g - u * a1) * (v * a1 - h * a3) == rest * det * det:
+                    return 2
+            # singular: t = (a3 - v s) / u leaves v s^2 - a3 s + u rest = 0
+            elif h * a3 == v * a1 and _is_square(a3 * a3 - 4 * u * v * rest):
+                return 2
+    return 4
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +404,8 @@ def _generator_name(name):
 class NumberField(Field):
     """Q[t]/(m(t)) for monic squarefree m of degree >= 2.
 
-    Irreducibility is certified for deg(m) <= 4 (rational roots plus
-    quadratic-factor search); a detected factor or an unverified higher
+    Irreducibility is certified for deg(m) <= 4 (a search for integer
+    factors by Gauss's lemma); a detected factor or an unverified higher
     degree only warns.  A reducible m produces a ring with zero
     divisors, in which inverting a zero divisor raises DivisionByZero.
 
@@ -489,32 +458,16 @@ class NumberField(Field):
 
     def _warn_if_reducible(self):
         m, d = self.minimal_poly, self.degree
-        if d == 2:
-            # t^2 + b t + c has a rational root iff b^2 - 4c is a square
-            roots = _is_square_fraction(m[1] * m[1] - 4 * m[0]) is not None
-        else:
-            roots = _rational_roots(m) if d <= 4 else None
-        split = _quartic_has_quadratic_factor(m) if d == 4 and roots == [] else False
-        if roots is None or split is None:
-            warnings.warn(
-                f"irreducibility of degree-{d} minimal polynomial not verified",
-                UnverifiedIrreducibilityWarning,
-                stacklevel=3,
-            )
-        elif roots:
-            warnings.warn(
-                "minimal polynomial has a rational root; the quotient is not "
-                "a field",
-                ReducibleMinimalPolynomialWarning,
-                stacklevel=3,
-            )
-        elif split:
-            warnings.warn(
-                "minimal polynomial splits into two rational quadratics; the "
-                "quotient is not a field",
-                ReducibleMinimalPolynomialWarning,
-                stacklevel=3,
-            )
+        den = lcm(*(c.denominator for c in m))
+        a = tuple(c.numerator * (den // c.denominator) for c in m)
+        least = _least_factor_degree(a) if d <= 4 else None
+        if least is None:
+            warnings.warn(f"irreducibility of degree-{d} minimal polynomial not verified",
+                          UnverifiedIrreducibilityWarning, stacklevel=3)
+        elif least < d:
+            factor = "has a rational root" if least == 1 else "splits into two rational quadratics"
+            warnings.warn(f"minimal polynomial {factor}; the quotient is not a field",
+                          ReducibleMinimalPolynomialWarning, stacklevel=3)
 
     def characteristic(self):
         return 0

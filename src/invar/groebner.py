@@ -551,10 +551,7 @@ class SubalgebraOracle:
         for g in gens:
             if g.ring != ring:
                 raise ContextMismatch("generators from different rings")
-        prefix = "T"
-        while any(f"{prefix}{i + 1}" in ring.names for i in range(len(gens))):
-            prefix = "_" + prefix
-        tags = tuple(f"{prefix}{i + 1}" for i in range(len(gens)))
+        tags = fresh_names([f"T{i + 1}" for i in range(len(gens))], ring.names)
         self.ring = ring
         self.tag_ring = PolynomialRing(ring.field, tags)
         self.big_ring = PolynomialRing(ring.field, ring.names + tags)

@@ -336,13 +336,14 @@ def test_buchberger_engine_has_one_selection_path():
             if module == "groebner"} == {"add_generator", "_reduce_terms"}
 
 
-def _field_arithmetic_reach(cls):
-    """Names reached from a field class's arithmetic methods; none of
-    them may be `Fraction` or a univariate helper."""
+def _field_arithmetic_reach(cls, todo=("_add", "_mul", "_neg", "_inv", "_is_zero")):
+    """Names reached from a field class's arithmetic methods, or from the
+    methods `todo` names; none of them may be `Fraction` or a univariate
+    helper."""
     tree = _source("fields")
     functions = {node.name: node for node in tree.body + _class(tree, cls).body
                  if isinstance(node, ast.FunctionDef)}
-    todo = ["_add", "_mul", "_neg", "_inv", "_is_zero"]
+    todo = list(todo)
     reached = set()
     while todo:
         name = todo.pop()
@@ -408,6 +409,13 @@ def test_one_reduction_modulo_a_prime():
 def test_fields_defines_no_univariate_helpers():
     names = {node.name for node in _source("fields").body if isinstance(node, ast.FunctionDef)}
     assert not names & {"_trim", "_uadd", "_umul"}
+
+
+def test_minimal_polynomials_are_checked_on_integers():
+    reached = _field_arithmetic_reach("NumberField", ["_warn_if_reducible"])
+    assert {"_least_factor_degree", "_divisors", "_is_square"} <= reached
+    names = {node.name for node in _source("fields").body if isinstance(node, ast.FunctionDef)}
+    assert not names & {"_is_square_fraction", "_rational_roots", "_quartic_has_quadratic_factor"}
 
 
 def test_text_has_one_parser_entry_and_one_printer():

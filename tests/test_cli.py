@@ -165,6 +165,21 @@ def test_groebner_passthrough(capsys, tmp_path):
     assert not report["payload"]["reduced"]
 
 
+@pytest.mark.parametrize("extra", [{}, {"truncate": 2}, {"eliminate": ["x"]}],
+                         ids=["reduced", "truncated", "eliminate"])
+def test_groebner_empty_list_is_the_zero_ideal(capsys, tmp_path, extra):
+    problem = tmp_path / "problem.json"
+    payloads = []
+    for polys in ([], ["0"]):
+        problem.write_text(json.dumps({"field": {"kind": "rationals"}, "variables": ["x", "y"],
+                                       "polynomials": polys, **extra}))
+        payloads.append(run_json(capsys, "groebner", str(problem))["payload"])
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["basis"] == []
+    if not extra:
+        assert payloads[0]["dimension"] == 2
+
+
 def test_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "generators", fixture_path("c2_swap_gf2"))
     assert code == 3

@@ -240,15 +240,69 @@ def test_reducibility_warnings():
     ("w^2 - 1000000000000000014000000000000000049", ReducibleMinimalPolynomialWarning),
     ("w^3 - 1000000000000000003", UnverifiedIrreducibilityWarning),
     ("w^4 + w + 1000000000000000003", UnverifiedIrreducibilityWarning),
-], ids=["quadratic", "quadratic-square", "cubic", "quartic"])
+    ("w^3 + 3/10^7", None),
+    ("w^4 + w^2/3 + 1/2^20", None),
+    ("w^4 + w/735134400 + 1", UnverifiedIrreducibilityWarning),
+], ids=["quadratic", "quadratic-square", "cubic", "quartic", "rational-cubic",
+        "rational-biquadratic", "many-divisor-pairs"])
 def test_large_minimal_polynomials_finish_promptly(text, warning):
-    # a full trial-division search of these constants takes 10^9 steps
+    # a full trial-division search of the 19-digit constants takes 10^9
+    # steps, and the 1344 divisors of 735134400 make more pairs with those
+    # of the constant term than the search bound allows
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         field_from_config({"kind": "simple_extension", "generator": "w", "minimal_poly": text})
-    assert time.perf_counter() - start < 5
+    assert time.perf_counter() - start < 1
     assert [w.category for w in caught] == ([warning] if warning else [])
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+_FACTOR_COEFFICIENT = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def _monic_polynomials(draw):
+    """Monic rational polynomials of degree 2 .. 4 (index = power), half
+    of them products of two monic rational factors."""
+    degree = draw(st.integers(2, 4))
+    degrees = [degree]
+    if draw(st.booleans()):
+        first = draw(st.integers(1, degree - 1))
+        degrees = [first, degree - first]
+    poly = [Fraction(1)]
+    for k in degrees:
+        factor = draw(st.lists(_FACTOR_COEFFICIENT, min_size=k, max_size=k)) + [Fraction(1)]
+        product = [Fraction(0)] * (len(poly) + k)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(factor):
+                product[i + j] += a * b
+        poly = product
+    return poly
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monic_polynomials())
+def test_reducibility_warnings_match_sympy(sympy, coeffs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            NumberField(coeffs, "w")
+        except InvalidFieldSpec as exc:
+            assert "squarefree" in str(exc)
+            return
+    x = sympy.Symbol("x")
+    poly = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
+    least = min(sympy.degree(f, x) for f, _ in sympy.factor_list(poly, x, domain="QQ")[1])
+    expected = {1: "minimal polynomial has a rational root; the quotient is not a field",
+                2: "minimal polynomial splits into two rational quadratics; the quotient is "
+                   "not a field"}
+    assert [str(w.message) for w in caught] == ([expected[least]] if least < len(coeffs) - 1
+                                                 else [])
 
 
 def test_zero_divisor_detection():

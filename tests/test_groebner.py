@@ -332,6 +332,16 @@ def test_subalgebra_witness_substitutes_back():
     assert witness.substitute(gens) == f
 
 
+def test_subalgebra_tags_are_fresh_names():
+    ring = PolynomialRing(Q, ("x", "T1"))
+    x, t1 = ring.variable(0), ring.variable(1)
+    oracle = SubalgebraOracle([x + t1, x * t1])
+    assert oracle.tag_ring.names == ("T1_", "T2")
+    witness = oracle.express(x**2 + t1**2)
+    assert str(witness) == "T1_^2 - 2*T2"
+    assert witness.substitute([x + t1, x * t1]) == x**2 + t1**2
+
+
 def test_s_polynomial_is_in_ideal():
     f, g = X**2 * Y - 1, X * Y**2 - X
     basis = buchberger([f, g], GREVLEX)
