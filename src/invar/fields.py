@@ -85,8 +85,16 @@ def _least_factor_degree(a):
     if ends is None or leads is None or len(ends) * len(leads) > _DIVISOR_STEPS:
         return None
     ends += [-g for g in ends]
-    # p/q is a root iff sum a_i p^i q^(d-i) = 0
-    if any(sum(c * p**i * q ** (d - i) for i, c in enumerate(a)) == 0
+    # p/q is a root iff sum a_i p^i q^(d-i) = 0.  A root p/q in lowest
+    # terms makes q x - p an integer factor, so q - p divides a(1) and
+    # q + p divides a(-1); a candidate not in lowest terms may fail that
+    # test, as its lowest terms are a candidate too.  With 1 and -1 no
+    # roots, p = q and p = -q are none either.
+    at_one, at_minus_one = sum(a), sum(a[::2]) - sum(a[1::2])
+    if at_one == 0 or at_minus_one == 0:
+        return 1
+    if any(q != p != -q and at_one % (q - p) == 0 and at_minus_one % (q + p) == 0
+           and sum(c * p**i * q ** (d - i) for i, c in enumerate(a)) == 0
            for p in ends for q in leads):
         return 1
     if d == 3:

@@ -27,16 +27,27 @@ term that a division raises to it stops the division with
 product of zero divisors there vanishes and is dropped).
 
 A popped term is reduced by the first reducer in the list whose leading
-monomial divides it.  The owner of a reducer list keeps a memo beside
-it, handed to every division on that list: per packed monomial, the
-index of the first reducer found to divide it, or the list's length
-when none did.  A later pop of the monomial resumes the scan there, so a
-known divisor costs one mask test and a known miss tests only the
-reducers appended since.  The memo is exact because every reducer list
-only grows by `append` (the engine's, the one `reduce_basis` builds and
-hands on to its result, and a `GroebnerBasis`'s frozen one): the
-reducers before a remembered index never change, and none of them
-divides.  Throwaway lists, as in `ratfunc`'s divisions, get a fresh memo.
+monomial divides it.  The owner of a reducer list keeps a
+`_FirstDivisors` beside it, handed to every division on that list: per
+packed monomial, the index of the first reducer found to divide it, or
+the list's length when none did.  A later pop of the monomial resumes
+there, so a known divisor costs one mask test and a known miss looks
+only at the reducers appended since.  Past a failed mask test, when
+more than n reducers remain (n variables), the next divisor comes from
+an exact index of the leading exponents instead of a scan (Roune &
+Stillman, ISSAC 2012, treat divisor queries as a data structure): per
+variable, the sorted distinct lead exponents and, per position, the
+bitset of reducers whose exponent is at most that value; the divisors
+of t are the AND of n bisected bitsets, and the lowest bit at or past
+the resume index is the divisor the scan finds.  The index grows with
+the number of distinct exponents, not their size, and a query costs n
+bisects, so n or fewer remaining reducers are scanned.  Both are exact
+because every reducer list only grows by `append` (the engine's, the
+one `reduce_basis` builds and hands on to its result, and a
+`GroebnerBasis`'s frozen one): the reducers before a remembered index
+never change, none of them divides, and bit positions never move.
+Throwaway lists, as in `ratfunc`'s divisions, get a fresh
+`_FirstDivisors`.
 
 Determinism is a hard requirement: pair selection follows the sugar
 strategy (Giovini, Mora, Niesi, Robbiano & Traverso, ISSAC 1991).
@@ -47,7 +58,7 @@ first, ties by lcm degree, then by the monomial order on the lcm, then
 by pair indices.  On homogeneous input the sugar is the lcm degree, so
 this is the normal strategy there.  The reducer is always the first
 basis element whose leading monomial divides (found through the memo
-above, which picks the same one), and queued pairs survive
+and index above, which pick the same one), and queued pairs survive
 truncation: a run truncated at sugar d is a prefix of the full run, so
 it can be continued to higher degree without recomputation.  Pair
 pruning uses the Gebauer-Moeller criteria (J. Symb. Comput. 6, 1988),
@@ -75,6 +86,7 @@ from __future__ import annotations
 
 import heapq
 import struct
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations, islice
 from operator import mul
@@ -188,12 +200,46 @@ def _unpacked(packer: _Packer, field, items) -> dict:
     return {unpack(m): Scalar(field, c) for m, c in items}
 
 
+class _FirstDivisors(dict):
+    """What a reducer list that only grows by `append` keeps beside it:
+    a dict from packed monomial to the index of its first divisor in the
+    list (the list's length for none), and the exponent index of the
+    list's leading monomials, extended by `exponent_index`."""
+
+    __slots__ = ("_index", "_size")
+
+    def __init__(self):
+        super().__init__()
+        self._index, self._size = None, 0
+
+    def exponent_index(self, reducers) -> tuple:
+        """Per variable, the sorted distinct lead exponents and, at
+        position k, the bitset of reducers whose lead exponent is at
+        most the k-th of them (k = 0: below all), for the whole list."""
+        if self._index is None:
+            n = len(reducers[0][3])
+            self._index = [[] for _ in range(n)], [[0] for _ in range(n)]
+        values, bits = self._index
+        for p in range(self._size, len(reducers)):
+            bit = 1 << p
+            for vals, sets, e in zip(values, bits, reducers[p][3]):
+                k = bisect_left(vals, e)
+                if k == len(vals) or vals[k] != e:
+                    vals.insert(k, e)
+                    sets.insert(k + 1, sets[k])
+                for k in range(k + 1, len(sets)):
+                    sets[k] |= bit
+        self._size = len(reducers)
+        return self._index
+
+
 def _reduce_terms(
-    terms: dict, reducers, memo: dict, order: MonomialOrder, quotient: Optional[dict] = None
+    terms: dict, reducers, memo: _FirstDivisors, order: MonomialOrder,
+    quotient: Optional[dict] = None
 ) -> dict:
     """Full normal form of a term dict against `_reducer`s; the first
-    divisible reducer wins, found through `memo`, the list's memo of
-    first divisors, which the call updates.  With a single reducer, a
+    divisible reducer wins, found through `memo`, the list's
+    `_FirstDivisors`, which the call updates.  With a single reducer, a
     `quotient` dict collects the quotient's terms.  Both come back with
     tuple monomials, in descending order, and nonzero coefficients."""
     if not terms:
@@ -201,8 +247,9 @@ def _reduce_terms(
     field = next(iter(terms.values())).field
     times, negate, is_zero = field._mul, field._neg, field._is_zero
     mul, add, settle = field._accumulator()
-    packer = _packer(order, len(next(iter(terms))))
-    guard = packer.guard
+    n = len(next(iter(terms)))
+    packer = _packer(order, n)
+    guard, unpack, size, index = packer.guard, packer.unpack, len(reducers), None
     # work maps each queued packed monomial to its unsettled raw
     # coefficient; the heap holds each queued one once
     work = {packer.pack(m): c.value for m, c in terms.items()}
@@ -219,16 +266,30 @@ def _reduce_terms(
             raise CapExceeded(f"an exponent reached {DEGREE_BOUND} in division")
         tg = t | guard
         # reducers before the remembered index do not divide t
-        i = start = memo.get(t, 0)
-        for plm, inv, tail, _ in islice(reducers, start, None):
-            if (tg - plm) & guard == guard:
-                break
+        i = memo.get(t, 0)
+        if i < size and (tg - reducers[i][0]) & guard != guard:
             i += 1
-        if i != start:
+            if size - i > n:
+                if index is None:
+                    index = memo.exponent_index(reducers)
+                # the reducers at or past i whose lead is, in every
+                # variable, at most t's exponent
+                found = -1 << i
+                for vals, sets, e in zip(*index, unpack(t)):
+                    found &= sets[bisect_right(vals, e)]
+                    if not found:
+                        break
+                i = (found & -found).bit_length() - 1 if found else size
+            else:
+                for plm, _, _, _ in islice(reducers, i, None):
+                    if (tg - plm) & guard == guard:
+                        break
+                    i += 1
             memo[t] = i
-        if i == len(reducers):
+        if i == size:
             result.append((t, c))
             continue
+        plm, inv, tail, _ = reducers[i]
         ratio = times(c, inv)
         shift = t - plm
         if quotient is not None:
@@ -256,9 +317,10 @@ class GroebnerBasis:
     _cache: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     def reducers(self):
-        """The generators' `_reducer`s, frozen, and their division memo."""
+        """The generators' `_reducer`s, frozen, and their `_FirstDivisors`."""
         if "reducers" not in self._cache:
-            self._cache["reducers"] = [_reducer(g, self.order) for g in self.generators], {}
+            self._cache["reducers"] = ([_reducer(g, self.order) for g in self.generators],
+                                      _FirstDivisors())
         return self._cache["reducers"]
 
     def contains_one(self) -> bool:
@@ -275,7 +337,7 @@ class BuchbergerEngine:
         self.order = order
         self.basis = []
         self._reducers = []
-        self._memo = {}  # of `_reduce_terms`, shared by s-pairs and normal forms
+        self._memo = _FirstDivisors()  # shared by s-pairs and normal forms
         # per element: its packed leading exponents (the low nvars fields
         # of every packing), their degree, and its sugar's excess over it
         self._leads = []
@@ -434,7 +496,7 @@ def reduce_basis(basis: GroebnerBasis) -> GroebnerBasis:
         ((g.leading(order), g) for g in basis.generators if not g.is_zero()),
         key=lambda lead: order.key(lead[0][0]),
     )
-    monic, reducers, memo = [], [], {}
+    monic, reducers, memo = [], [], _FirstDivisors()
     for (lm, lc), g in leads:
         if any(mono_divides(r[3], lm) for r in reducers):
             continue

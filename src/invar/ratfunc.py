@@ -20,14 +20,14 @@ from typing import Sequence
 
 from .errors import DivisionByZero
 from .fields import Field, Scalar
-from .groebner import _adjoin_variable, _reduce_terms, _reducer, elimination_ideal
+from .groebner import _adjoin_variable, _FirstDivisors, _reduce_terms, _reducer, elimination_ideal
 from .polynomials import GREVLEX, Polynomial, PolynomialRing
 
 
 def _exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     """Quotient f/g; ArithmeticError unless g divides f exactly."""
     q = {}
-    if _reduce_terms(f.terms, [_reducer(g, GREVLEX)], {}, GREVLEX, q):
+    if _reduce_terms(f.terms, [_reducer(g, GREVLEX)], _FirstDivisors(), GREVLEX, q):
         raise ArithmeticError("exact division failed")
     return Polynomial(f.ring, q)
 

@@ -27,8 +27,10 @@ canonical when settled) override the base accumulator; the base one,
 which rational function fields keep, settles nothing.
 Every reducer list the kernel reads only grows by `append`, and its
 owner (the engine, `reduce_basis`, a `GroebnerBasis`) hands the list's
-memo of first divisors to every division on it, so a remembered index
-stays exact; a throwaway list, as in `ratfunc`, gets a fresh memo.
+`_FirstDivisors` (its memo of first divisors and its exponent index) to
+every division on it, so a remembered index and a bit position stay
+exact; a throwaway list, as in `ratfunc`, gets a fresh one.  Only the
+kernel builds the index.
 `groebner.s_polynomial` shifts the reducers' packed tails itself: no
 tuple shift, no scaled copy, no polynomial subtraction.
 The Buchberger pair update runs on the same packings: the lcms, degrees
@@ -232,7 +234,12 @@ def test_reducer_lists_only_grow_and_pass_their_memo():
                      ("groebner", "extend", "self._reducers", "self._memo"),
                      ("groebner", "normal_form", "reducers", "memo"),
                      ("groebner", "reduce_basis", "reducers", "memo"),
-                     ("ratfunc", "_exact_div", "[_reducer(g, GREVLEX)]", "{}")}
+                     ("ratfunc", "_exact_div", "[_reducer(g, GREVLEX)]", "_FirstDivisors()")}
+    # a `_FirstDivisors` is made where its list is, and only the kernel
+    # builds its index
+    assert _calls("_FirstDivisors") == {("groebner", "__init__"), ("groebner", "reducers"),
+                                        ("groebner", "reduce_basis"), ("ratfunc", "_exact_div")}
+    assert _calls("exponent_index") == {("groebner", "_reduce_terms")}
 
 
 def test_pair_update_computes_on_packed_exponents():

@@ -5,7 +5,10 @@ replaced, kept below as the reference, on hypothesis-drawn inputs over
 fields with and without zero divisors, GF(p) for small and large p
 among them (its tail updates are unreduced ints), and under every
 monomial order, also when a memo of first divisors, filled on a shorter
-reducer list, is reused after the list has grown.  The packing of
+reducer list, is reused after the list has grown, and on lists long
+enough to reach the exponent index of leading exponents, with repeated
+and wide exponents, where the index is also checked against its
+definition.  The packing of
 monomials into ints, which the kernel computes on, is
 checked against the tuple operations it stands for, and at its degree
 bound, where a computation must stop with `CapExceeded` rather than
@@ -27,6 +30,7 @@ from invar.cli import main
 from invar.errors import CapExceeded
 from invar.fields import NumberField, PrimeField, Rationals
 from invar.groebner import (
+    _FirstDivisors,
     _Packer,
     _packer,
     _reduce_terms,
@@ -168,7 +172,8 @@ def test_kernel_matches_reference_loop(field_name, order_name, dividend, divisor
     if with_quotient:
         gs = gs[:1]
     ours, theirs = ({} if with_quotient else None), ({} if with_quotient else None)
-    remainder = _reduce_terms(f.terms, [_reducer(g, order) for g in gs], {}, order, ours)
+    remainder = _reduce_terms(f.terms, [_reducer(g, order) for g in gs], _FirstDivisors(),
+                               order, ours)
     # same terms in the same (descending) order, as Scalars of the field
     assert list(remainder.items()) == list(_reference_reduce(f.terms, gs, order, theirs).items())
     assert all(c.field == field for c in remainder.values())
@@ -210,6 +215,106 @@ def test_memo_stays_valid_as_the_reducer_list_grows(field_name, order_name, divi
         assert list(remainder.items()) == list(_reference_reduce(p.terms, gs, order,
                                                                  theirs).items())
         assert ours == theirs
+
+
+# ---------------------------------------------------------------------------
+# the exponent index against the scan
+# ---------------------------------------------------------------------------
+
+INDEX_ORDERS = {"lex": LEX, "gradedlex": GRADEDLEX, "grevlex": GREVLEX}
+_WIDE = 2**15 - 1  # the largest exponent a packing takes
+
+
+@st.composite
+def _lead_monomials(draw):
+    """Small exponents, or one exponent up to 2^15 - 1 with the degree
+    still below the packing's bound."""
+    m = list(draw(st.tuples(*[st.integers(0, 3)] * len(NAMES))))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(NAMES) - 1))
+        m[j] = draw(st.integers(2**14, _WIDE - sum(m) + m[j]))
+    return tuple(m)
+
+
+@st.composite
+def _indexed_reducers(draw):
+    """Reducer leads, some repeated whole, and small tails below the lead
+    of no larger degree, so no division passes the degree bound; a lead's
+    coefficient is a unit of every field drawn here.  A variable with a
+    wide exponent has no small positive one in any lead, so no division
+    walks down a wide exponent a step at a time."""
+    leads = draw(st.lists(_lead_monomials(), min_size=1, max_size=12))
+    wide = {j for lead in leads for j, e in enumerate(lead) if e > 3}
+    leads = [tuple(0 if j in wide and e <= 3 else e for j, e in enumerate(lead))
+             for lead in leads]
+    leads += draw(st.lists(st.sampled_from(leads), max_size=4))
+    leads = draw(st.permutations(leads))
+    return [(lead, draw(st.sampled_from([1, -1, 2, 3])), draw(_term_dicts)) for lead in leads]
+
+
+def _indexed_polynomial(ring, order, lead, unit, tail):
+    tail = {m: c for m, c in tail.items()
+            if order.key(m) < order.key(lead) and sum(m) <= sum(lead)}
+    return ring.monomial(lead, ring.field.scalar(unit)) + _polynomial(ring, tail)
+
+
+@pytest.mark.parametrize("order_name", sorted(INDEX_ORDERS))
+@pytest.mark.parametrize("field_name", ["GF32003", "QQ", "QQ(sqrt2)"])
+@settings(max_examples=60, deadline=None)
+@given(
+    reducers=_indexed_reducers(),
+    dividends=st.lists(st.tuples(_term_dicts, st.lists(st.tuples(st.integers(0, 15), _monomials),
+                                                       max_size=6)),
+                       min_size=2, max_size=3),
+    k=st.integers(0, 8),
+    with_quotient=st.booleans(),
+)
+def test_exponent_index_finds_the_divisor_the_scan_finds(field_name, order_name, reducers,
+                                                        dividends, k, with_quotient):
+    # lists longer than the variable count send first pops to the index;
+    # dividends carry multiples of the leads, so most pops have a
+    # divisor, and the list grows between calls
+    field, order = FIELDS[field_name], INDEX_ORDERS[order_name]
+    ring = PolynomialRing(field, NAMES)
+    gs = [_indexed_polynomial(ring, order, *r) for r in reducers]
+    memo, packed = _FirstDivisors(), []
+    for grown in (gs[:k], gs):
+        packed += [_reducer(g, order) for g in grown[len(packed):]]
+        for terms, multiples in dividends:
+            p = _polynomial(ring, terms)
+            for pick, shift in multiples:
+                lead = reducers[pick % len(reducers)][0]
+                if sum(lead) + sum(shift) < 2**15:
+                    p = p + ring.monomial(mono_mul(lead, shift), field.scalar(pick + 1))
+            ours, theirs = ({} if with_quotient else None), ({} if with_quotient else None)
+            remainder = _reduce_terms(p.terms, packed, memo, order, ours)
+            assert list(remainder.items()) == list(_reference_reduce(p.terms, grown, order,
+                                                                     theirs).items())
+            assert ours == theirs
+    # the index is the one its definition gives, whether or not a query built it
+    for j, (vals, sets) in enumerate(zip(*memo.exponent_index(packed))):
+        assert vals == sorted({lead[j] for lead, _, _ in reducers})
+        assert sets == [0] + [sum(1 << p for p, (lead, _, _) in enumerate(reducers)
+                                  if lead[j] <= v) for v in vals]
+
+
+def test_exponent_index_is_queried_past_the_variable_count(monkeypatch):
+    # with more than n reducers left after a failed mask test the kernel
+    # asks the index, and with n or fewer it scans
+    ring = PolynomialRing(Rationals(), ("x", "y"))
+    x, y = ring.variables()
+    queried = []
+    build = _FirstDivisors.exponent_index
+    monkeypatch.setattr(_FirstDivisors, "exponent_index",
+                        lambda self, reducers: queried.append(len(reducers)) or build(self, reducers))
+    for count, expected in ((3, []), (4, [4])):
+        gs = [x**(count + 1 - i) * y**i - 1 for i in range(count)]
+        reducers = [_reducer(g, GREVLEX) for g in gs]
+        f = x * y**count + y**(count + 2)
+        remainder = _reduce_terms(f.terms, reducers, _FirstDivisors(), GREVLEX)
+        assert list(remainder.items()) == list(_reference_reduce(f.terms, gs, GREVLEX).items())
+        assert queried == expected
+        queried.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +391,11 @@ def test_only_a_nonzero_term_past_the_bound_stops_division(field_name):
     f, g = (w + 1) * x * y**e, x - (w - 1) * y**e
     quotient = {}
     if ((w + 1) * (w - 1)).is_zero():
-        assert _reduce_terms(f.terms, [_reducer(g, LEX)], {}, LEX, quotient) == {}
+        assert _reduce_terms(f.terms, [_reducer(g, LEX)], _FirstDivisors(), LEX, quotient) == {}
         assert quotient == {(0, e): w + 1}
     else:
         with pytest.raises(CapExceeded):
-            _reduce_terms(f.terms, [_reducer(g, LEX)], {}, LEX, quotient)
+            _reduce_terms(f.terms, [_reducer(g, LEX)], _FirstDivisors(), LEX, quotient)
 
 
 def test_degree_bound_exits_4_through_the_cli(capsys, tmp_path):

@@ -23,6 +23,7 @@ from invar.fields import (
     ReducibleMinimalPolynomialWarning,
     Scalar,
     UnverifiedIrreducibilityWarning,
+    _least_factor_degree,
     field_from_config,
 )
 from invar.parsing import parse_expression
@@ -255,6 +256,29 @@ def test_large_minimal_polynomials_finish_promptly(text, warning):
         field_from_config({"kind": "simple_extension", "generator": "w", "minimal_poly": text})
     assert time.perf_counter() - start < 1
     assert [w.category for w in caught] == ([warning] if warning else [])
+
+
+def test_many_root_candidates_are_filtered_and_certified():
+    # 6720 x 120 (p, q) candidates, just under the pair bound; none
+    # passes (q - p) | a(1) and (q + p) | a(-1), so none is evaluated
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        NumberField([Fraction(963761198400, 55440), Fraction(1, 55440), 0, 0, 1], "w")
+    assert caught == []
+
+
+@pytest.mark.parametrize("a,least", [
+    ((-2, 2, 0, -1, 1), 1),  # (x - 1)(x^3 + 2): a(1) = 0
+    ((2, 2, 0, 1, 1), 1),  # (x + 1)(x^3 + 2): a(-1) = 0
+    ((-9, 6, 0, -3, 2), 1),  # (2x - 3)(x^3 + 3): 3/2, also drawn as 9/6
+    ((-3, 2, -3, 2), 1),  # (2x - 3)(x^2 + 1)
+    ((3, 0, 0, 2), 3),  # 2x^3 + 3
+    ((1, 0, 0, 0, 1), 4),  # x^4 + 1
+    ((6, 0, 5, 0, 1), 2),  # (x^2 + 2)(x^2 + 3)
+], ids=["root-1", "root-minus-1", "root-3/2", "cubic-root-3/2", "irreducible-cubic",
+        "irreducible-quartic", "two-quadratics"])
+def test_least_factor_degree_through_the_root_filter(a, least):
+    assert _least_factor_degree(a) == least
 
 
 @pytest.fixture(scope="module")

@@ -760,16 +760,27 @@ def _katsura5_qq():
     return [ring.parse(text) for text in texts]
 
 
-@pytest.mark.parametrize("system", [_cyclic5_gf, _katsura5_qq], ids=["cyclic5-gf", "katsura5-qq"])
-def test_engine_reduces_by_the_first_divisible_reducer(monkeypatch, system):
-    # the kernel's memo of the first divisor must pick the reducer the
-    # plain scan picks: the same basis, in the same order, from the
-    # same pairs
+def _separating_c5_qq():
+    """The block elimination of `separating --method reduce` on the
+    quintic monomials in two variables: 11 variables, and a basis of
+    about 200, so that first pops go to the exponent index."""
+    names = ("x1", "x2", "y1", "y2", "t") + tuple(f"T{i}" for i in range(6))
+    x1, x2, y1, y2, t, *tags = PolynomialRing(Q, names).variables()
+    return [tag - t * (x1**(5 - i) * x2**i - y1**(5 - i) * y2**i) for i, tag in enumerate(tags)]
+
+
+@pytest.mark.parametrize("system, order", [
+    (_cyclic5_gf, GREVLEX), (_katsura5_qq, GREVLEX), (_separating_c5_qq, BlockElimination(5)),
+], ids=["cyclic5-gf", "katsura5-qq", "separating-c5-qq"])
+def test_engine_reduces_by_the_first_divisible_reducer(monkeypatch, system, order):
+    # the kernel's memo and exponent index of first divisors must pick
+    # the reducer the plain scan picks: the same basis, in the same
+    # order, from the same pairs
     from test_division_kernel import _reference_reduce
 
     gens = system()
     ring = gens[0].ring
-    packer = groebner._packer(GREVLEX, ring.nvars)
+    packer = groebner._packer(order, ring.nvars)
     field = ring.field
     polynomials = {}  # reducer id -> (the reducer, kept so its id stays unique, its polynomial)
 
@@ -784,21 +795,27 @@ def test_engine_reduces_by_the_first_divisible_reducer(monkeypatch, system):
         return _reference_reduce(terms, [polynomial(r) for r in reducers], order, quotient)
 
     def run():
-        formed = []
-        original = groebner.s_polynomial
+        formed, indexed = [], []
+        original, index = groebner.s_polynomial, groebner._FirstDivisors.exponent_index
 
         def spy(*args):
             formed.append(args[:2])
             return original(*args)
 
+        def indexing(self, reducers):
+            indexed.append(len(reducers))
+            return index(self, reducers)
+
         with monkeypatch.context() as patch:
             patch.setattr(groebner, "s_polynomial", spy)
-            basis = buchberger(gens, GREVLEX).generators
-        return basis, len(formed)
+            patch.setattr(groebner._FirstDivisors, "exponent_index", indexing)
+            basis = buchberger(gens, order).generators
+        return basis, len(formed), indexed
 
-    kernel_basis, kernel_pairs = run()
+    kernel_basis, kernel_pairs, indexed = run()
+    assert indexed  # the index path ran
     monkeypatch.setattr(groebner, "_reduce_terms", reference)
-    reference_basis, reference_pairs = run()
+    reference_basis, reference_pairs, _ = run()
     assert polynomials  # the reference division ran
     assert kernel_pairs == reference_pairs
     assert list(kernel_basis) == list(reference_basis)
