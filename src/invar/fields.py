@@ -100,10 +100,16 @@ def _least_factor_degree(a):
     if d == 3:
         return 3
     a0, a1, a2, a3, a4 = a
+    # the test below is symmetric in the two factors, so each pair is
+    # tried once: u <= v, and g <= h when u = v
     for u in leads:
         v = a4 // u
+        if u > v:
+            break
         for g in ends:
             h = a0 // g
+            if u == v and g > h:
+                continue
             # (u x^2 + s x + g)(v x^2 + t x + h) = a needs v s + u t = a3,
             # h s + g t = a1 and s t = rest
             rest = a2 - u * h - g * v

@@ -31,19 +31,18 @@ monomial divides it.  The owner of a reducer list keeps a
 `_FirstDivisors` beside it, handed to every division on that list: per
 packed monomial, the index of the first reducer found to divide it, or
 the list's length when none did.  A later pop of the monomial resumes
-there, so a known divisor costs one mask test and a known miss looks
-only at the reducers appended since.  Past a failed mask test, when
-more than n reducers remain (n variables), the next divisor comes from
-an exact index of the leading exponents instead of a scan (Roune &
-Stillman, ISSAC 2012, treat divisor queries as a data structure): per
-variable, the sorted distinct lead exponents and, per position, the
-bitset of reducers whose exponent is at most that value; the divisors
-of t are the AND of n bisected bitsets, and the lowest bit at or past
-the resume index is the divisor the scan finds.  The index grows with
-the number of distinct exponents, not their size, and a query costs n
-bisects, so n or fewer remaining reducers are scanned.  Both are exact
-because every reducer list only grows by `append` (the engine's, the
-one `reduce_basis` builds and hands on to its result, and a
+there, so a known divisor costs one mask test and a known miss with no
+reducers appended since costs nothing more.  Past a failed mask test
+the next divisor comes from an exact index of the leading exponents,
+not a scan (Roune & Stillman, ISSAC 2012, treat divisor queries as a
+data structure): per variable (n of them), the sorted distinct lead
+exponents and, per position, the bitset of reducers whose exponent is
+at most that value; the divisors of t are the AND of n bisected
+bitsets, and the lowest bit at or past the resume index is the first
+divisor.  The index grows with the number of distinct exponents, not
+their size.  Memo and index are exact because every reducer list only
+grows by `append` (the engine's, the one `reduce_basis` builds and
+hands on to its result, and a
 `GroebnerBasis`'s frozen one): the reducers before a remembered index
 never change, none of them divides, and bit positions never move.
 Throwaway lists, as in `ratfunc`'s divisions, get a fresh
@@ -88,7 +87,7 @@ import heapq
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations, islice
+from itertools import combinations
 from operator import mul
 from typing import Optional, Sequence
 
@@ -264,12 +263,11 @@ def _reduce_terms(
         if t & guard:
             # in-range fields sum below 2^_W: overflow only sets a guard bit
             raise CapExceeded(f"an exponent reached {DEGREE_BOUND} in division")
-        tg = t | guard
         # reducers before the remembered index do not divide t
         i = memo.get(t, 0)
-        if i < size and (tg - reducers[i][0]) & guard != guard:
+        if i < size and ((t | guard) - reducers[i][0]) & guard != guard:
             i += 1
-            if size - i > n:
+            if i < size:
                 if index is None:
                     index = memo.exponent_index(reducers)
                 # the reducers at or past i whose lead is, in every
@@ -280,11 +278,6 @@ def _reduce_terms(
                     if not found:
                         break
                 i = (found & -found).bit_length() - 1 if found else size
-            else:
-                for plm, _, _, _ in islice(reducers, i, None):
-                    if (tg - plm) & guard == guard:
-                        break
-                    i += 1
             memo[t] = i
         if i == size:
             result.append((t, c))

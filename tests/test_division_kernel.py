@@ -200,12 +200,12 @@ def test_kernel_matches_reference_loop(field_name, order_name, dividend, divisor
 def test_memo_stays_valid_as_the_reducer_list_grows(field_name, order_name, dividends, divisors,
                                                      k, with_quotient):
     # a remembered divisor or miss was found on a shorter list: the
-    # scan must resume there, not stop
+    # search must resume there, not stop
     field, order = FIELDS[field_name], ORDERS[order_name]
     ring = PolynomialRing(field, NAMES)
     f, g = (_polynomial(ring, terms) for terms in dividends)
     gs = [_divisor(ring, order, terms, lead) for terms, lead in divisors]
-    reducers, memo = [_reducer(h, order) for h in gs[:k]], {}
+    reducers, memo = [_reducer(h, order) for h in gs[:k]], _FirstDivisors()
     _reduce_terms(f.terms, reducers, memo, order)
     for h in gs[k:]:
         reducers.append(_reducer(h, order))
@@ -271,7 +271,7 @@ def _indexed_polynomial(ring, order, lead, unit, tail):
 )
 def test_exponent_index_finds_the_divisor_the_scan_finds(field_name, order_name, reducers,
                                                         dividends, k, with_quotient):
-    # lists longer than the variable count send first pops to the index;
+    # a first pop that fails its mask test goes to the index;
     # dividends carry multiples of the leads, so most pops have a
     # divisor, and the list grows between calls
     field, order = FIELDS[field_name], INDEX_ORDERS[order_name]
@@ -298,23 +298,29 @@ def test_exponent_index_finds_the_divisor_the_scan_finds(field_name, order_name,
                                   if lead[j] <= v) for v in vals]
 
 
-def test_exponent_index_is_queried_past_the_variable_count(monkeypatch):
-    # with more than n reducers left after a failed mask test the kernel
-    # asks the index, and with n or fewer it scans
+def test_exponent_index_is_queried_only_past_a_failed_mask_test(monkeypatch):
+    # a known divisor costs one mask test, a known miss on an unchanged
+    # list nothing, and a failed test on the last reducer ends the
+    # search; every other failed mask test asks the index
     ring = PolynomialRing(Rationals(), ("x", "y"))
     x, y = ring.variables()
     queried = []
     build = _FirstDivisors.exponent_index
     monkeypatch.setattr(_FirstDivisors, "exponent_index",
                         lambda self, reducers: queried.append(len(reducers)) or build(self, reducers))
-    for count, expected in ((3, []), (4, [4])):
-        gs = [x**(count + 1 - i) * y**i - 1 for i in range(count)]
-        reducers = [_reducer(g, GREVLEX) for g in gs]
-        f = x * y**count + y**(count + 2)
-        remainder = _reduce_terms(f.terms, reducers, _FirstDivisors(), GREVLEX)
+    gs, memo = [x**3, y**3, x * y], _FirstDivisors()
+    reducers = [_reducer(g, GREVLEX) for g in gs]
+    for f, grown, expected in ((x * y, None, [3]), (x * y, None, []), (x, None, [3]),
+                               (x, None, []), (x, x, []), (y, None, [4])):
+        if grown is not None:
+            gs.append(grown)
+            reducers.append(_reducer(grown, GREVLEX))
+        remainder = _reduce_terms(f.terms, reducers, memo, GREVLEX)
         assert list(remainder.items()) == list(_reference_reduce(f.terms, gs, GREVLEX).items())
         assert queried == expected
         queried.clear()
+    remainder = _reduce_terms(x.terms, [_reducer(y, GREVLEX)], _FirstDivisors(), GREVLEX)
+    assert remainder == x.terms and queried == []
 
 
 # ---------------------------------------------------------------------------
