@@ -467,6 +467,7 @@ class NumberField(Field):
             raise InvalidFieldSpec("minimal polynomial must be squarefree") from None
         self.generator_name = _generator_name(generator_name)
         self._hash = hash(("ext", coeffs, generator_name))
+        self._residues = {}  # length -> `_residue_columns(length)`
         super().__init__()
         self._warn_if_reducible()
 
@@ -535,7 +536,31 @@ class NumberField(Field):
     def _integral(self, a):
         return ((a[0],) + (0,) * (self.degree - 1), a[1]) if a[0].__class__ is int else a
 
-    _from_integral = staticmethod(_normal)
+    def _from_integral(self, nums, den):
+        """The canonical payload of sum_i nums[i] t^i / den, where nums may
+        be longer than the degree: each t^i is replaced by its residue
+        modulo m, exactly."""
+        if len(nums) > self.degree:
+            columns, scale = self._residue_columns(len(nums))
+            nums, den = [sum(map(mul, nums, column)) for column in columns], den * scale
+        return _normal(nums, den)
+
+    def _residue_columns(self, length):
+        """(columns, s) for t^0 .. t^(length - 1) modulo m, times
+        s = _scale^(length - d), which makes them all integral: column j
+        lists their t^j coefficients.  Built once per length."""
+        if length not in self._residues:
+            d, scale, top = self.degree, self._scale, self._rows[0]  # t^d = top / scale
+            power = [scale ** (length - d)] + [0] * (d - 1)
+            rows = [power]
+            for _ in range(length - 1):
+                c = power[-1]
+                power = [0] + power[:-1]
+                if c:  # exact: c * top / scale is the t^d part of an integral vector
+                    power = [x + c * r // scale for x, r in zip(power, top)]
+                rows.append(power)
+            self._residues[length] = list(zip(*rows)), scale ** (length - d)
+        return self._residues[length]
 
     def _inv(self, a):
         return _pair_inv(a) if a[0].__class__ is int else self._invert(*a)

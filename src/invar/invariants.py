@@ -14,9 +14,9 @@ that a fixed form's coefficients satisfy, and it solves them with one
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dataclass_field
-from functools import reduce
-from operator import eq
+from operator import eq, mul
 from typing import Sequence
 
 from .errors import (
@@ -29,6 +29,7 @@ from .errors import (
 from .fields import MODULAR_PRIME, PrimeField
 from .groebner import (
     BuchbergerEngine,
+    GroebnerBasis,
     SubalgebraOracle,
     buchberger,
     elimination_ideal,
@@ -40,13 +41,14 @@ from .groups import FiniteMatrixGroup, apply_element, require_nonmodular, reynol
 from .linalg import nullspace
 from .polynomials import (
     GREVLEX,
+    IntegralValues,
     MonomialOrder,
     Polynomial,
     PolynomialRing,
-    evaluate_integral,
-    integer_powers,
+    integral_vector,
     mono_divides,
     monomials_of_degree,
+    product,
     transport,
 )
 from .prng import XorShift
@@ -188,9 +190,10 @@ def verify_noether_and_hilbert(
     group: FiniteMatrixGroup, result: GeneratingSetResult
 ) -> NoetherHilbertReport:
     """Three checks on a generating set: degrees stay within the group
-    order, every monomial of degree |G| lies in the generated ideal, and
-    the Reynolds image of every monomial up to the termination degree
-    lies in the generated subalgebra."""
+    order, every monomial of degree |G| lies in the generated ideal (by
+    `_holds_degree`, on leading monomials alone for homogeneous
+    generators such as King's), and the Reynolds image of every monomial
+    up to the termination degree lies in the generated subalgebra."""
     require_nonmodular(group)
     gens = result.generators
     ring = gens[0].ring if gens else group.ring()
@@ -198,9 +201,7 @@ def verify_noether_and_hilbert(
     max_degree_ok = all(g.total_degree() <= g_order for g in gens)
 
     if gens:
-        basis = buchberger(gens, GREVLEX)
-        hilbert_ok = all(ideal_membership(ring.monomial(m), basis)
-                         for m in monomials_of_degree(ring, g_order))
+        hilbert_ok = _holds_degree(buchberger(gens, GREVLEX), g_order)
     else:
         hilbert_ok = g_order == 1 or ring.nvars == 0
     # without generators the subalgebra is the constants
@@ -218,6 +219,19 @@ def verify_noether_and_hilbert(
         group_order=g_order,
         termination_degree=result.termination_degree,
     )
+
+
+def _holds_degree(basis: GroebnerBasis, d: int) -> bool:
+    """Does the ideal of a Groebner basis hold every monomial of degree d?
+    When the basis is homogeneous, its degree-d standard monomials are a
+    basis of R_d / I_d (Macaulay's theorem; Cox, Little & O'Shea, ch. 9
+    section 3), so it does exactly when a leading monomial divides each
+    of them; otherwise each monomial is reduced to its normal form."""
+    monomials = monomials_of_degree(basis.ring, d)
+    if all(g.is_homogeneous() for g in basis.generators):
+        leads = [g.leading_monomial(basis.order) for g in basis.generators]
+        return all(any(mono_divides(lm, m) for lm in leads) for m in monomials)
+    return all(ideal_membership(basis.ring.monomial(m), basis) for m in monomials)
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +253,22 @@ class SeparatingSetResult:
 def noether_separating_set(group: FiniteMatrixGroup) -> SeparatingSetResult:
     """Coefficients of prod_sigma (y - sum_i sigma(x_i) t^(i-1)) as
     polynomials in the x variables: a homogeneous separating set of
-    degrees at most |G|, valid in any characteristic.  Coefficients are
-    normalized monic and deduplicated."""
+    degrees at most |G|, valid in any characteristic.  The |G| factors
+    multiply in one call of the packed-integer kernel
+    `polynomials.product`; coefficients are normalized monic and
+    deduplicated."""
     ring = group.ring()
     n = group.dimension
     big = PolynomialRing(group.field, ring.names + ("t_aux", "y_aux"))
-    t = big.variable(n)
     y = big.variable(n + 1)
     # sigma acts on the x block only, so it maps the generic form
     # sum_i x_i t^(i-1) to sum_i sigma(x_i) t^(i-1)
-    generic = big.zero
-    for i in range(n):
-        generic = generic + big.variable(i) * t**i
-    product = big.one
-    for sigma in group.elements:
-        product = product * (y - apply_element(generic, sigma))
+    generic = sum((big.monomial(tuple(int(j == i) for j in range(n)) + (i, 0))
+                   for i in range(n)), big.zero)
+    orbit = product(big, [y - apply_element(generic, sigma) for sigma in group.elements])
     # split off the coefficient of each (t, y) monomial
     buckets = {}
-    for m, c in product.terms.items():
+    for m, c in orbit.terms.items():
         key = (m[n], m[n + 1])
         xm = m[:n]
         buckets.setdefault(key, {})[xm] = c
@@ -279,9 +291,7 @@ def _alpha_candidates(k: int, level: int):
     values = [1, 0, -1]
     for v in range(2, level + 1):
         values.extend((v, -v))
-    from itertools import product
-
-    for tup in product(values, repeat=k):
+    for tup in itertools.product(values, repeat=k):
         if max(abs(v) for v in tup) != level:
             continue
         if tup[0] == 0:
@@ -373,53 +383,56 @@ def verify_separation_samples(
     """Seeded sampling check of the separating property: same-orbit point
     pairs must agree on every candidate invariant, and pairs from
     distinct orbits must differ somewhere (finite groups always separate
-    distinct orbits by invariants).  Invariants are lifted to ints once
-    and evaluated in ints at points with integer coordinates; any other
-    point keeps one monomial-value table, shared by all the invariants."""
+    distinct orbits by invariants).  The candidates and the group
+    elements sigma = S / D are lifted to integer forms over Z[w] once and
+    packed into ints (`polynomials.IntegralValues`).  A sampled point v
+    has integer coordinates and sigma(v) the packed numerators S v over
+    D, so the values of all candidates at a point (from one table of
+    monomial values) and the orbit membership tests run on ints, each
+    value settled once."""
     rng = XorShift(seed)
     n = group.dimension
     field = group.field
     counterexamples = []
     same_checked = 0
     distinct_checked = 0
-    # sigma(v) = w is tested a coordinate at a time on raw payload rows
-    mul, add, settle = field._accumulator()
-    zero = field.zero.value
-    elements = [[[(j, c.value) for j, c in enumerate(row) if not c.is_zero()] for row in sigma.rows]
-                for sigma in group.elements]
+    lifts = []
+    for sigma in group.elements:
+        den, entries = integral_vector([c for row in sigma.rows for c in row])
+        lifts.append((den, [entries[i:i + n] for i in range(0, n * n, n)]))
+    # D and the L1 norm of each coordinate of S v stay within `size`
+    size = max([coordinate_bound] + [
+        max(den, coordinate_bound * max((sum(sum(map(abs, x)) for x in row) for row in rows),
+                                        default=0)) for den, rows in lifts])
+    values = IntegralValues(group.ring(), invariants, size)
+    # (D, packed rows of S, degree in w of the coordinates of sigma(v))
+    elements = [(den, [list(map(values.pack, row)) for row in rows],
+                 values.degree - 1 if any(any(x[1:]) for row in rows for x in row) else 0)
+                for den, rows in lifts]
 
     def same_orbit(v, w):
-        v = [x.value for x in v]
-        return any(all(settle(reduce(add, (mul(c, v[j]) for j, c in row), zero)) == x.value
-                       for row, x in zip(rows, w)) for rows in elements)
-
-    forms = [g.integral_form() for g in invariants]
-    exponents = [max((a[j] for g in invariants for a in g.terms), default=0) for j in range(n)]
-
-    def values(point):
-        rows = integer_powers(point, exponents)
-        if rows is None:
-            table = {}
-            return (g.evaluate(point, table).value for g in invariants)
-        return (evaluate_integral(field, form, rows) for form in forms)
+        w = [field.scalar(x).value for x in w]
+        return any(all(values.settle(sum(map(mul, row, v)), den) == x for row, x in zip(rows, w))
+                   for den, rows, _ in elements)
 
     def random_point():
-        return tuple(
-            field.scalar(rng.randint(-coordinate_bound, coordinate_bound))
-            for _ in range(n)
-        )
+        return tuple(rng.randint(-coordinate_bound, coordinate_bound) for _ in range(n))
+
+    def scalars(v):
+        return tuple(map(field.scalar, v))
 
     for _ in range(pairs):
         # same-orbit pair
         v = random_point()
-        sigma = group.elements[rng.next_u64() % group.order]
-        w = sigma.apply(v)
+        index = rng.next_u64() % group.order
+        den, rows, spread = elements[index]
         same_checked += 1
-        for g, gv, gw in zip(invariants, values(v), values(w)):
+        images = values.at([sum(map(mul, row, v)) for row in rows], den, spread)
+        for g, gv, gw in zip(invariants, values.at(v), images):
             if gv != gw:
-                counterexamples.append(
-                    {"kind": "same-orbit", "invariant": g, "v": v, "w": w}
-                )
+                v = scalars(v)
+                counterexamples.append({"kind": "same-orbit", "invariant": g, "v": v,
+                                        "w": group.elements[index].apply(v)})
                 break
         # distinct-orbit pair (resample a few times if we collide)
         for _ in range(20):
@@ -430,8 +443,9 @@ def verify_separation_samples(
         else:
             continue
         distinct_checked += 1
-        if all(map(eq, values(v), values(w))):
-            counterexamples.append({"kind": "distinct-orbit", "invariant": None, "v": v, "w": w})
+        if all(map(eq, values.at(v), values.at(w))):
+            counterexamples.append({"kind": "distinct-orbit", "invariant": None,
+                                    "v": scalars(v), "w": scalars(w)})
     return SeparationReport(
         passed=not counterexamples,
         same_orbit_checked=same_checked,
@@ -495,9 +509,11 @@ DADE_COEFFICIENT_BOUND = 10  # their coefficients lie in [-bound, bound]
 
 def dade_primary_invariants(group: FiniteMatrixGroup, seed: int = 0) -> list:
     """Primary invariants as orbit products of seeded random linear
-    forms; each addition is retried with fresh forms until the partial
-    system of parameters test passes.  Slot n's test runs on all n
-    forms, so it is the hsop test of the returned list."""
+    forms, each the product of the distinct images of its form in one
+    call of the packed-integer kernel `polynomials.product`; each
+    addition is retried with fresh forms until the partial system of
+    parameters test passes.  Slot n's test runs on all n forms, so it is
+    the hsop test of the returned list."""
     if group.field.kind == "prime":
         # general-position forms need an infinite ground field
         raise FieldTooSmall("orbit-product construction needs an infinite field")
@@ -511,21 +527,14 @@ def dade_primary_invariants(group: FiniteMatrixGroup, seed: int = 0) -> list:
                       for _ in range(n)]
             if all(c == 0 for c in coeffs):
                 continue
-            form = ring.zero
-            for i, c in enumerate(coeffs):
-                form = form + ring.variable(i) * c
-            images = []
-            seen = set()
+            form = sum((ring.monomial(tuple(int(j == i) for j in range(n)), c)
+                        for i, c in enumerate(coeffs)), ring.zero)
+            images = {}  # distinct images, in the order of the elements
             for sigma in group.elements:
-                img = apply_element(form, sigma)
-                if img not in seen:
-                    seen.add(img)
-                    images.append(img)
-            product = ring.one
-            for img in images:
-                product = product * img
-            if is_phsop(chosen + [product]):
-                chosen.append(product)
+                images.setdefault(apply_element(form, sigma))
+            orbit = product(ring, list(images))
+            if is_phsop(chosen + [orbit]):
+                chosen.append(orbit)
                 break
         else:
             raise RetryLimitExceeded(

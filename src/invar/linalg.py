@@ -58,12 +58,14 @@ class Matrix:
         if other.field != self.field:
             raise FieldMismatch(f"matrices over {self.field} and {other.field}")
         field = self.field
-        zero, mul, add = field.zero, field._mul, field._add
+        zero, is_zero = field.zero, field._is_zero
+        mul, add, settle = field._accumulator()
         cols = list(zip(*(tuple(x.value for x in r) for r in other.rows)))
         out = []
         for r in self.rows:
-            left = [(k, x.value) for k, x in enumerate(r) if not x.is_zero()]
-            out.append([Scalar(field, reduce(add, [mul(a, col[k]) for k, a in left]))
+            left = [(k, x.value) for k, x in enumerate(r) if not is_zero(x.value)]
+            # each entry is summed unsettled, then settled and wrapped once
+            out.append([Scalar(field, settle(reduce(add, [mul(a, col[k]) for k, a in left])))
                         if left else zero for col in cols])
         return Matrix(field, out)
 

@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials and monomial orders.
 
 A monomial is a plain tuple of exponents, one per ring variable, at
-every API; only the division kernel packs monomials into ints.
+every API; only two kernels pack monomials into ints, the division
+kernel and the product kernel `product`.
 Polynomials map monomials to nonzero scalars of the ring's field; all
 values are immutable and all operations pure.  Term iteration order in
 formatted output follows the chosen monomial order descending, so every
@@ -19,8 +20,21 @@ from monomials x^a to their images, one product per new monomial, and
 `Polynomial.evaluate` (the images are a point's coordinates),
 `Polynomial.substitute` (and so `apply_linear_map`) and
 `groups.reynolds` all read their monomials' images from such a table.
-Calls may share one, as the sampled separation check does per point
-and `algebraic.algebraic_invariant_basis` does per degree.
+Calls may share one, as `algebraic.algebraic_invariant_basis` does per
+degree.
+
+Over the fields with integral forms (Q, GF(p), Q(w)) two paths run on
+Kronecker-packed ints (Harvey, J. Symb. Comput. 44, 2009): a
+polynomial is lifted once by `integral_form` to integer vectors over
+Z[w] on one denominator, and each vector is packed into one int by
+w -> 2^B, with B wide enough that no digit of a result overflows.
+`product(ring, factors)`, the one kernel for products of many factors,
+also packs each monomial into an int, multiplies in plain ints and
+settles each term of the result once; Noether's separating set and
+Dade's orbit products run on it, while `*` keeps its pairwise path on
+field payloads, which K(x) needs.  `IntegralValues` evaluates fixed
+polynomials at many points over Z[w], one table of monomial values
+per point, for the sampled separation check.
 
 `DEGREE_BOUND` (2^15) is the total degree that packed monomials cannot
 hold: a power reaching it raises `CapExceeded` before it is expanded,
@@ -30,10 +44,10 @@ and the Groebner engine refuses any monomial of that degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
-from itertools import compress, count
+from functools import lru_cache, partial
+from itertools import accumulate, compress, count, repeat
 from math import lcm, prod
-from operator import add, getitem, le, neg, sub
+from operator import add, getitem, le, lshift, mul, neg, sub
 from typing import Optional, Sequence
 
 from .errors import (
@@ -441,9 +455,10 @@ class Polynomial:
         return Scalar(field, settle(total))
 
     def integral_form(self):
-        """(D, components) for `evaluate_integral`: D is the lcm of the
-        coefficients' denominators, and component i lists (a, N) for each
-        x^a whose coefficient has i-th integer entry N / D != 0."""
+        """(D, components), the form that `product` and `IntegralValues`
+        pack: D is the lcm of the coefficients' denominators, and component
+        i lists (a, N) for each x^a whose coefficient has i-th integer
+        entry N / D != 0."""
         field = self.ring.field
         lifted = [(a, *field._integral(c.value)) for a, c in self.terms.items()]
         den = lcm(*(d for _, _, d in lifted))
@@ -570,23 +585,6 @@ def monomial_image(table: dict, a: tuple, times):
     return image
 
 
-def integer_powers(point, exponents):
-    """Rows x_j^0 .. x_j^e_j of int powers of the point's coordinates, e_j
-    from `exponents`, or None unless each is the image of an integer."""
-    lifts = [x.field._integral(x.value) for x in point]
-    if any(den != 1 or any(nums[1:]) for nums, den in lifts):
-        return None
-    return [[nums[0] ** k for k in range(e + 1)] for (nums, _), e in zip(lifts, exponents)]
-
-
-def evaluate_integral(field: Field, form, rows):
-    """Canonical payload of a polynomial's value at an integer point, from its
-    `integral_form` and the point's `integer_powers`, summed in ints."""
-    den, components = form
-    nums = [sum(n * prod(map(getitem, rows, a)) for a, n in terms) for terms in components]
-    return field._from_integral(nums, den)
-
-
 def _sum_terms(field: Field, terms) -> dict:
     """Raw term dict of the sum of (monomial, payload) pairs, whose
     payloads may be unsettled products of the field's accumulator;
@@ -661,3 +659,133 @@ def transport(p: Polynomial, target: PolynomialRing, rename=None) -> Polynomial:
             exps[j] = e
         terms[tuple(exps)] = c
     return Polynomial(target, terms)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-packed integer forms over Q, GF(p) and Q(w)
+# ---------------------------------------------------------------------------
+
+def integral_vector(scalars):
+    """(D, vectors): scalars of one field with integral forms as integer
+    vectors over Z[w] on one positive denominator D."""
+    lifted = [x.field._integral(x.value) for x in scalars]
+    den = lcm(*(d for _, d in lifted))
+    return den, [[n * (den // d) for n in nums] for nums, d in lifted]
+
+
+def _packed_terms(parts, bits) -> dict:
+    """Monomial -> the int sum_i c_i 2^(bits * i) of its coefficient
+    vector (c_i), from the components of an `integral_form`."""
+    packed = {}
+    for i, terms in enumerate(parts):
+        for a, c in terms:
+            packed[a] = packed.get(a, 0) + (c << bits * i)
+    return packed
+
+
+@lru_cache(maxsize=256)
+def _bias(bits, length):
+    return sum(1 << bits * i + bits - 1 for i in range(length))
+
+
+def _digits(value, bits, length):
+    """The vector packed in `value`: its `length` signed digits in base
+    2^bits, each of absolute value below 2^(bits - 1)."""
+    value += _bias(bits, length)  # every digit in [0, 2^bits)
+    mask, half = (1 << bits) - 1, 1 << bits - 1
+    return [(value >> bits * i & mask) - half for i in range(length)]
+
+
+class IntegralValues:
+    """The values of fixed polynomials of a ring over Q, GF(p) or Q(w) at
+    many points, on Kronecker-packed ints as in `product`.
+
+    Each polynomial is lifted once by `integral_form` and each of its
+    coefficient vectors packed into one int (w -> 2^B).  A point is its
+    coordinates' numerator vectors over Z[w], packed by `pack`, on one
+    denominator D.  At a point one table of monomial values, filled from
+    rows of powers as the polynomials need them, serves all of them, and
+    each value is summed in ints and settled once.  `size` must bound D
+    and the L1 norm of every coordinate's numerator vector; B is then
+    wide enough for every digit of a value."""
+
+    def __init__(self, ring: PolynomialRing, polys: Sequence[Polynomial], size: int):
+        self.field = ring.field
+        self.degree = len(ring.zero.integral_form()[1])  # of the field over Q or GF(p)
+        self.top = top = max([0] + [p.total_degree() for p in polys])
+        self.exponents = [max((a[j] for p in polys for a in p.terms), default=0)
+                          for j in range(ring.nvars)]
+        forms = [p.integral_form() for p in polys]
+        self.bits = bits = max([size] + [sum(abs(c) for terms in parts for _, c in terms) * size**top
+                                         for _, parts in forms]).bit_length() + 1
+        self.forms = [(den, list(_packed_terms(parts, bits).items())) for den, parts in forms]
+
+    def pack(self, nums) -> int:
+        return sum(x << self.bits * i for i, x in enumerate(nums))
+
+    def settle(self, value, den, length=None):
+        """The canonical payload of value / den, for a packed value of
+        `length` digits, by default the field's degree."""
+        return self.field._from_integral(_digits(value, self.bits, length or self.degree), den)
+
+    def at(self, point, den=1, spread=0):
+        """The payloads of the polynomials, lazily and in order, at the
+        point with packed numerators `point` over `den`, whose coordinates
+        have degree at most `spread` in w.  All values share the
+        denominator den^top: a term c x^a is summed as c * x^a * den^(top - |a|)."""
+        rows = [list(accumulate(repeat(x, e), mul, initial=1)) for x, e in zip(point, self.exponents)]
+        scale = [den ** (self.top - k) for k in range(self.top + 1)]
+        length = self.degree + self.top * spread
+        table = {}
+        for d, terms in self.forms:
+            total = 0
+            for a, c in terms:
+                x = table.get(a)
+                if x is None:
+                    x = table[a] = prod(map(getitem, rows, a)) * scale[sum(a)]
+                total += c * x
+            yield self.settle(total, d * den**self.top, length)
+
+
+def product(ring: PolynomialRing, factors: Sequence[Polynomial]) -> Polynomial:
+    """The product of polynomials of a ring over Q, GF(p) or Q(w), the
+    fields with integral forms; 1 for no factors.
+
+    Each factor is lifted once through `integral_form`, to vectors over
+    Z[w] on one denominator.  Its monomials are packed into ints, one bit
+    field per variable wide enough for the variable's degree in the
+    product, and each vector into one int by Kronecker substitution
+    w -> 2^B, with 2^(B-1) above the product of the factors' L1 norms,
+    which bounds every coefficient of the product in Z[w] before it is
+    reduced modulo m.  The factors multiply as sums of int products;
+    each term of the result is unpacked as signed digits and settled
+    once by `_from_integral`, which reduces the vector modulo m."""
+    field = ring.field
+    if any(f.ring != ring for f in factors):
+        raise ContextMismatch(f"product of polynomials outside {ring}")
+    if any(f.is_zero() for f in factors):
+        return ring.zero
+    forms = [f.integral_form() for f in factors]
+    bits = prod(sum(abs(c) for terms in parts for _, c in terms)
+                for _, parts in forms).bit_length() + 1
+    widths = [sum(max(a[j] for terms in parts for a, _ in terms) for _, parts in forms)
+              .bit_length() for j in range(ring.nvars)]
+    offsets = [sum(widths[:j]) for j in range(ring.nvars)]
+    total = {0: 1}
+    for _, parts in forms:
+        factor = {sum(map(lshift, a, offsets)): c for a, c in _packed_terms(parts, bits).items()}
+        step = {}
+        get = step.get
+        for m1, c1 in total.items():
+            for m2, c2 in factor.items():
+                m = m1 + m2
+                step[m] = get(m, 0) + c1 * c2
+        total = {m: c for m, c in step.items() if c}
+    length = sum(len(parts) - 1 for _, parts in forms) + 1
+    den, is_zero = prod(d for d, _ in forms), field._is_zero
+    raw = {}
+    for m, c in total.items():
+        value = field._from_integral(_digits(c, bits, length), den)
+        if not is_zero(value):
+            raw[tuple(m >> o & ((1 << w) - 1) for o, w in zip(offsets, widths))] = value
+    return Polynomial._from_payloads(ring, raw)

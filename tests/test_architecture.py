@@ -61,6 +61,14 @@ with no term loop of its own.  The power-degree cap has one home:
 `DEGREE_BOUND` is read only by `polynomials` and by `groebner`'s
 packed monomials.
 
+Products of many factors over Q, GF(p) and Q(w) have one kernel,
+`polynomials.product`, which Noether's separating set and Dade's orbit
+products call instead of folding `*`.  It and `IntegralValues`, on
+which the sampled separation check evaluates its candidates, share
+the packing helpers of `polynomials`, the only code outside
+`groebner`'s monomial packings that shifts ints: Kronecker packing of
+coefficient vectors lives there alone.
+
 Substitution has one memoised path, `polynomials.monomial_image`: a
 table from monomials x^a to their images, filled with one product per
 new monomial.  `Polynomial.evaluate` (images are a point's
@@ -68,10 +76,10 @@ coordinates), `Polynomial.substitute` (and through it
 `apply_linear_map` and `groups.apply_element`) and `groups.reynolds`
 read it; it multiplies only through the callable it is given, and
 `groups` keeps no monomial-image helper of its own.  It stays the one
-table; points whose coordinates are images of integers (as every
-sampled point is) run on ints instead: `polynomials.evaluate_integral`
-sums a polynomial's lifted terms over int power rows, with no field
-payload method in its term loop, and settles the sum once.
+table; the sampled separation check runs on ints instead:
+`polynomials.IntegralValues` sums a polynomial's packed terms over int
+power rows, with no field payload method in its term loop, and settles
+each sum once.
 
 Exact linear algebra has one elimination kernel, `linalg._echelon`, on
 sparse rows of raw payloads: it computes only through the field's
@@ -391,7 +399,7 @@ def test_payload_forms_are_read_only_in_fields():
     assert {module for module, _ in _sites(indexes_a_vector)} <= {"fields"}
     assert {module for module, _ in _sites(tells_forms_apart)} == {"fields"}
     assert _calls("_integral") == {("polynomials", "integral_form"),
-                                   ("polynomials", "integer_powers"), ("fields", "residue")}
+                                   ("polynomials", "integral_vector"), ("fields", "residue")}
 
 
 def test_one_reduction_modulo_a_prime():
@@ -471,18 +479,43 @@ def test_monomial_table_computes_only_through_its_callable():
 
 
 def test_integral_evaluation_runs_on_ints():
-    evaluation = next(node for node in _source("polynomials").body
-                      if isinstance(node, ast.FunctionDef) and node.name == "evaluate_integral")
-    (term_loop,) = [node for node in ast.walk(evaluation) if isinstance(node, ast.GeneratorExp)]
-    # a term is int products and a sum: no payload method, no attribute at all
+    values = _class(_source("polynomials"), "IntegralValues")
+    at = next(node for node in values.body if isinstance(node, ast.FunctionDef) and node.name == "at")
+    (term_loop,) = [node for node in ast.walk(at)
+                    if isinstance(node, ast.For) and ast.unparse(node.target) == "(a, c)"]
+    # a term is int products and a sum: no payload method, no other attribute
     nodes = list(ast.walk(term_loop))
-    assert {ast.unparse(node.func) for node in nodes if isinstance(node, ast.Call)} == {"prod",
-                                                                                       "map"}
-    assert not [node for node in nodes if isinstance(node, ast.Attribute)]
-    # the one field call settles the summed components
-    assert [ast.unparse(node.func) for node in ast.walk(evaluation) if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)] == ["field._from_integral"]
-    assert _calls("evaluate_integral") == {("invariants", "values")}
+    assert {ast.unparse(node.func) for node in nodes if isinstance(node, ast.Call)} == {
+        "table.get", "prod", "map", "sum"}
+    assert {ast.unparse(node) for node in nodes if isinstance(node, ast.Attribute)} == {"table.get"}
+    # the one field call settles each summed value
+    assert [ast.unparse(node.func) for node in ast.walk(values) if isinstance(node, ast.Call)
+            and "field" in ast.unparse(node.func)] == ["self.field._from_integral"]
+    assert _calls("IntegralValues") == {("invariants", "verify_separation_samples")}
+
+
+def test_orbit_products_run_on_the_product_kernel():
+    for name in ("noether_separating_set", "dade_primary_invariants"):
+        function = next(node for node in _source("invariants").body
+                        if isinstance(node, ast.FunctionDef) and node.name == name)
+        nodes = list(ast.walk(function))
+        assert "product" in {ast.unparse(node.func) for node in nodes if isinstance(node, ast.Call)}
+        # no polynomial product is folded, nor any other formed
+        assert not [node for node in nodes if isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Mult)]
+    # Kronecker packing of coefficient vectors has one home: outside the
+    # monomial packings of `groebner` and the generator of `prng`, only the
+    # packing helpers of `polynomials` shift ints, besides `mono_support`,
+    # `DEGREE_BOUND` and the kernel's own monomial packing
+    shifts = _sites(lambda node: isinstance(node, ast.BinOp)
+                    and isinstance(node.op, (ast.LShift, ast.RShift)))
+    assert {site for site in shifts if site[0] not in ("groebner", "prng")} == {
+        ("polynomials", None), ("polynomials", "mono_support"), ("polynomials", "product"),
+        ("polynomials", "_packed_terms"), ("polynomials", "_bias"), ("polynomials", "_digits"),
+        ("polynomials", "pack")}
+    assert _sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "product"
+                  ) == {("invariants", "noether_separating_set"),
+                        ("invariants", "dade_primary_invariants")}
 
 
 def test_groups_defines_no_monomial_image_helper():

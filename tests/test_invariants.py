@@ -13,7 +13,7 @@ from invar.errors import (
     NonHomogeneousInput,
 )
 from invar.fields import NumberField, Rationals, UnverifiedIrreducibilityWarning
-from invar.groebner import SubalgebraOracle, buchberger, ideal_dimension
+from invar.groebner import SubalgebraOracle, buchberger, ideal_dimension, ideal_membership
 from invar.groups import apply_element, close_group, reynolds
 from invar.invariants import (
     dade_primary_invariants,
@@ -27,7 +27,7 @@ from invar.invariants import (
     verify_separation_samples,
 )
 from invar.linalg import Matrix
-from invar.polynomials import GREVLEX, PolynomialRing, monomials_of_degree, transport
+from invar.polynomials import GREVLEX, PolynomialRing, monomials_of_degree, product, transport
 from invar.prng import XorShift
 from invar.specfile import fixture_path, load_spec_file
 
@@ -346,6 +346,27 @@ def test_separation_samples_match_the_reference_loop(name):
             assert got == _reference_separation(candidates, group, 25, 3, seed)
 
 
+@pytest.mark.parametrize("name", ["d8", "c3xc3", "c2_swap_gf2"])
+@settings(max_examples=8, deadline=None)
+@given(terms=st.lists(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                      st.tuples(st.integers(-4, 4), st.integers(-2, 2),
+                                                st.integers(1, 3)), max_size=4),
+                      min_size=1, max_size=3))
+def test_separation_samples_of_inhomogeneous_candidates(name, terms):
+    # candidates of mixed degrees with rational and irrational coefficients,
+    # against the reference loop, under elements with denominators
+    group = _sampled_group(name)
+    ring, field = group.ring(), group.field
+    w = getattr(field, "generator", field.zero)
+    candidates = [sum((ring.monomial(m, (field.scalar(a) + w * b) / d)
+                       for m, (a, b, d) in t.items() if field.characteristic() == 0 or d == 1),
+                      ring.zero) for t in terms]
+    report = verify_separation_samples(candidates, group, pairs=12, coordinate_bound=3, seed=5)
+    got = (report.same_orbit_checked, report.distinct_orbit_checked,
+           [(c["kind"], c["invariant"], c["v"], c["w"]) for c in report.counterexamples])
+    assert got == _reference_separation(candidates, group, 12, 3, 5)
+
+
 def test_reduce_noop_when_small(c2_swap):
     noether = noether_separating_set(c2_swap)
     result = reduce_separating_set(noether.invariants)
@@ -577,3 +598,94 @@ def test_primary_invariants_unchanged_by_the_certificate(capsys, monkeypatch):
     assert any(certified)
     monkeypatch.setattr(invariants, "_dimension_mod_prime", lambda polys: None)
     assert reports() == with_certificate
+
+
+# ---------------------------------------------------------------------------
+# the Hilbert check through leading monomials, and the orbit products
+# ---------------------------------------------------------------------------
+
+def _reference_holds_degree(gens, d):
+    """Every degree-d monomial has normal form zero: the check's own
+    path for inhomogeneous generators."""
+    basis = buchberger(gens, GREVLEX)
+    return all(ideal_membership(gens[0].ring.monomial(m), basis)
+               for m in monomials_of_degree(gens[0].ring, d))
+
+
+_forms = st.lists(st.tuples(st.integers(1, 3), st.lists(st.integers(-3, 3), min_size=10,
+                                                         max_size=10)), min_size=1, max_size=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(forms=_forms, d=st.integers(1, 4))
+def test_hilbert_check_by_leading_monomials_matches_normal_forms(forms, d):
+    ring = PolynomialRing(Rationals(), ("x", "y", "z"))
+    # a homogeneous form of each drawn degree, from the drawn coefficients
+    gens = [sum((ring.monomial(m, c) for m, c in zip(monomials_of_degree(ring, k), cs)),
+                ring.zero) for k, cs in forms]
+    assume(not all(g.is_zero() for g in gens))
+    squares = [v**2 for v in ring.variables()]  # every monomial of degree 4 and up
+    for candidate in (gens, gens + squares):
+        verdict = invariants._holds_degree(buchberger(candidate, GREVLEX), d)
+        assert verdict == _reference_holds_degree(candidate, d)
+    assert invariants._holds_degree(buchberger(gens + squares, GREVLEX), 4)
+    assert not invariants._holds_degree(buchberger(gens[:1], GREVLEX), d)
+
+
+def test_hilbert_check_keeps_normal_forms_for_inhomogeneous_generators():
+    ring = PolynomialRing(Rationals(), ("x", "y"))
+    x, y = ring.variables()
+    # the leading monomials x^2, xy, y^2 of the last basis cover degree 2,
+    # yet x^2 has normal form y
+    for gens, expected in (([x - 1, x], True), ([x - 1, y - 1], False),
+                           ([x**2 - y, x * y, y**2], False)):
+        basis = buchberger(gens, GREVLEX)
+        assert invariants._holds_degree(basis, 2) == _reference_holds_degree(gens, 2) == expected
+
+
+@pytest.mark.parametrize("name", ["s3_natural", "d8"])
+def test_hilbert_verdicts_when_a_generator_is_dropped(name):
+    group = load_spec_file(fixture_path(name)).group
+    result = king_generators(group)
+    assert verify_noether_and_hilbert(group, result).hilbert_monomials_ok
+    for i in range(len(result.generators)):
+        gens = result.generators[:i] + result.generators[i + 1:]
+        dropped = type(result)(generators=gens, degrees=result.degrees[:i] + result.degrees[i + 1:],
+                               termination_degree=result.termination_degree, minimal=False)
+        expected = _reference_holds_degree(gens, group.order) if gens else False
+        assert verify_noether_and_hilbert(group, dropped).hilbert_monomials_ok == expected
+
+
+@pytest.fixture
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@pytest.mark.parametrize("name", ["s3_natural", "d8"])
+def test_noether_product_matches_sympy(sympy, name):
+    group = load_spec_file(fixture_path(name)).group
+    n = group.dimension
+    big = PolynomialRing(group.field, group.ring().names + ("t", "y"))
+    xs, (t, y, w) = sympy.symbols(big.names[:n]), sympy.symbols("t y w")
+
+    def value(scalar, w=w):
+        return sympy.sympify(str(scalar).replace("^", "**"), locals={"w": w})
+
+    # the oracle: prod_sigma (y - sum_i sigma(x_i) t^i), sigma(x_i) = sum_j sigma_ij x_j,
+    # multiplied over Q[w] and reduced modulo w^2 - 2 (d8 is defined over Q[w]/(w^2 - 2))
+    gens = (*xs, t, y, w)
+    expected = sympy.Poly(1, *gens, domain=sympy.QQ)
+    for sigma in group.elements:
+        form = sum(value(c) * xs[j] * t**i for i, row in enumerate(sigma.rows)
+                   for j, c in enumerate(row))
+        expected *= sympy.Poly(y - form, *gens, domain=sympy.QQ)
+    expected = expected.rem(sympy.Poly(w**2 - 2, *gens, domain=sympy.QQ))
+    coefficients = {}
+    for m, c in expected.terms():
+        coefficients[m[:-1]] = coefficients.get(m[:-1], 0) + c * sympy.sqrt(2) ** m[-1]
+    generic = sum((big.monomial(tuple(int(j == i) for j in range(n)) + (i, 0))
+                   for i in range(n)), big.zero)
+    factors = [big.variable(n + 1) - apply_element(generic, sigma) for sigma in group.elements]
+    got = product(big, factors)
+    assert {m: value(c, sympy.sqrt(2)) for m, c in got.terms.items()} == {
+        m: c for m, c in coefficients.items() if c != 0}

@@ -24,10 +24,11 @@ from invar.polynomials import (
     DEGREE_BOUND,
     BlockElimination,
     Polynomial,
+    IntegralValues,
     PolynomialRing,
-    evaluate_integral,
-    integer_powers,
+    integral_vector,
     monomials_of_degree,
+    product,
     transport,
 )
 from invar.prng import XorShift
@@ -516,6 +517,16 @@ def _integral_poly(ring, terms):
                 for m, cs in terms.items()), ring.zero)
 
 
+def _values_at(field, polys, coordinates):
+    """The polynomials' payloads at scalar coordinates through
+    `IntegralValues`, the point lifted by `integral_vector`."""
+    den, nums = integral_vector(coordinates)
+    size = max([den] + [sum(map(abs, x)) for x in nums])
+    values = IntegralValues(polys[0].ring, polys, size)
+    spread = values.degree - 1 if any(any(x[1:]) for x in nums) else 0
+    return list(values.at([values.pack(x) for x in nums], den, spread))
+
+
 @pytest.mark.parametrize("field", INTEGRAL_FIELDS, ids=INTEGRAL_IDS)
 @settings(max_examples=40, deadline=None)
 @given(terms=_integral_terms, constant=_odd_fractions, point=_integer_points)
@@ -525,9 +536,7 @@ def test_integral_evaluation_equals_field_evaluation(field, terms, constant, poi
     # the drawn point, one with a zero coordinate, and its negative
     for coordinates in (point, [0] + point[1:], [-x for x in point]):
         at = [field.scalar(x) for x in coordinates]
-        rows = integer_powers(at, [16] * 3)
-        for p in polys:
-            assert evaluate_integral(field, p.integral_form(), rows) == p.evaluate(at).value
+        assert _values_at(field, polys, at) == [p.evaluate(at).value for p in polys]
 
 
 @pytest.mark.parametrize("field", INTEGRAL_FIELDS, ids=INTEGRAL_IDS)
@@ -539,14 +548,72 @@ def test_integral_evaluation_makes_no_field_arithmetic(field, terms, point):
     p = _integral_poly(ring, terms)
     point = [field.scalar(x) for x in point]
     counts = type(field).calls, type(field).sums
-    value = evaluate_integral(field, p.integral_form(), integer_powers(point, [16] * 3))
+    values = _values_at(field, [p], point)
     assert (type(field).calls, type(field).sums) == counts
-    assert value == p.evaluate(point).value
+    assert values == [p.evaluate(point).value]
 
 
-def test_integer_powers_need_integer_coordinates():
-    assert integer_powers([Q.scalar(-3), Q.zero], [2, 1]) == [[1, -3, 9], [1, 0]]
-    assert integer_powers([Q.scalar(Fraction(1, 2)), Q.one], [2, 2]) is None
-    assert integer_powers([SQRT2.scalar(-3)], [1]) == [[1, -3]]
-    assert integer_powers([SQRT2.one, SQRT2.generator], [1, 1]) is None
-    assert integer_powers([PrimeField(7).scalar(-3)], [2]) == [[1, 4, 16]]
+@pytest.mark.parametrize("field", INTEGRAL_FIELDS, ids=INTEGRAL_IDS)
+@settings(max_examples=20, deadline=None)
+@given(polys=st.lists(_integral_terms, min_size=1, max_size=3),
+       point=st.lists(st.lists(_odd_fractions, min_size=1, max_size=6), min_size=3, max_size=3))
+def test_integral_evaluation_at_points_over_z_w(field, polys, point):
+    # coordinates with denominators and, over Q(w), irrational ones; the
+    # polynomials are of mixed degree, so that terms are scaled by den^(top - |a|)
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    polys = [_integral_poly(ring, terms) for terms in polys]
+    at = [_integral_poly(PolynomialRing(field, ()), {(): cs}).constant_coefficient()
+          for cs in point]
+    assert _values_at(field, polys, at) == [p.evaluate(at).value for p in polys]
+
+
+# ---------------------------------------------------------------------------
+# the product kernel on packed integers
+# ---------------------------------------------------------------------------
+
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", UnverifiedIrreducibilityWarning)
+    # monic with non-integral coefficients, so that t^3 mod m needs a denominator
+    SCALED = NumberField([Fraction(-1, 3), Fraction(1, 2), 0, 1], "w")
+PRODUCT_FIELDS = INTEGRAL_FIELDS + [SCALED]
+PRODUCT_IDS = INTEGRAL_IDS + ["Q(w^3+w/2-1/3)"]
+_big_fractions = st.builds(Fraction, st.integers(-2**70, 2**70),
+                           st.integers(0, 4).map(lambda k: 2 * k + 1))
+_product_terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                                 st.lists(_big_fractions, min_size=1, max_size=6), max_size=4)
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=PRODUCT_IDS)
+@settings(max_examples=25, deadline=None)
+@given(factors=st.lists(_product_terms, max_size=4))
+def test_product_equals_the_fold_of_products(field, factors):
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    factors = [_integral_poly(ring, terms) for terms in factors]
+    expected = ring.one
+    for f in factors:
+        expected = expected * f
+    assert product(ring, factors) == expected
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=PRODUCT_IDS)
+def test_product_edge_cases(field):
+    ring = PolynomialRing(field, ("x", "y"))
+    w = getattr(field, "generator", field.one)
+    f = ring.monomial((1, 0), w) - ring.monomial((0, 2), 3) + 2**70
+    constant = ring.from_scalar(w * (-2**70) + 5)
+    assert product(ring, []) == ring.one
+    assert product(ring, [f]) == f
+    assert product(ring, [f, ring.zero, f]).is_zero()
+    assert product(ring, [constant, f, constant]) == constant * f * constant
+    assert product(ring, [constant, constant]) == constant * constant
+    with pytest.raises(ContextMismatch):
+        product(ring, [f, PolynomialRing(field, ("y", "x")).one])
+
+
+def test_scaled_field_reduces_long_vectors_exactly():
+    assert SCALED._scale != 1
+    w = SCALED.generator
+    # (nums, den) longer than the degree, against powers of the generator
+    nums = [3, -1, 0, 2**80, -5, 7, 1]
+    expected = sum((w ** i * c for i, c in enumerate(nums)), SCALED.zero) / 11
+    assert SCALED._from_integral(nums, 11) == expected.value
