@@ -127,6 +127,11 @@ def _least_factor_degree(a):
 # fields
 # ---------------------------------------------------------------------------
 
+# Miller-Rabin on the bases 2 .. 37 is proven only below the least strong
+# pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86, 2017)
+_PRIME_BOUND = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -315,6 +320,8 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p: int):
+        if p >= _PRIME_BOUND:
+            raise InvalidFieldSpec(f"p = {p} is not below {_PRIME_BOUND}, the primality bound")
         if not _is_prime(p):
             raise InvalidFieldSpec(f"{p} is not prime")
         self.p = p
@@ -428,6 +435,8 @@ class NumberField(Field):
     t^(d-1) are nums[i] / den, some nums[i] != 0 for i >= 1, den > 0 and
     no common factor of den and every nums[i].  So equal elements have
     equal payloads, and `payload[0].__class__ is int` tells the forms apart.
+    One method, `_fold`, reduces integer vectors of any length modulo m,
+    for products and inverses and for `_from_integral`.
     A degree above MAX_EXTENSION_DEGREE raises CapExceeded at once.
     """
 
@@ -447,17 +456,10 @@ class NumberField(Field):
         if d > MAX_EXTENSION_DEGREE:
             raise CapExceeded(f"minimal polynomial of degree {d} exceeds the bound "
                               f"{MAX_EXTENSION_DEGREE}")
-        # t^(d+k) mod m for k = 0 .. d-2, scaled to integers by one
-        # common denominator
-        row = [-c for c in coeffs[:-1]]
-        rows = []
-        for _ in range(d - 1):
-            rows.append(row)
-            row = [row[-1] * rows[0][0]] + [
-                x + row[-1] * y for x, y in zip(row, rows[0][1:])
-            ]
-        self._scale = lcm(*(c.denominator for r in rows for c in r))
-        self._rows = tuple(tuple(int(c * self._scale) for c in r) for r in rows)
+        # the one power table, t^d mod m = _top / _scale over the least
+        # common denominator of m's coefficients; only `_fold` reads it
+        scale = lcm(*(c.denominator for c in coeffs))
+        self._scale, self._top = scale, tuple(int(-c * scale) for c in coeffs[:-1])
         # m is squarefree iff its derivative is invertible modulo m
         deriv = [i * c for i, c in enumerate(coeffs) if i > 0]
         den = lcm(*(c.denominator for c in deriv))
@@ -467,7 +469,6 @@ class NumberField(Field):
             raise InvalidFieldSpec("minimal polynomial must be squarefree") from None
         self.generator_name = _generator_name(generator_name)
         self._hash = hash(("ext", coeffs, generator_name))
-        self._residues = {}  # length -> `_residue_columns(length)`
         super().__init__()
         self._warn_if_reducible()
 
@@ -500,21 +501,30 @@ class NumberField(Field):
     def _neg(self, a):
         return (-a[0] if a[0].__class__ is int else tuple(-x for x in a[0])), a[1]
 
-    def _product(self, an, bn):
-        """Integer vector of scale * an * bn reduced modulo m."""
-        d = self.degree
-        conv = [0] * (2 * d - 1)
+    def _fold(self, nums, den):
+        """sum_i nums[i] t^i / den, for at least d ints nums[i], reduced modulo
+        m to d ints over a new denominator.  Scaled first by s = _scale^(len(nums)
+        - d), each coefficient c of t^k is a multiple of _scale when it is folded,
+        from the top down, into c / _scale * _top at t^(k - d) .. t^(k - 1)."""
+        d, top, scale = self.degree, self._top, self._scale
+        s = scale ** (len(nums) - d)
+        nums = [x * s for x in nums] if s != 1 else list(nums)
+        for k in range(len(nums) - 1, d - 1, -1):
+            c = nums[k] // scale
+            if c:
+                for j, r in enumerate(top, k - d):
+                    nums[j] += c * r
+        del nums[d:]
+        return nums, den * s
+
+    def _product(self, an, bn, den):
+        """`_fold` of the product of two vectors of length d, over den."""
+        conv = [0] * (len(an) + len(bn) - 1)
         for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(bn):
-                    conv[i + j] += x * y
-        scale = self._scale
-        out = conv[:d] if scale == 1 else [scale * x for x in conv[:d]]
-        for c, row in zip(conv[d:], self._rows):
-            if c:
-                for j, r in enumerate(row):
-                    out[j] += c * r
-        return out
+                for j, y in enumerate(bn, i):
+                    conv[j] += x * y
+        return self._fold(conv, den)
 
     def _mul(self, a, b):
         return _settle(self._vector_mul(a, b))
@@ -527,7 +537,7 @@ class NumberField(Field):
             return [an * y for y in bn], ad * bd
         if bn.__class__ is int:
             return [x * bn for x in an], ad * bd
-        return self._product(an, bn), ad * bd * self._scale
+        return self._product(an, bn, ad * bd)
 
     def _accumulator(self):
         # unnormalised Q pairs and vectors, made canonical once when read
@@ -538,29 +548,10 @@ class NumberField(Field):
 
     def _from_integral(self, nums, den):
         """The canonical payload of sum_i nums[i] t^i / den, where nums may
-        be longer than the degree: each t^i is replaced by its residue
-        modulo m, exactly."""
+        be longer than the degree: `_fold` reduces it modulo m, exactly."""
         if len(nums) > self.degree:
-            columns, scale = self._residue_columns(len(nums))
-            nums, den = [sum(map(mul, nums, column)) for column in columns], den * scale
+            nums, den = self._fold(nums, den)
         return _normal(nums, den)
-
-    def _residue_columns(self, length):
-        """(columns, s) for t^0 .. t^(length - 1) modulo m, times
-        s = _scale^(length - d), which makes them all integral: column j
-        lists their t^j coefficients.  Built once per length."""
-        if length not in self._residues:
-            d, scale, top = self.degree, self._scale, self._rows[0]  # t^d = top / scale
-            power = [scale ** (length - d)] + [0] * (d - 1)
-            rows = [power]
-            for _ in range(length - 1):
-                c = power[-1]
-                power = [0] + power[:-1]
-                if c:  # exact: c * top / scale is the t^d part of an integral vector
-                    power = [x + c * r // scale for x, r in zip(power, top)]
-                rows.append(power)
-            self._residues[length] = list(zip(*rows)), scale ** (length - d)
-        return self._residues[length]
 
     def _inv(self, a):
         return _pair_inv(a) if a[0].__class__ is int else self._invert(*a)
@@ -569,9 +560,10 @@ class NumberField(Field):
         """Solve (nums / den) * x = 1, for nums not all zero, by fraction-free
         (Bareiss) elimination on the integer matrix of multiplication by nums."""
         d = self.degree
-        cols = [self._product(nums, (0,) * j + (1,)) for j in range(d)]
-        rows = [[col[i] for col in cols] + [0] for i in range(d)]
-        rows[0][d] = self._scale * den
+        # the columns nums * t^j over den, all folded to one denominator
+        cols = [self._product(nums, (0,) * j + (1,) + (0,) * (d - 1 - j), den) for j in range(d)]
+        rows = [[col[i] for col, _ in cols] + [0] for i in range(d)]
+        rows[0][d] = cols[0][1]
         prev = 1
         for k in range(d):
             p = next((i for i in range(k, d) if rows[i][k]), None)

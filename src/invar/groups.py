@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import Callable, Sequence
 
@@ -21,7 +21,6 @@ from .linalg import Matrix
 from .polynomials import (
     Polynomial,
     PolynomialRing,
-    _raw_product,
     _sum_terms,
     image_table,
     monomial_image,
@@ -172,10 +171,9 @@ def reynolds(f: Polynomial, group: FiniteMatrixGroup) -> Polynomial:
                                                 for x in ring.variables()])
                               for sigma in group.elements], {}
     tables, sums = group._cache[ring]
-    times = partial(_raw_product, field)
     for a in f.terms.keys() - sums.keys():
         sums[a] = _sum_terms(field, (mc for t in tables
-                                     for mc in monomial_image(t, a, times).items()))
+                                     for mc in monomial_image(t, a, field).items()))
     mul, inverse = field._accumulator()[0], field.scalar(group.order).inverse().value
     total = _sum_terms(field, ((m, mul(c.value, v)) for a, c in f.terms.items()
                                for m, v in sums[a].items()))

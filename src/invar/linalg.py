@@ -81,17 +81,12 @@ class Matrix:
         )
 
     def apply(self, vector: Sequence[Scalar]):
-        """Matrix-vector product, on raw payloads like `__matmul__`."""
+        """Matrix-vector product: the product with the column `vector`."""
         if len(vector) != self.ncols:
             raise ValueError("dimension mismatch")
         field = self.field
-        zero, mul, add = field.zero, field._mul, field._add
-        values = [field.scalar(x).value for x in vector]  # refuses another field's scalars
-        out = []
-        for r in self.rows:
-            products = [mul(a.value, v) for a, v in zip(r, values) if not a.is_zero()]
-            out.append(Scalar(field, reduce(add, products)) if products else zero)
-        return tuple(out)
+        column = Matrix(field, [[field.scalar(x)] for x in vector])  # refuses another field's scalars
+        return tuple(row[0] for row in (self @ column).rows)
 
     def _sparse_rows(self):
         is_zero = self.field._is_zero

@@ -16,18 +16,19 @@ variable), and ``algebraic.action_graph_generators`` for algebraic
 groups, which builds the same images with polynomial entries.
 
 Substitution has one memoised path.  `monomial_image` fills a table
-from monomials x^a to their images, one product per new monomial, and
-`Polynomial.evaluate` (the images are a point's coordinates),
-`Polynomial.substitute` (and so `apply_linear_map`) and
-`groups.reynolds` all read their monomials' images from such a table.
-Calls may share one, as `algebraic.algebraic_invariant_basis` does per
-degree.
+from monomials x^a to their images, raw term dicts, with one
+`_raw_product` per new monomial; `Polynomial.substitute` (and so
+`evaluate`, the substitution of a point's coordinates, and
+`apply_linear_map`) and `groups.reynolds` read their monomials' images
+from such a table.  Calls may share one, as
+`algebraic.algebraic_invariant_basis` does per degree.
 
 Over the fields with integral forms (Q, GF(p), Q(w)) two paths run on
 Kronecker-packed ints (Harvey, J. Symb. Comput. 44, 2009): a
-polynomial is lifted once by `integral_form` to integer vectors over
-Z[w] on one denominator, and each vector is packed into one int by
-w -> 2^B, with B wide enough that no digit of a result overflows.
+polynomial is lifted once by `integral_form`, through
+`integral_vector`, to integer vectors over Z[w] on one denominator, and
+each vector is packed into one int by w -> 2^B, with B wide enough
+that no digit of a result overflows.
 `product(ring, factors)`, the one kernel for products of many factors,
 also packs each monomial into an int, multiplies in plain ints and
 settles each term of the result once; Noether's separating set and
@@ -44,7 +45,7 @@ and the Groebner engine refuses any monomial of that degree.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, compress, count, repeat
 from math import lcm, prod
 from operator import add, getitem, le, lshift, mul, neg, sub
@@ -430,40 +431,21 @@ class Polynomial:
             out.setdefault(mono_degree(m), {})[m] = c
         return [Polynomial(self.ring, out[d]) for d in sorted(out)]
 
-    def evaluate(self, point: Sequence, table: Optional[dict] = None) -> Scalar:
-        """Value at the point.  Calls at one point may share a `table`, a
-        dict that is empty at the first call: it memoises the point's
-        value of every monomial met so far, as a raw payload."""
+    def evaluate(self, point: Sequence) -> Scalar:
+        """Value at the point: the substitution of its coordinates."""
         if len(point) != self.ring.nvars:
-            raise LengthMismatch(
-                f"point has {len(point)} coordinates, ring has {self.ring.nvars}"
-            )
-        field = self.ring.field
-        one = field.one.value
-        table = {} if table is None else table
-        if not table:
-            table.update(image_table(one, [field.scalar(x).value for x in point]))
-        if not self.terms:
-            return field.zero
-        mul, add, settle = field._accumulator()
-        times, total = field._mul, None
-        for m, c in self.terms.items():
-            value = table[m] if m in table else monomial_image(table, m, times)
-            if c.value != one:
-                value = mul(c.value, value)
-            total = value if total is None else add(total, value)
-        return Scalar(field, settle(total))
+            raise LengthMismatch(f"point has {len(point)} coordinates, ring has {self.ring.nvars}")
+        return self.substitute(point).constant_coefficient()
 
     def integral_form(self):
         """(D, components), the form that `product` and `IntegralValues`
         pack: D is the lcm of the coefficients' denominators, and component
         i lists (a, N) for each x^a whose coefficient has i-th integer
         entry N / D != 0."""
-        field = self.ring.field
-        lifted = [(a, *field._integral(c.value)) for a, c in self.terms.items()]
-        den = lcm(*(d for _, _, d in lifted))
-        return den, [[(a, nums[i] * (den // d)) for a, nums, d in lifted if nums[i]]
-                     for i in range(len(field._integral(field.zero.value)[0]))]
+        # zero, lifted first, gives the length of the vectors
+        den, (zero, *vectors) = integral_vector([self.ring.field.zero, *self.terms.values()])
+        return den, [[(a, nums[i]) for a, nums in zip(self.terms, vectors) if nums[i]]
+                     for i in range(len(zero))]
 
     def substitute(self, images: Sequence["Polynomial"], table: Optional[dict] = None):
         """Map variable i to images[i], lifting scalar images into the one
@@ -485,9 +467,9 @@ class Polynomial:
         if not table:
             one = {(0,) * target.nvars: field.one.value}
             table.update(image_table(one, [im._payloads() for im in imgs]))
-        mul, times = field._accumulator()[0], partial(_raw_product, field)
+        mul = field._accumulator()[0]
         raw = _sum_terms(field, ((u, mul(c.value, cu)) for m, c in self.terms.items()
-                                 for u, cu in monomial_image(table, m, times).items()))
+                                 for u, cu in monomial_image(table, m, field).items()))
         return Polynomial._from_payloads(target, raw)
 
     def apply_linear_map(self, mat) -> "Polynomial":
@@ -556,24 +538,22 @@ def image_table(one, images) -> dict:
     return {(0,) * n: one, **{_unit(n, j): image for j, image in enumerate(images)}}
 
 
-def monomial_image(table: dict, a: tuple, times):
-    """image(x^a) from a monomial-image table, which it fills in with
-    one product per new monomial.  Let x_j be the last variable of x^a,
-    to the power k.  A missing image(x^a) is image(x^a / x_j^k) *
-    image(x_j^k), and a missing pure power image(x_j^k) is
-    image(x_j^(k - 1)) * image(x_j), so the only monomials the table
-    gains besides x^a are powers of single variables and x^a with its
-    last variables dropped.  The images are whatever `times` multiplies:
-    raw payloads for a point, raw term dicts for linear forms and
-    polynomials."""
+def monomial_image(table: dict, a: tuple, field: Field):
+    """image(x^a) from a monomial-image table of raw term dicts over the
+    field, which it fills in with one `_raw_product` per new monomial.
+    Let x_j be the last variable of x^a, to the power k.  A missing
+    image(x^a) is image(x^a / x_j^k) * image(x_j^k), and a missing pure
+    power image(x_j^k) is image(x_j^(k - 1)) * image(x_j), so the only
+    monomials the table gains besides x^a are powers of single variables
+    and x^a with its last variables dropped."""
     if a in table:
         return table[a]
     j = max(compress(count(), a))
     power = _unit(len(a), j, a[j])
     rest = mono_div(a, power)
     if any(rest):
-        image = table[a] = times(monomial_image(table, rest, times),
-                                 monomial_image(table, power, times))
+        image = table[a] = _raw_product(field, monomial_image(table, rest, field),
+                                        monomial_image(table, power, field))
         return image
     unit, steps = _unit(len(a), j), []
     while a not in table:
@@ -581,7 +561,7 @@ def monomial_image(table: dict, a: tuple, times):
         a = mono_div(a, unit)
     image, factor = table[a], table[unit]
     for a in reversed(steps):
-        image = table[a] = times(image, factor)
+        image = table[a] = _raw_product(field, image, factor)
     return image
 
 

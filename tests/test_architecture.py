@@ -45,7 +45,7 @@ A number-field element in Q is the rational integer pair, and its
 arithmetic is the one copy of pair arithmetic that `Rationals` uses.
 Only `fields` tells the two payload forms apart or indexes into a
 vector; `polynomials` lifts payloads to integer vectors only through
-the field's `_integral`.
+the field's `_integral`, in `integral_vector` alone.
 
 A rational is reduced modulo a prime in one place,
 `PrimeField._from_integral`, the only modular inverse outside
@@ -70,16 +70,20 @@ the packing helpers of `polynomials`, the only code outside
 coefficient vectors lives there alone.
 
 Substitution has one memoised path, `polynomials.monomial_image`: a
-table from monomials x^a to their images, filled with one product per
-new monomial.  `Polynomial.evaluate` (images are a point's
-coordinates), `Polynomial.substitute` (and through it
-`apply_linear_map` and `groups.apply_element`) and `groups.reynolds`
-read it; it multiplies only through the callable it is given, and
-`groups` keeps no monomial-image helper of its own.  It stays the one
-table; the sampled separation check runs on ints instead:
-`polynomials.IntegralValues` sums a polynomial's packed terms over int
-power rows, with no field payload method in its term loop, and settles
-each sum once.
+table from monomials x^a to their images, filled with one
+`_raw_product` per new monomial.  `Polynomial.substitute` (and through
+it `evaluate`, `apply_linear_map` and `groups.apply_element`) and
+`groups.reynolds` read it, and `groups` keeps no monomial-image helper
+of its own.  It stays the one table; the sampled separation check runs
+on ints instead: `polynomials.IntegralValues` sums a polynomial's
+packed terms over int power rows, with no field payload method in its
+term loop, and settles each sum once.
+
+Each arithmetic operation has one implementation: `Polynomial.evaluate`
+is `substitute` at the point's coordinates, `Matrix.apply` is the
+product with a column through `Matrix.__matmul__`, and `NumberField`
+reduces integer vectors modulo m in one method, `_fold`, the only
+reader of t^d mod m.
 
 Exact linear algebra has one elimination kernel, `linalg._echelon`, on
 sparse rows of raw payloads: it computes only through the field's
@@ -323,6 +327,11 @@ def _class(tree, name):
     return next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
 
 
+def _method(module, cls, name):
+    return next(node for node in _class(_source(module), cls).body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def _signature(function):
     args = function.args
     return ([a.arg for a in args.posonlyargs + args.args], args.vararg, args.kwonlyargs,
@@ -398,8 +407,7 @@ def test_payload_forms_are_read_only_in_fields():
 
     assert {module for module, _ in _sites(indexes_a_vector)} <= {"fields"}
     assert {module for module, _ in _sites(tells_forms_apart)} == {"fields"}
-    assert _calls("_integral") == {("polynomials", "integral_form"),
-                                   ("polynomials", "integral_vector"), ("fields", "residue")}
+    assert _calls("_integral") == {("polynomials", "integral_vector"), ("fields", "residue")}
 
 
 def test_one_reduction_modulo_a_prime():
@@ -464,18 +472,50 @@ def test_molien_series_builds_no_polynomial_ring():
     assert ("groups", "molien_series") not in _sites(is_ring)
 
 
-def test_monomial_table_computes_only_through_its_callable():
+def test_monomial_table_computes_only_through_raw_product():
     table = next(node for node in _source("polynomials").body
                  if isinstance(node, ast.FunctionDef) and node.name == "monomial_image")
-    assert _signature(table) == (["table", "a", "times"], None, [], None, [], [])
+    assert _signature(table) == (["table", "a", "field"], None, [], None, [], [])
     nodes = list(ast.walk(table))
     assert not [node for node in nodes if isinstance(node, (ast.BinOp, ast.AugAssign))]
-    # products go through `times` only; the rest is exponent bookkeeping
+    # products go through `_raw_product` only; the rest is exponent bookkeeping
     called = {ast.unparse(node.func) for node in nodes if isinstance(node, ast.Call)}
-    assert called == {"times", "monomial_image", "_unit", "mono_div", "max", "compress", "count",
-                      "len", "any", "reversed", "steps.append"}
-    assert _calls("monomial_image") == {("polynomials", "evaluate"), ("polynomials", "substitute"),
+    assert called == {"_raw_product", "monomial_image", "_unit", "mono_div", "max", "compress",
+                      "count", "len", "any", "reversed", "steps.append"}
+    # evaluation reaches the table only through `substitute`
+    assert _calls("monomial_image") == {("polynomials", "substitute"),
                                         ("polynomials", "monomial_image"), ("groups", "reynolds")}
+
+
+def test_evaluation_is_substitution():
+    evaluate = _method("polynomials", "Polynomial", "evaluate")
+    assert _signature(evaluate) == (["self", "point"], None, [], None, [], [])
+    called = {ast.unparse(node.func) for node in ast.walk(evaluate) if isinstance(node, ast.Call)}
+    assert called == {"len", "LengthMismatch", "self.substitute(point).constant_coefficient",
+                      "self.substitute"}
+
+
+def test_matrix_vector_product_is_a_matrix_product():
+    apply = _method("linalg", "Matrix", "apply")
+    nodes = list(ast.walk(apply))
+    assert [ast.unparse(node) for node in nodes if isinstance(node, ast.BinOp)] == ["self @ column"]
+    # no payload arithmetic of its own
+    assert not {node.attr for node in nodes if isinstance(node, ast.Attribute)} & {
+        "_mul", "_add", "_accumulator", "value"}
+
+
+def test_number_field_reduces_modulo_m_in_one_method():
+    def reads_power(node):  # t^d mod m, as `_top` / `_scale`
+        return (isinstance(node, ast.Attribute) and node.attr in ("_top", "_scale")
+                and isinstance(node.ctx, ast.Load))
+
+    assert _sites(reads_power) == {("fields", "_fold")}
+    assert _calls("_fold") == {("fields", "_product"), ("fields", "_from_integral")}
+    assert _calls("_product") == {("fields", "_vector_mul"), ("fields", "_invert")}
+    # and keeps no other table of powers of t
+    stored = {node.attr for node in ast.walk(_class(_source("fields"), "NumberField"))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    assert stored == {"minimal_poly", "degree", "_scale", "_top", "generator_name", "_hash"}
 
 
 def test_integral_evaluation_runs_on_ints():

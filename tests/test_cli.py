@@ -207,6 +207,18 @@ def test_exit_codes(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == "ParseError"
 
+    # a strong pseudoprime to the bases 2 .. 37 (1287836182261 *
+    # 2575672364521), which once passed as prime and then failed with a
+    # traceback when inverting a multiple of its factor
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"field": {"kind": "prime", "p": 3317044064679887385961981},
+                                   "variables": ["x", "y"],
+                                   "polynomials": ["1287836182261*x + y", "x*y - 1"]}))
+    code, out, err = run_cli(capsys, "groebner", str(problem), "--json")
+    assert (code, out) == (2, "")
+    (record,) = map(json.loads, err.splitlines())
+    assert record["error"] == "InvalidFieldSpec" and "Traceback" not in err
+
 
 @pytest.mark.parametrize("generator", [[["2"]], [["1/2"]], [["2", "1"], ["1", "1"]],
                                        [["1", "1"], ["0", "1"]], [["1", "1"], ["1", "0"]]],

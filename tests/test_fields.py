@@ -23,6 +23,8 @@ from invar.fields import (
     ReducibleMinimalPolynomialWarning,
     Scalar,
     UnverifiedIrreducibilityWarning,
+    _PRIME_BOUND,
+    _is_prime,
     _least_factor_degree,
     field_from_config,
 )
@@ -183,6 +185,21 @@ def test_prime_validation():
         PrimeField(1)
     PrimeField(2)
     PrimeField(100003)
+    PrimeField(2**61 - 1)
+    # strong pseudoprimes to the bases 2 .. 37: the least one, which bounds
+    # the proven range, and 1287836182261 * 2575672364521 above it
+    assert 399165290221 * 798330580441 == _PRIME_BOUND
+    for n in (_PRIME_BOUND, 3317044064679887385961981):
+        with pytest.raises(InvalidFieldSpec, match="not below"):
+            PrimeField(n)
+        with pytest.raises(InvalidFieldSpec):
+            field_from_config({"kind": "prime", "p": str(n)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(st.integers(-5, 10**6), st.integers(10**6, _PRIME_BOUND - 1)))
+def test_primality_below_the_bound_agrees_with_sympy(sympy, n):
+    assert _is_prime(n) == sympy.isprime(n)
 
 
 def test_minimal_poly_validation():
@@ -486,6 +503,8 @@ DIFFERENTIAL_FIELDS = {
     "Q(zeta5)": [1, 1, 1, 1, 1],
     "w^2-1": [-1, 0, 1],
     "w^2-1/2": [Fraction(-1, 2), 0, 1],
+    # t^3 mod m has a denominator, so every product folds twice with a scale
+    "w^3+w/2-1/3": [Fraction(-1, 3), Fraction(1, 2), 0, 1],
 }
 
 
@@ -584,11 +603,15 @@ def test_payload_forms_follow_rationality(minimal_poly, data):
 
     # w * w^k is rational for k = 1 in the quadratic fields (sqrt2 * sqrt2
     # = 2) and for k = 4 in Q(zeta5) (zeta * zeta^4 = 1)
-    k = 4 if d == 4 else 1
-    fpower = fg
-    for _ in range(k - 1):
-        fpower = ref.mul(fpower, fg)
-    assert type(check(g * g ** k, ref.mul(fg, fpower))[0]) is int
+    if d in (2, 4):
+        k = 4 if d == 4 else 1
+        fpower = fg
+        for _ in range(k - 1):
+            fpower = ref.mul(fpower, fg)
+        assert type(check(g * g ** k, ref.mul(fg, fpower))[0]) is int
+    # in every field w * (m(w) - m(0)) / w = -m(0) is rational
+    fcofactor = ref.pad(tuple(map(Fraction, minimal_poly[1:])))
+    assert type(check(g * _element(field, fcofactor), ref.mul(fg, fcofactor))[0]) is int
     # (w - 1)(w + 1) = w^2 - 1 is zero in Q[w]/(w^2 - 1)
     one = ref.pad((Fraction(1),))
     check((g - 1) * (g + 1), ref.mul(ref.add(fg, ref.neg(one)), ref.add(fg, one)))

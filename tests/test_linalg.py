@@ -137,6 +137,10 @@ def test_apply_matches_scalar_sums(name, data):
     assert image == tuple(sum((a[i][k] * v[k] for k in range(n)), field.zero)
                           for i in range(m))
     assert all(x.field == field for x in image)
+    # the product with the column v, and with a column of 3s
+    for vector in (v, [field.scalar(3)] * n):
+        column = Matrix(field, a) @ Matrix(field, [[x] for x in vector])
+        assert Matrix(field, a).apply(vector) == tuple(row[0] for row in column.rows)
     # int coordinates are coerced
     assert Matrix(field, a).apply([3] * n) == Matrix(field, a).apply([field.scalar(3)] * n)
     other = FIELDS[min(set(FIELDS) - {name})]

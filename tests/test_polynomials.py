@@ -1,11 +1,12 @@
 import warnings
 from fractions import Fraction
 from itertools import accumulate
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invar import linalg
+from invar import linalg, polynomials
 from invar.errors import (
     CapExceeded,
     ContextMismatch,
@@ -428,8 +429,10 @@ def test_evaluation_on_a_shared_table_equals_fresh_tables(field, polys, point, t
     point = [field.scalar(point[0]) + w * twist, *point[1:]]  # an irrational first coordinate
     polys = [_table_poly(ring, terms) for terms in polys]
     constants = [ring.from_scalar(c) for c in point]
+    # evaluation is the substitution of the point's coordinates, whose
+    # calls may share one table
     table = {}
-    shared = [p.evaluate(point, table) for p in polys]
+    shared = [p.substitute(constants, table).constant_coefficient() for p in polys]
     assert shared == [p.evaluate(point) for p in polys]
     assert shared == [p.substitute(constants).constant_coefficient() for p in polys]
 
@@ -477,17 +480,23 @@ def _counting(field):
 @given(polys=st.lists(_table_terms, min_size=1, max_size=4),
        point=st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)))
 def test_the_table_makes_one_product_per_new_monomial(field, polys, point):
-    field = _counting(field)
     ring = PolynomialRing(field, ("x", "y", "z"))
-    # unit coefficients, so that evaluation multiplies only inside the table
-    polys = [sum((ring.monomial(m) for m in terms), ring.zero) for terms in polys]
-    table = {}
-    polys[0].evaluate(point, table)
-    for p in polys:
-        entries, calls = len(table), type(field).calls
-        value = p.evaluate(point, table)
-        assert type(field).calls - calls == len(table) - entries
-        assert value == p.substitute([ring.from_scalar(c) for c in point]).constant_coefficient()
+    polys = [_table_poly(ring, terms) for terms in polys]
+    constants = [ring.from_scalar(c) for c in point]
+    products = []
+
+    def counting(*args):
+        products.append(args)
+        return raw_product(*args)
+
+    raw_product, table = polynomials._raw_product, {}
+    polys[0].substitute(constants, table)
+    with patch.object(polynomials, "_raw_product", counting):
+        for p in polys:
+            entries, calls = len(table), len(products)
+            value = p.substitute(constants, table).constant_coefficient()
+            assert len(products) - calls == len(table) - entries
+            assert value == p.evaluate(point)
     assert set(table) >= {m for p in polys for m in p.terms}
 
 
