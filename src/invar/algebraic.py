@@ -14,7 +14,8 @@ only reader of the action matrix, and every construction below derives
 its images sum_j a_ij(z) x_j from those generators (``groups.apply_element``
 is the finite-group counterpart).  The degree-d invariants of the action
 are solved for by ``invariants.fixed_forms``, the solver that finite
-groups use too.
+groups use too, on images substituted through one shared table per
+degree (``invariant_basis`` keeps one per group generator).
 
 The group ideal reduces in the graph ring (y, x, z), where the spec
 keeps its Groebner basis, computed in K[z]: the basis involves z only,

@@ -58,11 +58,11 @@ def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def _divisors(n: int):
+def _divisors(n: int, steps: int = _DIVISOR_STEPS):
     """Positive divisors of n, or None when trial division would take
-    more than _DIVISOR_STEPS steps."""
+    more than `steps` steps."""
     n = abs(n)
-    if isqrt(n) > _DIVISOR_STEPS:
+    if isqrt(n) > steps:
         return None
     small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
     return sorted({*small, *(n // i for i in small)})
@@ -100,13 +100,22 @@ def _least_factor_degree(a):
     if d == 3:
         return 3
     a0, a1, a2, a3, a4 = a
+    # f = u x^2 + s x + g dividing a has f(1) | a(1), f(-1) | a(-1) and
+    # 2(u + g) = f(1) + f(-1): g is drawn from such sums when both divisor
+    # searches take fewer steps than there are (u, g) pairs to walk, and
+    # make fewer sums than a_0 has divisors
+    steps = min(len(leads) * len(ends), _DIVISOR_STEPS)
+    ones, minus_ones, halves = _divisors(at_one, steps), _divisors(at_minus_one, steps), None
+    if ones and minus_ones and 4 * len(ones) * len(minus_ones) < len(ends):
+        halves = {(p + q) // 2 for p in ones + [-p for p in ones]
+                  for q in minus_ones + [-q for q in minus_ones] if (p + q) % 2 == 0}
     # the test below is symmetric in the two factors, so each pair is
     # tried once: u <= v, and g <= h when u = v
     for u in leads:
         v = a4 // u
         if u > v:
             break
-        for g in ends:
+        for g in ends if halves is None else [t - u for t in halves if t - u and a0 % (t - u) == 0]:
             h = a0 // g
             if u == v and g > h:
                 continue

@@ -9,13 +9,15 @@ product construction of primary invariants, and degree bound reports.
 Degree-d invariants of finite and algebraic groups alike come from one
 solver, `fixed_forms`: the callers supply the sparse linear equations
 that a fixed form's coefficients satisfy, and it solves them with one
-`nullspace` call.
+`nullspace` call.  The orbit products of Noether and Dade act on
+linear forms only, and read each image (c sigma) x of a form c x off
+the group's matrices.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from operator import eq, mul
 from typing import Sequence
 
@@ -38,7 +40,7 @@ from .groebner import (
     ideal_membership,
 )
 from .groups import FiniteMatrixGroup, apply_element, require_nonmodular, reynolds
-from .linalg import nullspace
+from .linalg import Matrix, nullspace
 from .polynomials import (
     GREVLEX,
     IntegralValues,
@@ -79,13 +81,16 @@ def invariant_basis(group: FiniteMatrixGroup, d: int) -> list:
     """Echelonized basis of the homogeneous degree-d invariants, from the
     exact linear system sigma(f) = f over the monomial basis, one
     equation per generator sigma and monomial of sigma(m) - m.  Works in
-    the modular case as well."""
+    the modular case as well.  The monomials substitute sigma's variable
+    images, from `apply_element`, through one shared table."""
     ring = group.ring()
+    actions = [([apply_element(x, sigma) for x in ring.variables()], {})
+               for sigma in group.generators]
 
     def equations(m):
         mono = ring.monomial(m)
-        for i, sigma in enumerate(group.generators):
-            for mm, c in (apply_element(mono, sigma) - mono).terms.items():
+        for i, (images, table) in enumerate(actions):
+            for mm, c in (mono.substitute(images, table) - mono).terms.items():
                 yield (i, mm), c
 
     return fixed_forms(ring, d, equations)
@@ -104,13 +109,7 @@ class GeneratingSetResult:
     trace: list = dataclass_field(default_factory=list)
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "GeneratingSetResult":
-        return GeneratingSetResult(
-            generators=[g.monic(order) for g in self.generators],
-            degrees=list(self.degrees),
-            termination_degree=self.termination_degree,
-            minimal=self.minimal,
-            trace=list(self.trace),
-        )
+        return replace(self, generators=[g.monic(order) for g in self.generators])
 
 
 def king_generators(
@@ -251,21 +250,20 @@ class SeparatingSetResult:
 
 
 def noether_separating_set(group: FiniteMatrixGroup) -> SeparatingSetResult:
-    """Coefficients of prod_sigma (y - sum_i sigma(x_i) t^(i-1)) as
+    """Coefficients of prod_sigma (y - sum_ij sigma_ij x_j t^(i-1)) as
     polynomials in the x variables: a homogeneous separating set of
-    degrees at most |G|, valid in any characteristic.  The |G| factors
-    multiply in one call of the packed-integer kernel
+    degrees at most |G|, valid in any characteristic.  The |G| factors,
+    read off the matrices, multiply in one call of the packed-integer kernel
     `polynomials.product`; coefficients are normalized monic and
     deduplicated."""
     ring = group.ring()
     n = group.dimension
     big = PolynomialRing(group.field, ring.names + ("t_aux", "y_aux"))
     y = big.variable(n + 1)
-    # sigma acts on the x block only, so it maps the generic form
-    # sum_i x_i t^(i-1) to sum_i sigma(x_i) t^(i-1)
-    generic = sum((big.monomial(tuple(int(j == i) for j in range(n)) + (i, 0))
-                   for i in range(n)), big.zero)
-    orbit = product(big, [y - apply_element(generic, sigma) for sigma in group.elements])
+    orbit = product(big, [y - Polynomial(big, {tuple(int(k == j) for k in range(n)) + (i, 0): c
+                                               for i, row in enumerate(sigma.rows)
+                                               for j, c in enumerate(row)})
+                          for sigma in group.elements])
     # split off the coefficient of each (t, y) monomial
     buckets = {}
     for m, c in orbit.terms.items():
@@ -510,10 +508,10 @@ DADE_COEFFICIENT_BOUND = 10  # their coefficients lie in [-bound, bound]
 def dade_primary_invariants(group: FiniteMatrixGroup, seed: int = 0) -> list:
     """Primary invariants as orbit products of seeded random linear
     forms, each the product of the distinct images of its form in one
-    call of the packed-integer kernel `polynomials.product`; each
-    addition is retried with fresh forms until the partial system of
-    parameters test passes.  Slot n's test runs on all n forms, so it is
-    the hsop test of the returned list."""
+    call of the packed-integer kernel `polynomials.product`; the image of
+    c x is (c sigma) x.  Each addition is retried with fresh forms until
+    the partial system of parameters test passes.  Slot n's test runs on
+    all n forms, so it is the hsop test of the returned list."""
     if group.field.kind == "prime":
         # general-position forms need an infinite ground field
         raise FieldTooSmall("orbit-product construction needs an infinite field")
@@ -527,12 +525,12 @@ def dade_primary_invariants(group: FiniteMatrixGroup, seed: int = 0) -> list:
                       for _ in range(n)]
             if all(c == 0 for c in coeffs):
                 continue
-            form = sum((ring.monomial(tuple(int(j == i) for j in range(n)), c)
-                        for i, c in enumerate(coeffs)), ring.zero)
-            images = {}  # distinct images, in the order of the elements
-            for sigma in group.elements:
-                images.setdefault(apply_element(form, sigma))
-            orbit = product(ring, list(images))
+            form = Matrix.from_rows(group.field, [coeffs])
+            # distinct images, in the order of the elements
+            images = dict.fromkeys((form @ sigma).rows[0] for sigma in group.elements)
+            orbit = product(ring, [Polynomial(ring, {tuple(int(k == j) for k in range(n)): c
+                                                     for j, c in enumerate(row)})
+                                   for row in images])
             if is_phsop(chosen + [orbit]):
                 chosen.append(orbit)
                 break

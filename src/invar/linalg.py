@@ -85,6 +85,8 @@ class Matrix:
         if len(vector) != self.ncols:
             raise ValueError("dimension mismatch")
         field = self.field
+        if not vector:  # a matrix with no rows is no 0 x 1 column
+            return tuple(field.zero for _ in self.rows)
         column = Matrix(field, [[field.scalar(x)] for x in vector])  # refuses another field's scalars
         return tuple(row[0] for row in (self @ column).rows)
 

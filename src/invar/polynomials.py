@@ -21,14 +21,15 @@ from monomials x^a to their images, raw term dicts, with one
 `evaluate`, the substitution of a point's coordinates, and
 `apply_linear_map`) and `groups.reynolds` read their monomials' images
 from such a table.  Calls may share one, as
-`algebraic.algebraic_invariant_basis` does per degree.
+`algebraic.algebraic_invariant_basis` does per degree and
+`invariants.invariant_basis` per group generator.
 
 Over the fields with integral forms (Q, GF(p), Q(w)) two paths run on
 Kronecker-packed ints (Harvey, J. Symb. Comput. 44, 2009): a
 polynomial is lifted once by `integral_form`, through
-`integral_vector`, to integer vectors over Z[w] on one denominator, and
-each vector is packed into one int by w -> 2^B, with B wide enough
-that no digit of a result overflows.
+`integral_vector`, to one integer vector over Z[w] per term on one
+denominator, and `_pack` packs each vector into one int by w -> 2^B,
+with B wide enough that no digit of a result overflows.
 `product(ring, factors)`, the one kernel for products of many factors,
 also packs each monomial into an int, multiplies in plain ints and
 settles each term of the result once; Noether's separating set and
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress, count, repeat
+from itertools import accumulate, combinations_with_replacement, compress, count, repeat
 from math import lcm, prod
 from operator import add, getitem, le, lshift, mul, neg, sub
 from typing import Optional, Sequence
@@ -154,43 +155,42 @@ GREVLEX = _Grevlex()
 
 
 class BlockElimination(MonomialOrder):
-    """Blocks of variables, each dominating the blocks after it, with the
-    inner order inside each block: `BlockElimination(k)` splits the
+    """Blocks of variables, each dominating the blocks after it, with
+    grevlex inside each block: `BlockElimination(k)` splits the
     variables into the first k and the rest, `BlockElimination(r, n)`
-    into the first r, the next n and the rest.  Graded inner orders make
-    it an elimination order for every leading run of blocks.
+    into the first r, the next n and the rest.  A graded order inside
+    makes it an elimination order for every leading run of blocks.
 
     In K[z, y, x] under `BlockElimination(r, n)`, the elements of a
     Groebner basis whose leading monomial is free of z form a Groebner
     basis of the elimination ideal J in K[y, x] for y >> x.  They are
     then also a Groebner basis of the extension of J to K(x)[y] under
-    the inner order on y: if c(x) f lies in J, its leading monomial has
+    grevlex on y: if c(x) f lies in J, its leading monomial has
     the y-part of f's, and a leading monomial dividing it has a y-part
     that divides f's.  Localisation commutes with elimination, so
     invariant fields are computed over K and only inter-reduced over
     K(x) (Mueller-Quade & Beth, J. Symb. Comput. 1999; Kemper,
     Transformation Groups 12, 2007).
 
-    The key concatenates the inner key of the front block with the key
+    The key concatenates the grevlex key of the front block with the key
     of the remaining blocks; all lengths are fixed by the block sizes."""
 
-    def __init__(self, *sizes: int, inner: MonomialOrder = GREVLEX):
+    def __init__(self, *sizes: int):
         self.sizes = sizes
         self.front_size = sizes[0]
-        self.inner = inner
-        self.rest = BlockElimination(*sizes[1:], inner=inner) if sizes[1:] else inner
+        self.rest = BlockElimination(*sizes[1:]) if sizes[1:] else GREVLEX
 
     @property
     def name(self):
-        return f"block({','.join(map(str, self.sizes))},{self.inner.name})"
+        return f"block({','.join(map(str, self.sizes))},grevlex)"
 
     def key(self, exps):
         k = self.front_size
-        return self.inner.key(exps[:k]) + self.rest.key(exps[k:])
+        return GREVLEX.key(exps[:k]) + self.rest.key(exps[k:])
 
     def rows(self, n):
         k = self.front_size
-        return ([r + (0,) * (n - k) for r in self.inner.rows(k)]
+        return ([r + (0,) * (n - k) for r in GREVLEX.rows(k)]
                 + [(0,) * k + r for r in self.rest.rows(n - k)])
 
 
@@ -248,9 +248,6 @@ class PolynomialRing:
             return self.zero
         return Polynomial(self, {(0,) * self.nvars: s})
 
-    def from_int(self, n: int) -> "Polynomial":
-        return self.from_scalar(n)
-
     def variable(self, i: int) -> "Polynomial":
         return Polynomial(self, {_unit(self.nvars, i): self.field.one})
 
@@ -272,7 +269,7 @@ class PolynomialRing:
             if gen in symbols:
                 raise ParseError(f"field generator {gen!r} is also a variable of the ring")
             symbols[gen] = self.from_scalar(self.field.generator)
-        value = parse_expression(text, symbols, self.from_int, _product)
+        value = parse_expression(text, symbols, self.from_scalar, _product)
         if isinstance(value, Polynomial):
             return value
         return self.from_scalar(value)
@@ -355,11 +352,7 @@ class Polynomial:
         o = self._check(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in o.terms.items():
-            acc = terms.get(m)
-            terms[m] = -c if acc is None else acc - c
-        return Polynomial(self.ring, terms)
+        return self + -o
 
     def __rsub__(self, other):
         o = self._check(other)
@@ -438,14 +431,11 @@ class Polynomial:
         return self.substitute(point).constant_coefficient()
 
     def integral_form(self):
-        """(D, components), the form that `product` and `IntegralValues`
-        pack: D is the lcm of the coefficients' denominators, and component
-        i lists (a, N) for each x^a whose coefficient has i-th integer
-        entry N / D != 0."""
-        # zero, lifted first, gives the length of the vectors
-        den, (zero, *vectors) = integral_vector([self.ring.field.zero, *self.terms.values()])
-        return den, [[(a, nums[i]) for a, nums in zip(self.terms, vectors) if nums[i]]
-                     for i in range(len(zero))]
+        """(D, [(a, N), ...]), the form that `product` and `IntegralValues`
+        pack: D is the lcm of the coefficients' denominators, and the
+        coefficient of x^a is the integer vector N over D."""
+        den, vectors = integral_vector(self.terms.values())
+        return den, list(zip(self.terms, vectors))
 
     def substitute(self, images: Sequence["Polynomial"], table: Optional[dict] = None):
         """Map variable i to images[i], lifting scalar images into the one
@@ -601,20 +591,9 @@ def _product(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def monomials_of_degree(ring: PolynomialRing, d: int, order: MonomialOrder = GREVLEX):
     """All exponent tuples of total degree d, ascending under the order."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    if ring.nvars == 0:
-        return [()] if d == 0 else []
-    rec((), d, ring.nvars)
-    out.sort(key=order.key)
-    return out
+    variables = range(ring.nvars)
+    return sorted((tuple(map(c.count, variables))
+                   for c in combinations_with_replacement(variables, d)), key=order.key)
 
 
 def transport(p: Polynomial, target: PolynomialRing, rename=None) -> Polynomial:
@@ -653,14 +632,9 @@ def integral_vector(scalars):
     return den, [[n * (den // d) for n in nums] for nums, d in lifted]
 
 
-def _packed_terms(parts, bits) -> dict:
-    """Monomial -> the int sum_i c_i 2^(bits * i) of its coefficient
-    vector (c_i), from the components of an `integral_form`."""
-    packed = {}
-    for i, terms in enumerate(parts):
-        for a, c in terms:
-            packed[a] = packed.get(a, 0) + (c << bits * i)
-    return packed
+def _pack(nums, bits) -> int:
+    """The int sum_i c_i 2^(bits * i) of an integer vector (c_i)."""
+    return sum(c << bits * i for i, c in enumerate(nums))
 
 
 @lru_cache(maxsize=256)
@@ -691,17 +665,17 @@ class IntegralValues:
 
     def __init__(self, ring: PolynomialRing, polys: Sequence[Polynomial], size: int):
         self.field = ring.field
-        self.degree = len(ring.zero.integral_form()[1])  # of the field over Q or GF(p)
+        self.degree = len(integral_vector([ring.field.one])[1][0])  # of the field over Q or GF(p)
         self.top = top = max([0] + [p.total_degree() for p in polys])
         self.exponents = [max((a[j] for p in polys for a in p.terms), default=0)
                           for j in range(ring.nvars)]
         forms = [p.integral_form() for p in polys]
-        self.bits = bits = max([size] + [sum(abs(c) for terms in parts for _, c in terms) * size**top
-                                         for _, parts in forms]).bit_length() + 1
-        self.forms = [(den, list(_packed_terms(parts, bits).items())) for den, parts in forms]
+        self.bits = bits = max([size] + [sum(abs(c) for _, nums in terms for c in nums) * size**top
+                                         for _, terms in forms]).bit_length() + 1
+        self.forms = [(den, [(a, _pack(nums, bits)) for a, nums in terms]) for den, terms in forms]
 
     def pack(self, nums) -> int:
-        return sum(x << self.bits * i for i, x in enumerate(nums))
+        return _pack(nums, self.bits)
 
     def settle(self, value, den, length=None):
         """The canonical payload of value / den, for a packed value of
@@ -746,14 +720,14 @@ def product(ring: PolynomialRing, factors: Sequence[Polynomial]) -> Polynomial:
     if any(f.is_zero() for f in factors):
         return ring.zero
     forms = [f.integral_form() for f in factors]
-    bits = prod(sum(abs(c) for terms in parts for _, c in terms)
-                for _, parts in forms).bit_length() + 1
-    widths = [sum(max(a[j] for terms in parts for a, _ in terms) for _, parts in forms)
+    bits = prod(sum(abs(c) for _, nums in terms for c in nums)
+                for _, terms in forms).bit_length() + 1
+    widths = [sum(max(a[j] for a, _ in terms) for _, terms in forms)
               .bit_length() for j in range(ring.nvars)]
     offsets = [sum(widths[:j]) for j in range(ring.nvars)]
     total = {0: 1}
-    for _, parts in forms:
-        factor = {sum(map(lshift, a, offsets)): c for a, c in _packed_terms(parts, bits).items()}
+    for _, terms in forms:
+        factor = {sum(map(lshift, a, offsets)): _pack(nums, bits) for a, nums in terms}
         step = {}
         get = step.get
         for m1, c1 in total.items():
@@ -761,7 +735,7 @@ def product(ring: PolynomialRing, factors: Sequence[Polynomial]) -> Polynomial:
                 m = m1 + m2
                 step[m] = get(m, 0) + c1 * c2
         total = {m: c for m, c in step.items() if c}
-    length = sum(len(parts) - 1 for _, parts in forms) + 1
+    length = sum(len(terms[0][1]) - 1 for _, terms in forms) + 1
     den, is_zero = prod(d for d, _ in forms), field._is_zero
     raw = {}
     for m, c in total.items():

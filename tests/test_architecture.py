@@ -5,7 +5,10 @@ The group action has exactly two entry points.  Finite groups act
 through `groups.apply_element`, the only caller of
 `Polynomial.apply_linear_map`; algebraic groups act through
 `algebraic.action_graph_generators`, the only reader of an entry of the
-action matrix.  Every other action is derived from these two.
+action matrix.  Every other polynomial action is derived from these two;
+Noether's and Dade's orbit products act on linear forms only, and read
+the image c sigma of a form c x off the matrix sigma, with no
+polynomial action at all.
 
 Rational-function gcds have no algebra of their own:
 `ratfunc.multivariate_gcd` takes the lcm from
@@ -64,15 +67,17 @@ packed monomials.
 Products of many factors over Q, GF(p) and Q(w) have one kernel,
 `polynomials.product`, which Noether's separating set and Dade's orbit
 products call instead of folding `*`.  It and `IntegralValues`, on
-which the sampled separation check evaluates its candidates, share
-the packing helpers of `polynomials`, the only code outside
-`groebner`'s monomial packings that shifts ints: Kronecker packing of
-coefficient vectors lives there alone.
+which the sampled separation check evaluates its candidates, pack each
+coefficient vector with the one helper `polynomials._pack` and unpack
+it with `_digits`, the only code outside `groebner`'s monomial
+packings that shifts ints: Kronecker packing of coefficient vectors
+lives there alone.
 
 Substitution has one memoised path, `polynomials.monomial_image`: a
 table from monomials x^a to their images, filled with one
 `_raw_product` per new monomial.  `Polynomial.substitute` (and through
-it `evaluate`, `apply_linear_map` and `groups.apply_element`) and
+it `evaluate`, `apply_linear_map`, `groups.apply_element` and
+`invariants.invariant_basis`, which shares one table per generator) and
 `groups.reynolds` read it, and `groups` keeps no monomial-image helper
 of its own.  It stays the one table; the sampled separation check runs
 on ints instead: `polynomials.IntegralValues` sums a polynomial's
@@ -124,6 +129,7 @@ report.
 """
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -544,15 +550,16 @@ def test_orbit_products_run_on_the_product_kernel():
         assert not [node for node in nodes if isinstance(node, (ast.BinOp, ast.AugAssign))
                     and isinstance(node.op, ast.Mult)]
     # Kronecker packing of coefficient vectors has one home: outside the
-    # monomial packings of `groebner` and the generator of `prng`, only the
-    # packing helpers of `polynomials` shift ints, besides `mono_support`,
-    # `DEGREE_BOUND` and the kernel's own monomial packing
+    # monomial packings of `groebner` and the generator of `prng`, only
+    # `_pack` and the unpacking helpers of `polynomials` shift ints, besides
+    # `mono_support`, `DEGREE_BOUND` and the kernel's own monomial packing
     shifts = _sites(lambda node: isinstance(node, ast.BinOp)
                     and isinstance(node.op, (ast.LShift, ast.RShift)))
     assert {site for site in shifts if site[0] not in ("groebner", "prng")} == {
         ("polynomials", None), ("polynomials", "mono_support"), ("polynomials", "product"),
-        ("polynomials", "_packed_terms"), ("polynomials", "_bias"), ("polynomials", "_digits"),
-        ("polynomials", "pack")}
+        ("polynomials", "_pack"), ("polynomials", "_bias"), ("polynomials", "_digits")}
+    assert _calls("_pack") == {("polynomials", "product"), ("polynomials", "__init__"),
+                               ("polynomials", "pack")}
     assert _sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "product"
                   ) == {("invariants", "noether_separating_set"),
                         ("invariants", "dade_primary_invariants")}
@@ -677,6 +684,21 @@ def _function_names(function):
 
     visit(function, True)
     return stored, loaded
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer reads each name it wraps from its module, and
+    # each method from its own class's __dict__: a deleted or inherited
+    # name would crash a traced run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    (traced,) = [ast.literal_eval(node.value) for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED"]
+    for module, attr, _, _ in traced:
+        owner = importlib.import_module(f"invar.{module}")
+        if "." in attr:
+            cls, attr = attr.split(".")
+            owner = vars(owner)[cls]
+        assert callable(vars(owner).get(attr)), f"{module}.{attr}"
 
 
 def test_src_has_no_unused_imports_or_locals():

@@ -150,7 +150,7 @@ def _divisor(ring, order, terms, lead):
         lead = 1
     p = _polynomial(ring, terms)
     if p.is_zero():
-        return ring.from_int(lead)
+        return ring.from_scalar(lead)
     lm = p.leading_monomial(order)
     return p + ring.monomial(lm, ring.field.scalar(lead) - p.terms[lm])
 

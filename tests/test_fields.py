@@ -268,9 +268,9 @@ def test_large_minimal_polynomials_finish_promptly(text, warning):
     # a full trial-division search of the 19-digit constants takes 10^9
     # steps, and the 1344 divisors of 735134400 make more pairs with those
     # of the constant term than the search bound allows.  The last one's
-    # 6720 x 120 divisor pairs, just under that bound, are all searched:
-    # in time only because the root filter evaluates none of them and
-    # each pair of quadratic factors is tried once
+    # 6720 x 120 divisor pairs, just under that bound, pass the root
+    # filter without an evaluation, and its quadratic factors are sought
+    # only among the 32 sums of signed divisors of a(1) and a(-1)
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -385,7 +385,7 @@ def _reference_molien(group, truncation):
 
     total = [field.zero] * (truncation + 1)
     for sigma in group.elements:
-        d = det([[tring.from_int(int(i == j)) - t * sigma.rows[i][j] for j in range(n)]
+        d = det([[tring.from_scalar(int(i == j)) - t * sigma.rows[i][j] for j in range(n)]
                  for i in range(n)])
         a = [d.terms.get((k,), field.zero) for k in range(d.total_degree() + 1)]
         out = [a[0].inverse()]

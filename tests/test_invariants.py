@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from invar import invariants
+from invar import invariants, polynomials
 from invar.cli import main
 from invar.errors import (
     FieldTooSmall,
@@ -27,7 +27,14 @@ from invar.invariants import (
     verify_separation_samples,
 )
 from invar.linalg import Matrix
-from invar.polynomials import GREVLEX, PolynomialRing, monomials_of_degree, product, transport
+from invar.polynomials import (
+    GREVLEX,
+    Polynomial,
+    PolynomialRing,
+    monomials_of_degree,
+    product,
+    transport,
+)
 from invar.prng import XorShift
 from invar.specfile import fixture_path, load_spec_file
 
@@ -71,6 +78,34 @@ def test_invariant_basis_does_not_depend_on_equation_order(name):
     assert any(bases)
     for other in others:
         assert [invariant_basis(other, d) for d in range(1, 5)] == bases
+
+
+@pytest.mark.parametrize("name", ["s3_natural", "d8", "c2_swap_gf2"])
+def test_invariant_basis_makes_one_product_per_table_entry(name, monkeypatch):
+    # each generator's monomial images share one table, seeded with 1 and
+    # the images of the variables, so every product fills a new entry
+    group = load_spec_file(fixture_path(name)).group
+    bases = [invariant_basis(group, d) for d in range(1, 5)]
+    substitute, raw_product = Polynomial.substitute, polynomials._raw_product
+    tables, products = [], []
+
+    def recording_substitute(self, images, table=None):
+        if table is not None and all(t is not table for t in tables):
+            tables.append(table)
+        return substitute(self, images, table)
+
+    def counting(*args):
+        products.append(args)
+        return raw_product(*args)
+
+    monkeypatch.setattr(Polynomial, "substitute", recording_substitute)
+    monkeypatch.setattr(polynomials, "_raw_product", counting)
+    for d, basis in enumerate(bases, 1):
+        tables.clear()
+        products.clear()
+        assert invariant_basis(group, d) == basis
+        assert len(tables) == len(group.generators)
+        assert len(products) == sum(len(table) - group.dimension - 1 for table in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +521,21 @@ def test_dade_tests_each_list_once(s3, monkeypatch):
     prim = dade_primary_invariants(s3, seed=1)
     assert len(set(tested)) == len(tested)
     assert tested[-1] == tuple(prim)
+
+
+@pytest.mark.parametrize("name", ["s3_natural", "d8", "cn_scalar_4"])
+def test_orbit_products_apply_no_polynomial_action(name, monkeypatch):
+    # Noether's factors and Dade's forms are read off the group's matrices
+    group = load_spec_file(fixture_path(name)).group
+    expected = noether_separating_set(group).invariants, dade_primary_invariants(group, seed=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an orbit product acted on a polynomial")
+
+    monkeypatch.setattr(invariants, "apply_element", refuse)
+    monkeypatch.setattr(Polynomial, "substitute", refuse)
+    assert (noether_separating_set(group).invariants,
+            dade_primary_invariants(group, seed=0)) == expected
 
 
 def test_dade_s3_and_d8(s3, d8):

@@ -146,6 +146,8 @@ def test_apply_matches_scalar_sums(name, data):
     other = FIELDS[min(set(FIELDS) - {name})]
     with pytest.raises(FieldMismatch):
         Matrix(field, a).apply([other.one] * n)
+    # an m x 0 matrix sends the empty vector to m zeros
+    assert Matrix(field, [[]] * m).apply([]) == (field.zero,) * m
 
 
 def test_apply_refuses_a_vector_of_the_wrong_length():
